@@ -108,8 +108,9 @@ def sweep_points(
     return staged_pipeline(**options).sweep(ft_circuit(name), grid)
 
 
-#: Trajectory records of the speed benchmarks, committed alongside the
-#: benches so future PRs can detect perf regressions against them.
+#: Committed baselines of the speed benchmarks.  The benches only read
+#: them (a tier-1 run never rewrites a tracked file); refresh one by hand
+#: when a change moves its number on purpose.
 MAPPER_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_mapper.json"
 FRONTEND_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_frontend.json"
 STORE_TRAJECTORY_PATH = Path(__file__).parent / "BENCH_store.json"
@@ -125,27 +126,6 @@ def _load_trajectory(path: Path) -> dict:
         return json.load(handle)
 
 
-def _record_trajectory(
-    path: Path, key: str, benchmark: str, wall_seconds: float, speedup: float
-) -> None:
-    """Merge one measurement into a trajectory file.
-
-    ``key`` identifies the measurement configuration (e.g. ``"full"`` vs
-    ``"smoke"``), so reduced-grid CI runs never overwrite the full-run
-    baseline.  Wall time is machine-dependent context; the *speedup* over
-    the legacy/scalar oracle is the portable regression signal.
-    """
-    record = _load_trajectory(path)
-    record.setdefault("entries", {})[key] = {
-        "benchmark": benchmark,
-        "wall_seconds": round(wall_seconds, 4),
-        "speedup": round(speedup, 2),
-    }
-    with path.open("w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _recorded_speedup(path: Path, key: str) -> float | None:
     """The baseline speedup recorded for one configuration, if any."""
     entry = _load_trajectory(path).get("entries", {}).get(key)
@@ -159,27 +139,9 @@ def load_mapper_trajectory() -> dict:
     return _load_trajectory(MAPPER_TRAJECTORY_PATH)
 
 
-def record_mapper_trajectory(
-    key: str, benchmark: str, wall_seconds: float, speedup: float
-) -> None:
-    """Merge one mapper-benchmark measurement into ``BENCH_mapper.json``."""
-    _record_trajectory(
-        MAPPER_TRAJECTORY_PATH, key, benchmark, wall_seconds, speedup
-    )
-
-
 def recorded_mapper_speedup(key: str) -> float | None:
     """The mapper baseline speedup recorded for one configuration."""
     return _recorded_speedup(MAPPER_TRAJECTORY_PATH, key)
-
-
-def record_frontend_trajectory(
-    key: str, benchmark: str, wall_seconds: float, speedup: float
-) -> None:
-    """Merge one front-end measurement into ``BENCH_frontend.json``."""
-    _record_trajectory(
-        FRONTEND_TRAJECTORY_PATH, key, benchmark, wall_seconds, speedup
-    )
 
 
 def recorded_frontend_speedup(key: str) -> float | None:
@@ -187,58 +149,14 @@ def recorded_frontend_speedup(key: str) -> float | None:
     return _recorded_speedup(FRONTEND_TRAJECTORY_PATH, key)
 
 
-def record_stream_trajectory(
-    key: str, benchmark: str, wall_seconds: float, speedup: float
-) -> None:
-    """Merge one streaming-front-end measurement into ``BENCH_stream.json``.
-
-    For this trajectory ``speedup`` is the *peak-memory advantage* of the
-    chunked path over the materialized path at the measured gate count —
-    the quantity out-of-core streaming exists to maximize; wall time is
-    the machine-dependent context.
-    """
-    _record_trajectory(
-        STREAM_TRAJECTORY_PATH, key, benchmark, wall_seconds, speedup
-    )
-
-
 def recorded_stream_speedup(key: str) -> float | None:
     """The streaming baseline memory advantage recorded for one config."""
     return _recorded_speedup(STREAM_TRAJECTORY_PATH, key)
 
 
-def record_store_trajectory(
-    key: str, benchmark: str, wall_seconds: float, speedup: float
-) -> None:
-    """Merge one warm-store measurement into ``BENCH_store.json``."""
-    _record_trajectory(
-        STORE_TRAJECTORY_PATH, key, benchmark, wall_seconds, speedup
-    )
-
-
 def recorded_store_speedup(key: str) -> float | None:
     """The warm-store baseline speedup recorded for one configuration."""
     return _recorded_speedup(STORE_TRAJECTORY_PATH, key)
-
-
-def record_obs_trajectory(
-    key: str, benchmark: str, wall_seconds: float, overhead_pct: float
-) -> None:
-    """Merge one telemetry-overhead measurement into ``BENCH_obs.json``.
-
-    Unlike the speed trajectories, the recorded signal here is the
-    *overhead percentage* of the obs-enabled path over the disabled
-    path on the mapper bench — the quantity the <3% CI gate pins.
-    """
-    record = _load_trajectory(OBS_TRAJECTORY_PATH)
-    record.setdefault("entries", {})[key] = {
-        "benchmark": benchmark,
-        "wall_seconds": round(wall_seconds, 4),
-        "overhead_pct": round(overhead_pct, 3),
-    }
-    with OBS_TRAJECTORY_PATH.open("w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def recorded_obs_overhead(key: str) -> float | None:

@@ -9,9 +9,7 @@ recording is enabled.  This bench pins both ends:
 * mapping with recording **enabled** (ring buffer on, the ``leqa
   serve`` configuration) must cost less than ``OVERHEAD_CEILING_PCT``
   over the disabled path, measured interleaved best-of-N on the
-  calibration benchmark;
-* the measurement is appended to ``BENCH_obs.json`` so future PRs see
-  the overhead trajectory.
+  calibration benchmark.
 
 Interleaving the enabled/disabled rounds (rather than back-to-back
 blocks) decorrelates the comparison from thermal/frequency drift, and
@@ -27,7 +25,7 @@ from repro import obs
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.qspr.mapper import QSPRMapper
 
-from _common import ft_circuit, record_obs_trajectory
+from _common import ft_circuit
 
 BENCH = "gf2^16mult"
 
@@ -75,6 +73,3 @@ def test_obs_enabled_overhead_under_ceiling():
         f"telemetry-enabled mapper is {overhead_pct:.2f}% slower than the "
         f"disabled path (ceiling {OVERHEAD_CEILING_PCT}%)"
     )
-
-    key = "smoke" if smoke else "full"
-    record_obs_trajectory(key, BENCH, best_enabled, overhead_pct)

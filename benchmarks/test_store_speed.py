@@ -16,11 +16,10 @@ This bench pins that contract with real subprocesses:
 
 Asserted: the warm process is at least :data:`SPEEDUP_FLOOR` (3x)
 faster, and every latency — estimates and mapping — is **bitwise**
-identical (compared via ``float.hex``).  Each run appends the
-measurement to ``BENCH_store.json`` and fails if the speedup regressed
-by more than 2x against the recorded baseline, mirroring the
-``BENCH_frontend``/``BENCH_mapper`` trajectory guards the CI smoke job
-relies on.
+identical (compared via ``float.hex``).  Each run fails if the speedup
+regressed by more than 2x against the baseline committed in
+``BENCH_store.json``, mirroring the ``BENCH_frontend``/``BENCH_mapper``
+trajectory guards the CI smoke job relies on.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from _common import record_store_trajectory, recorded_store_speedup
+from _common import recorded_store_speedup
 
 #: Asserted floor for the warm-store process over the cold one (the
 #: PR's acceptance criterion).
@@ -152,7 +151,6 @@ def test_store_warm_process_speed_and_identity(tmp_path, benchmark):
             f"warm-store speedup regressed more than {REGRESSION_FACTOR}x: "
             f"{speedup:.2f}x now vs {baseline:.2f}x recorded"
         )
-    record_store_trajectory(key, family, warm_wall, speedup)
 
     benchmark.pedantic(
         lambda: _run_driver(driver, tmp_path / "cold-store-0", config),

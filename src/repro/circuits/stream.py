@@ -1,10 +1,10 @@
-"""Out-of-core streaming front-end: the chunked twin of the table flow.
+"""Out-of-core streaming front-end: the table flow, one chunk at a time.
 
 The materialized front-end builds one :class:`~repro.circuits.table.GateTable`
 per circuit and hands it whole between stages, so peak memory is linear
-in gate count.  This module re-expresses every front-end stage as a
-**chunk pipeline**: producers yield bounded-size ``GateTable`` chunks,
-passes consume and re-emit chunks with explicit carry state across chunk
+in gate count.  This module runs every front-end stage as a **chunk
+pipeline**: producers yield bounded-size ``GateTable`` chunks, passes
+consume and re-emit chunks with explicit carry state across chunk
 boundaries, and the estimator's two inherently global reductions (the
 IIG pair counts and the critical-path recurrence) accumulate
 incrementally — a million-gate ``random_ft`` run goes parse → FT → IIG →
@@ -25,12 +25,16 @@ Chunk-stream conventions
   fingerprints.  ``tests/test_stream.py`` pins that contract across the
   workload registry at chunk sizes 1, prime and larger than the circuit.
 
-The passes reuse the exact code paths of the materialized flow wherever
-the work is row-local (the vectorized SWAP/Fredkin/Toffoli template
-expansions run unchanged on each chunk); only the genuinely global state
-— ancilla naming, peephole adjacency, IIG insertion order, critical-path
-chains — is threaded across chunks by hand, mirroring the materialized
-implementations statement for statement.
+FT lowering and the critical path are written once, as chunk-carry
+functions, and the materialized path is their one-chunk case:
+:func:`lower_ft_stream` and :func:`~repro.circuits.table.lower_ft` share
+one per-chunk lowering (the ancilla allocator is the carry), and
+:func:`estimate_stream` and
+:func:`~repro.qodg.sweep.sweep_critical_path` share
+:func:`~repro.qodg.sweep.critical_path_chunk`.  The peephole scan and the
+IIG accumulation keep their own carry state (pending window, adjacency
+insertion order), mirroring the materialized implementations statement
+for statement.
 """
 
 from __future__ import annotations
@@ -46,26 +50,20 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ..exceptions import CircuitError, DecompositionError, ParseError
+from ..exceptions import CircuitError, ParseError
 from ..obs import default_registry as _obs_registry
 from ..obs import record_span, span as obs_span
-from .gates import GateKind, KIND_CODES, KINDS_BY_CODE, kind_from_name
+from .gates import KINDS_BY_CODE, kind_from_name
 from .generators import _RANDOM_FT_ONE_QUBIT
 from .parser import _append_from_operands, _parse_real_gate
 from .table import (
-    FT_CODE_MASK,
     GateTable,
     TableBuilder,
-    _FREDKIN,
     _INVERSE_OF,
-    _MCF,
-    _MCT,
+    _McExpandCarry,
     _PHASE_FUSION_CODES,
     _SELF_INVERSE_CODES,
-    _TOFFOLI,
-    eliminate_fredkin_table,
-    eliminate_swap_table,
-    lower_toffoli_table,
+    _lower_ft_chunk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -422,133 +420,6 @@ def stream_read_qasm_lite(
 # ---------------------------------------------------------------------------
 
 
-class _McExpandCarry:
-    """Ancilla-allocation state carried across chunk boundaries.
-
-    Exactly the closure state of
-    :func:`~repro.circuits.table.expand_multi_controlled_table` — the
-    cumulative name pool, the collision counter and (under
-    ``share_ancillas``) the free-ancilla pool — hoisted into an object
-    so chunk N+1 continues where chunk N stopped and the assembled
-    output register is bitwise-identical to the one-shot pass.
-    """
-
-    def __init__(self, qubit_names: tuple[str, ...], share_ancillas: bool) -> None:
-        self.names: list[str] = list(qubit_names)
-        self.name_set = set(self.names)
-        self.pool: list[int] = []
-        self.counter = 0
-        self.share_ancillas = share_ancillas
-
-    def take(self, count: int) -> list[int]:
-        taken: list[int] = []
-        if self.share_ancillas:
-            while self.pool and len(taken) < count:
-                taken.append(self.pool.pop())
-        while len(taken) < count:
-            anc_name = f"anc{self.counter}"
-            while anc_name in self.name_set:
-                self.counter += 1
-                anc_name = f"anc{self.counter}"
-            taken.append(len(self.names))
-            self.names.append(anc_name)
-            self.name_set.add(anc_name)
-            self.counter += 1
-        return taken
-
-    def expand_chunk(self, table: GateTable) -> GateTable:
-        """MCT/MCF expansion of one chunk over the cumulative register."""
-        mc_mask = (table.kind == _MCT) | (table.kind == _MCF)
-        if not mc_mask.any():
-            # Row-identical fast path; the register is still rebased to
-            # the cumulative pool so every output chunk's indices are
-            # valid in the final register.
-            return GateTable(
-                kind=table.kind,
-                ctrl=table.ctrl,
-                ctrl2=table.ctrl2,
-                target=table.target,
-                target2=table.target2,
-                extra_indptr=table.extra_indptr,
-                extra=table.extra,
-                qubit_names=tuple(self.names),
-                name=table.name,
-            )
-        kinds = table.kind.tolist()
-        c1s = table.ctrl.tolist()
-        c2s = table.ctrl2.tolist()
-        t1s = table.target.tolist()
-        t2s = table.target2.tolist()
-        out_k: list[int] = []
-        out_c1: list[int] = []
-        out_c2: list[int] = []
-        out_t1: list[int] = []
-        out_t2: list[int] = []
-
-        def emit_toffoli(a: int, b: int, c: int) -> None:
-            out_k.append(_TOFFOLI)
-            out_c1.append(a)
-            out_c2.append(b)
-            out_t1.append(c)
-            out_t2.append(-1)
-
-        def emit_chain(
-            controls: list[int], terminal_kind: int, term_ops: tuple[int, ...]
-        ) -> None:
-            k = len(controls)
-            ancillas = self.take(k - 1)
-            compute: list[tuple[int, int, int]] = [
-                (controls[0], controls[1], ancillas[0])
-            ]
-            for i in range(2, k):
-                compute.append((ancillas[i - 2], controls[i], ancillas[i - 1]))
-            for a, b, c in compute:
-                emit_toffoli(a, b, c)
-            top = ancillas[-1]
-            if terminal_kind == _TOFFOLI:
-                emit_toffoli(top, term_ops[0], term_ops[1])
-            else:  # FREDKIN(anc; t1, t2)
-                out_k.append(_FREDKIN)
-                out_c1.append(top)
-                out_c2.append(-1)
-                out_t1.append(term_ops[0])
-                out_t2.append(term_ops[1])
-            for a, b, c in reversed(compute):
-                emit_toffoli(a, b, c)
-            if self.share_ancillas:
-                self.pool.extend(ancillas)
-
-        extra_indptr = table.extra_indptr
-        extra = table.extra.tolist()
-        for i, code in enumerate(kinds):
-            if code == _MCT:
-                controls = [c1s[i], c2s[i]]
-                controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
-                emit_chain(controls[:-1], _TOFFOLI, (controls[-1], t1s[i]))
-            elif code == _MCF:
-                controls = [c1s[i], c2s[i]]
-                controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
-                emit_chain(controls, _FREDKIN, (t1s[i], t2s[i]))
-            else:
-                out_k.append(code)
-                out_c1.append(c1s[i])
-                out_c2.append(c2s[i])
-                out_t1.append(t1s[i])
-                out_t2.append(t2s[i])
-        n = len(out_k)
-        return GateTable(
-            kind=np.asarray(out_k, dtype=np.int8),
-            ctrl=np.asarray(out_c1, dtype=np.int64),
-            ctrl2=np.asarray(out_c2, dtype=np.int64),
-            target=np.asarray(out_t1, dtype=np.int64),
-            target2=np.asarray(out_t2, dtype=np.int64),
-            extra_indptr=np.zeros(n + 1, dtype=np.int64),
-            extra=np.empty(0, dtype=np.int64),
-            qubit_names=tuple(self.names),
-            name=table.name,
-        )
-
-
 def lower_ft_stream(
     chunks: Iterable[GateTable],
     share_ancillas: bool = False,
@@ -557,13 +428,13 @@ def lower_ft_stream(
     """The FT synthesis pipeline (:func:`~repro.circuits.table.lower_ft`)
     as a chunk-wise pass.
 
-    The SWAP/Fredkin/Toffoli template expansions are row-local, so each
-    chunk runs the *same* vectorized passes as the materialized
-    pipeline; only the multi-controlled expansion's ancilla allocator is
-    global state, carried across chunks by :class:`_McExpandCarry`.
-    Output chunks can be larger than input chunks (up to 15x for a
-    Toffoli-heavy chunk, more with wide MCT rows) but stay proportional
-    to the input chunk size.
+    Each chunk runs the same per-chunk lowering as the materialized
+    :func:`~repro.circuits.table.lower_ft`, which is this pass over one
+    chunk: the SWAP/Fredkin/Toffoli template expansions are row-local,
+    and the multi-controlled expansion's ancilla allocator is the one
+    piece of state carried from chunk to chunk.  Output chunks can be
+    larger than input chunks (up to 15x for a Toffoli-heavy chunk, more
+    with wide MCT rows) but stay proportional to the input chunk size.
 
     Requires a fixed input register: ancilla indices are allocated at
     the end of the register, so a register that grows mid-stream would
@@ -588,16 +459,7 @@ def lower_ft_stream(
                     "qubits); declare all qubits before streaming FT "
                     "synthesis"
                 )
-            lowered = carry.expand_chunk(table)
-            lowered = eliminate_swap_table(lowered)
-            lowered = eliminate_fredkin_table(lowered)
-            lowered = lower_toffoli_table(lowered)
-            if not lowered.is_ft():
-                bad = lowered.kind[~FT_CODE_MASK[lowered.kind]][0]
-                raise DecompositionError(
-                    f"gate kind {KINDS_BY_CODE[bad].value!r} survived FT "
-                    "synthesis"
-                )
+            lowered = _lower_ft_chunk(table, carry)
             sp.annotate(rows=len(lowered))
         _obs_registry().inc("stream.rows", len(lowered), stage="ft")
         if profile is not None:
@@ -1108,8 +970,11 @@ def estimate_stream(
     uncongested latency, queueing) then run on the accumulated arrays
     through the *same* :class:`~repro.core.pipeline.StagedPipeline`
     stage methods as the materialized path, and the second pass replays
-    the spilled columns through the critical-path recurrence with carry
-    state across chunk boundaries.  Every field of the returned
+    the spilled columns chunk by chunk through
+    :func:`~repro.qodg.sweep.critical_path_chunk` with one carry — the
+    recurrence :func:`~repro.qodg.sweep.sweep_critical_path` runs as a
+    single chunk — then :func:`~repro.qodg.sweep.backtrack` walks the
+    spilled predecessors.  Every field of the returned
     :class:`~repro.core.estimator.LatencyEstimate` except
     ``elapsed_seconds`` is bitwise-identical to
     ``StagedPipeline(**options).run(Circuit.from_table(assemble(chunks)),
@@ -1127,9 +992,13 @@ def estimate_stream(
         materialized path).
     """
     from ..core.estimator import LatencyEstimate
-    from ..core.pipeline import StagedPipeline, _node_delay_table
-    from ..exceptions import EstimationError
-    from ..qodg.critical_path import CriticalPathResult
+    from ..core.pipeline import (
+        StagedPipeline,
+        _node_delay_table,
+        _not_ft_error,
+    )
+    from ..qodg.critical_path import kind_delay_lut
+    from ..qodg.sweep import CriticalPathCarry, backtrack, critical_path_chunk
 
     started = time.perf_counter()
     pipeline = StagedPipeline(cache=None, **options)
@@ -1178,17 +1047,10 @@ def estimate_stream(
         l_avg_cnot, surfaces = pipeline._queueing_stage(
             shim, zones, d_uncong, params
         )
-        kind_table = _node_delay_table(params, l_avg_cnot)
-        lut = np.full(len(KINDS_BY_CODE), -1.0)
-        for kind, value in kind_table.items():
-            lut[KIND_CODES[kind]] = value
-        # Pass 2: the exact _sweep_critical_path_table recurrence with
-        # carry state, over the spilled columns.
-        qubit_dist = [0.0] * num_qubits
-        qubit_last = [-1] * num_qubits
-        overall_best = 0.0
-        overall_last = -1
-        base = 0
+        lut = kind_delay_lut(_node_delay_table(params, l_avg_cnot))
+        # Pass 2: the spilled columns through the critical-path
+        # recurrence, one chunk at a time with one carry.
+        carry = CriticalPathCarry(num_qubits)
         with ops_path.open("rb") as ops_file, \
                 preds_path.open("wb") as preds_file:
             for rows in chunk_rows:
@@ -1197,78 +1059,37 @@ def estimate_stream(
                     metric="stream.stage.seconds",
                     stage="critical",
                 ) as sp:
-                    codes_arr = np.load(ops_file, allow_pickle=False)
+                    codes = np.load(ops_file, allow_pickle=False)
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
-                    delays = lut[codes_arr]
-                    if delays.size and float(delays.min()) < 0:
-                        offender = int(np.argmax(delays < 0))
-                        bad = KINDS_BY_CODE[int(codes_arr[offender])]
-                        raise EstimationError(
-                            f"gate kind {bad.value!r} is not an FT "
-                            "operation; run synthesize_ft() before "
-                            "estimating"
+                    delays = lut[codes]
+                    missing = np.isnan(delays)
+                    if missing.any():
+                        raise _not_ft_error(
+                            KINDS_BY_CODE[int(codes[np.argmax(missing)])]
                         )
-                    ops_a = o0.tolist()
-                    ops_b = o1.tolist()
-                    gate_delays = delays.tolist()
-                    best_pred = np.empty(rows, dtype=np.int64)
-                    for index, qubit_a in enumerate(ops_a):
-                        best = qubit_dist[qubit_a]
-                        pred = qubit_last[qubit_a] if best > 0.0 else -1
-                        if best <= 0.0:
-                            best = 0.0
-                            pred = -1
-                        qubit_b = ops_b[index]
-                        if qubit_b >= 0:
-                            chain = qubit_dist[qubit_b]
-                            if chain > best:
-                                best = chain
-                                pred = qubit_last[qubit_b]
-                        total = best + gate_delays[index]
-                        best_pred[index] = pred
-                        node = base + index
-                        qubit_dist[qubit_a] = total
-                        qubit_last[qubit_a] = node
-                        if qubit_b >= 0:
-                            qubit_dist[qubit_b] = total
-                            qubit_last[qubit_b] = node
-                        if total > overall_best:
-                            overall_best = total
-                            overall_last = node
-                    preds_file.write(best_pred.tobytes())
+                    preds = critical_path_chunk(
+                        o0.tolist(), o1.tolist(), delays.tolist(), carry
+                    )
+                    preds_file.write(
+                        np.asarray(preds, dtype=np.int64).tobytes()
+                    )
                     sp.annotate(rows=rows)
-                base += rows
                 _obs_registry().inc("stream.rows", rows, stage="critical")
                 if profile is not None:
                     profile.add("critical", rows, sp.seconds)
-        # Backtrack through the spilled predecessor/kind columns.
-        path: list[int] = []
+        # Backtrack through the spilled predecessor/kind columns; the
+        # memoryview hands out Python ints.  (An empty file cannot be
+        # mapped, and an empty stream has no path to walk.)
         if op_count:
-            preds = np.memmap(preds_path, dtype=np.int64, mode="r")
-            kinds_mm = np.memmap(kinds_path, dtype=np.int8, mode="r")
-            node = overall_last
-            while node != -1:
-                path.append(node)
-                node = int(preds[node])
-            path.reverse()
-            counts: dict[GateKind, int] = {}
-            for node in path:
-                kind = KINDS_BY_CODE[int(kinds_mm[node])]
-                counts[kind] = counts.get(kind, 0) + 1
-            del preds, kinds_mm
+            preds = memoryview(
+                np.memmap(preds_path, dtype=np.int64, mode="r")
+            )
+            codes = np.memmap(kinds_path, dtype=np.int8, mode="r")
         else:
-            counts = {}
-        node_ids = tuple(path)
-        # The tuple shares the int objects; dropping the list now frees
-        # its slot array (8 B/node) before the result is assembled.
-        del path
-        result = CriticalPathResult(
-            length=overall_best,
-            node_ids=node_ids,
-            counts_by_kind=counts,
-            cnot_count=counts.get(GateKind.CNOT, 0),
-        )
+            preds, codes = [], np.empty(0, dtype=np.int8)
+        result = backtrack(carry, preds, codes)
+        del preds, codes
     elapsed = time.perf_counter() - started
     return LatencyEstimate(
         latency=result.length,

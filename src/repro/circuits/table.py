@@ -934,6 +934,140 @@ def _finish_pass(
     )
 
 
+class _McExpandCarry:
+    """Ancilla-allocation state of the multi-controlled expansion.
+
+    The cumulative register names, the ``anc<k>`` collision counter and
+    (under ``share_ancillas``) the free-ancilla pool.  One carry feeds
+    every chunk of a stream (or a whole table as one chunk), so chunk
+    N+1 continues where chunk N stopped and the assembled output is
+    bitwise-identical to the one-shot pass.
+    """
+
+    def __init__(
+        self, qubit_names: tuple[str, ...], share_ancillas: bool
+    ) -> None:
+        self.names: list[str] = list(qubit_names)
+        self.name_set = set(self.names)
+        self.pool: list[int] = []
+        self.counter = 0
+        self.share_ancillas = share_ancillas
+
+    def take(self, count: int) -> list[int]:
+        taken: list[int] = []
+        if self.share_ancillas:
+            while self.pool and len(taken) < count:
+                taken.append(self.pool.pop())
+        while len(taken) < count:
+            anc_name = f"anc{self.counter}"
+            while anc_name in self.name_set:
+                self.counter += 1
+                anc_name = f"anc{self.counter}"
+            taken.append(len(self.names))
+            self.names.append(anc_name)
+            self.name_set.add(anc_name)
+            self.counter += 1
+        return taken
+
+    def expand_chunk(self, table: GateTable) -> GateTable:
+        """MCT/MCF expansion of one chunk over the cumulative register."""
+        mc_mask = (table.kind == _MCT) | (table.kind == _MCF)
+        if not mc_mask.any():
+            if len(self.names) == table.num_qubits:
+                return table  # no ancillas yet: nothing to rewrite
+            # Row-identical, but rebased to the cumulative register so
+            # every output chunk's indices are valid in the final one.
+            return GateTable(
+                kind=table.kind,
+                ctrl=table.ctrl,
+                ctrl2=table.ctrl2,
+                target=table.target,
+                target2=table.target2,
+                extra_indptr=table.extra_indptr,
+                extra=table.extra,
+                qubit_names=tuple(self.names),
+                name=table.name,
+            )
+        # Irregular expansion (per-gate arity varies): stream rows through
+        # plain lists, looping over primitive ints rather than Gate objects.
+        kinds = table.kind.tolist()
+        c1s = table.ctrl.tolist()
+        c2s = table.ctrl2.tolist()
+        t1s = table.target.tolist()
+        t2s = table.target2.tolist()
+        out_k: list[int] = []
+        out_c1: list[int] = []
+        out_c2: list[int] = []
+        out_t1: list[int] = []
+        out_t2: list[int] = []
+
+        def emit_toffoli(a: int, b: int, c: int) -> None:
+            out_k.append(_TOFFOLI)
+            out_c1.append(a)
+            out_c2.append(b)
+            out_t1.append(c)
+            out_t2.append(-1)
+
+        def emit_chain(
+            controls: list[int], terminal_kind: int, term_ops: tuple[int, ...]
+        ) -> None:
+            """Ancilla-chain conjunction, terminal gate, uncompute chain."""
+            k = len(controls)
+            ancillas = self.take(k - 1)
+            compute: list[tuple[int, int, int]] = [
+                (controls[0], controls[1], ancillas[0])
+            ]
+            for i in range(2, k):
+                compute.append((ancillas[i - 2], controls[i], ancillas[i - 1]))
+            for a, b, c in compute:
+                emit_toffoli(a, b, c)
+            top = ancillas[-1]
+            if terminal_kind == _TOFFOLI:
+                emit_toffoli(top, term_ops[0], term_ops[1])
+            else:  # FREDKIN(anc; t1, t2)
+                out_k.append(_FREDKIN)
+                out_c1.append(top)
+                out_c2.append(-1)
+                out_t1.append(term_ops[0])
+                out_t2.append(term_ops[1])
+            for a, b, c in reversed(compute):
+                emit_toffoli(a, b, c)
+            if self.share_ancillas:
+                self.pool.extend(ancillas)
+
+        extra_indptr = table.extra_indptr
+        extra = table.extra.tolist()
+        for i, code in enumerate(kinds):
+            if code == _MCT:
+                controls = [c1s[i], c2s[i]]
+                controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
+                # Conjoin the first k-1 controls, terminal Toffoli on
+                # (a_last, c_k; target) — same split as the object pass.
+                emit_chain(controls[:-1], _TOFFOLI, (controls[-1], t1s[i]))
+            elif code == _MCF:
+                controls = [c1s[i], c2s[i]]
+                controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
+                emit_chain(controls, _FREDKIN, (t1s[i], t2s[i]))
+            else:
+                out_k.append(code)
+                out_c1.append(c1s[i])
+                out_c2.append(c2s[i])
+                out_t1.append(t1s[i])
+                out_t2.append(t2s[i])
+        n = len(out_k)
+        return GateTable(
+            kind=np.asarray(out_k, dtype=np.int8),
+            ctrl=np.asarray(out_c1, dtype=np.int64),
+            ctrl2=np.asarray(out_c2, dtype=np.int64),
+            target=np.asarray(out_t1, dtype=np.int64),
+            target2=np.asarray(out_t2, dtype=np.int64),
+            extra_indptr=np.zeros(n + 1, dtype=np.int64),
+            extra=np.empty(0, dtype=np.int64),
+            qubit_names=tuple(self.names),
+            name=table.name,
+        )
+
+
 def expand_multi_controlled_table(
     table: GateTable, share_ancillas: bool = False
 ) -> GateTable:
@@ -945,108 +1079,8 @@ def expand_multi_controlled_table(
     object pass.  Tables without multi-controlled rows pass through
     unchanged (the common case for the gf2/adder families).
     """
-    mc_mask = (table.kind == _MCT) | (table.kind == _MCF)
-    if not mc_mask.any():
-        return table
-    # Irregular expansion (per-gate arity varies): stream rows through
-    # plain lists, looping over primitive ints rather than Gate objects.
-    kinds = table.kind.tolist()
-    c1s = table.ctrl.tolist()
-    c2s = table.ctrl2.tolist()
-    t1s = table.target.tolist()
-    t2s = table.target2.tolist()
-    names = list(table.qubit_names)
-    name_set = set(names)
-    pool: list[int] = []
-    counter = 0
-    out_k: list[int] = []
-    out_c1: list[int] = []
-    out_c2: list[int] = []
-    out_t1: list[int] = []
-    out_t2: list[int] = []
-
-    def take(count: int) -> list[int]:
-        nonlocal counter
-        taken: list[int] = []
-        if share_ancillas:
-            while pool and len(taken) < count:
-                taken.append(pool.pop())
-        while len(taken) < count:
-            anc_name = f"anc{counter}"
-            while anc_name in name_set:
-                counter += 1
-                anc_name = f"anc{counter}"
-            taken.append(len(names))
-            names.append(anc_name)
-            name_set.add(anc_name)
-            counter += 1
-        return taken
-
-    def emit_toffoli(a: int, b: int, c: int) -> None:
-        out_k.append(_TOFFOLI)
-        out_c1.append(a)
-        out_c2.append(b)
-        out_t1.append(c)
-        out_t2.append(-1)
-
-    def emit_chain(
-        controls: list[int], terminal_kind: int, term_ops: tuple[int, ...]
-    ) -> None:
-        """Ancilla-chain conjunction, terminal gate, uncompute chain."""
-        k = len(controls)
-        ancillas = take(k - 1)
-        compute: list[tuple[int, int, int]] = [
-            (controls[0], controls[1], ancillas[0])
-        ]
-        for i in range(2, k):
-            compute.append((ancillas[i - 2], controls[i], ancillas[i - 1]))
-        for a, b, c in compute:
-            emit_toffoli(a, b, c)
-        top = ancillas[-1]
-        if terminal_kind == _TOFFOLI:
-            emit_toffoli(top, term_ops[0], term_ops[1])
-        else:  # FREDKIN(anc; t1, t2)
-            out_k.append(_FREDKIN)
-            out_c1.append(top)
-            out_c2.append(-1)
-            out_t1.append(term_ops[0])
-            out_t2.append(term_ops[1])
-        for a, b, c in reversed(compute):
-            emit_toffoli(a, b, c)
-        if share_ancillas:
-            pool.extend(ancillas)
-
-    extra_indptr = table.extra_indptr
-    extra = table.extra.tolist()
-    for i, code in enumerate(kinds):
-        if code == _MCT:
-            controls = [c1s[i], c2s[i]]
-            controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
-            # Conjoin the first k-1 controls, terminal Toffoli on
-            # (a_last, c_k; target) — same split as the object pass.
-            emit_chain(controls[:-1], _TOFFOLI, (controls[-1], t1s[i]))
-        elif code == _MCF:
-            controls = [c1s[i], c2s[i]]
-            controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
-            emit_chain(controls, _FREDKIN, (t1s[i], t2s[i]))
-        else:
-            out_k.append(code)
-            out_c1.append(c1s[i])
-            out_c2.append(c2s[i])
-            out_t1.append(t1s[i])
-            out_t2.append(t2s[i])
-    n = len(out_k)
-    return GateTable(
-        kind=np.asarray(out_k, dtype=np.int8),
-        ctrl=np.asarray(out_c1, dtype=np.int64),
-        ctrl2=np.asarray(out_c2, dtype=np.int64),
-        target=np.asarray(out_t1, dtype=np.int64),
-        target2=np.asarray(out_t2, dtype=np.int64),
-        extra_indptr=np.zeros(n + 1, dtype=np.int64),
-        extra=np.empty(0, dtype=np.int64),
-        qubit_names=tuple(names),
-        name=table.name,
-    )
+    carry = _McExpandCarry(table.qubit_names, share_ancillas)
+    return carry.expand_chunk(table)
 
 
 def eliminate_swap_table(table: GateTable) -> GateTable:
@@ -1100,16 +1134,10 @@ def lower_toffoli_table(table: GateTable) -> GateTable:
     return _finish_pass(table, kind, c1, c2, t1, t2, dest)
 
 
-def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
-    """The complete FT synthesis pipeline as table passes.
-
-    Stage order matches :func:`repro.circuits.decompose.synthesize_ft`
-    (multi-controlled expansion, SWAP elimination, Fredkin elimination,
-    Toffoli lowering) and the output is bitwise-identical to it.
-    """
-    lowered = expand_multi_controlled_table(
-        table, share_ancillas=share_ancillas
-    )
+def _lower_ft_chunk(table: GateTable, carry: _McExpandCarry) -> GateTable:
+    """FT synthesis of one chunk: every pass but the multi-controlled
+    expansion's ancilla allocator (``carry``) is row-local."""
+    lowered = carry.expand_chunk(table)
     lowered = eliminate_swap_table(lowered)
     lowered = eliminate_fredkin_table(lowered)
     lowered = lower_toffoli_table(lowered)
@@ -1119,6 +1147,19 @@ def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
             f"gate kind {KINDS_BY_CODE[bad].value!r} survived FT synthesis"
         )
     return lowered
+
+
+def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
+    """The complete FT synthesis pipeline as table passes.
+
+    Stage order matches :func:`repro.circuits.decompose.synthesize_ft`
+    (multi-controlled expansion, SWAP elimination, Fredkin elimination,
+    Toffoli lowering) and the output is bitwise-identical to it.  The
+    whole table is one chunk of
+    :func:`~repro.circuits.stream.lower_ft_stream`.
+    """
+    carry = _McExpandCarry(table.qubit_names, share_ancillas)
+    return _lower_ft_chunk(table, carry)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,11 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateKind
+from ..circuits.gates import KIND_CODES, Gate, GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
 from ..obs import span as obs_span
-from ..qodg.critical_path import critical_path
+from ..qodg.critical_path import critical_path, kind_delay_lut
 from ..qodg.graph import QODG
 from ..qodg.iig import IIG, build_iig
 from ..qodg.sweep import (
@@ -341,18 +341,22 @@ def _node_delay_table(
     return table
 
 
+def _not_ft_error(kind: GateKind) -> EstimationError:
+    return EstimationError(
+        f"gate kind {kind.value!r} is not an FT operation; "
+        "run synthesize_ft() before estimating"
+    )
+
+
 def _delay_callable(table: dict[GateKind, float]) -> Callable[[Gate], float]:
     def delay(gate: Gate) -> float:
         try:
             return table[gate.kind]
         except KeyError:
-            raise EstimationError(
-                f"gate kind {gate.kind.value!r} is not an FT operation; "
-                "run synthesize_ft() before estimating"
-            ) from None
+            raise _not_ft_error(gate.kind) from None
 
-    # Expose the per-kind table so sweep_critical_path can run its
-    # Gate-free column recurrence on table-backed circuits.
+    # Expose the per-kind table so the critical path resolves every node
+    # delay with one gather over the circuit's kind column.
     delay.kind_table = table
     return delay
 
@@ -643,16 +647,13 @@ class StagedPipeline:
                 (params, d_uncong, l_avg_cnot,
                  _node_delay_table(params, l_avg_cnot))
             )
-        tables = np.empty((len(compiled.kinds), len(rows)))
+        codes = [KIND_CODES[kind] for kind in compiled.kinds]
+        tables = np.empty((len(codes), len(rows)))
         for column, (_, _, _, table) in enumerate(rows):
-            for row, kind in enumerate(compiled.kinds):
-                try:
-                    tables[row, column] = table[kind]
-                except KeyError:
-                    raise EstimationError(
-                        f"gate kind {kind.value!r} is not an FT operation; "
-                        "run synthesize_ft() before estimating"
-                    ) from None
+            tables[:, column] = kind_delay_lut(table)[codes]
+        missing = np.isnan(tables).any(axis=1)
+        if missing.any():
+            raise _not_ft_error(compiled.kinds[int(np.argmax(missing))])
         lengths = sweep_critical_path_lengths(compiled, tables)
         return [
             SweepPoint(

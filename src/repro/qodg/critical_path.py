@@ -15,11 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..circuits.gates import Gate, GateKind
+import numpy as np
+
+from ..circuits.circuit import Circuit
+from ..circuits.gates import KIND_CODES, KINDS_BY_CODE, Gate, GateKind
 from ..exceptions import GraphError
 from .graph import QODG
 
-__all__ = ["CriticalPathResult", "critical_path", "delays_from_mapping"]
+__all__ = [
+    "CriticalPathResult",
+    "critical_path",
+    "delays_from_mapping",
+    "kind_delay_lut",
+    "path_result",
+    "resolve_node_delays",
+]
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,78 @@ class CriticalPathResult:
     cnot_count: int
 
 
+def path_result(
+    length: float, node_ids: tuple[int, ...], codes: np.ndarray
+) -> CriticalPathResult:
+    """Wrap a path (node ids in execution order) into a result, counting
+    it by kind; ``codes`` is the circuit's kind-code column."""
+    counts = np.bincount(
+        codes[np.asarray(node_ids, dtype=np.int64)],
+        minlength=len(KINDS_BY_CODE),
+    )
+    by_kind = {
+        KINDS_BY_CODE[code]: count
+        for code, count in enumerate(counts.tolist())
+        if count
+    }
+    return CriticalPathResult(
+        length=length,
+        node_ids=node_ids,
+        counts_by_kind=by_kind,
+        cnot_count=by_kind.get(GateKind.CNOT, 0),
+    )
+
+
+def kind_delay_lut(kind_table: Mapping[GateKind, float]) -> np.ndarray:
+    """Per-kind delays indexed by kind code; ``NaN`` marks a missing kind.
+
+    Gathering it with a table's kind column resolves every node delay in
+    one vectorized lookup.
+    """
+    lut = np.full(len(KINDS_BY_CODE), np.nan)
+    for kind, value in kind_table.items():
+        lut[KIND_CODES[kind]] = value
+    return lut
+
+
+def resolve_node_delays(
+    circuit: Circuit, delay: Callable[[Gate], float]
+) -> list[float]:
+    """Every gate's node delay, in program order.
+
+    A per-kind delay callable (it carries a ``kind_table``, as
+    :func:`delays_from_mapping` and the pipeline's node-delay callables
+    do) resolves through one gather over the circuit's kind column, with
+    no Gate objects.  Any other callable — or a kind table that lacks a
+    kind, so that the callable raises its own error at the first
+    offending gate — is called once per gate.
+
+    Raises
+    ------
+    GraphError
+        At the first gate, in program order, whose delay is negative.
+    """
+    kind_table = getattr(delay, "kind_table", None)
+    if kind_table is not None:
+        table = circuit.table()
+        resolved = kind_delay_lut(kind_table)[table.kind]
+        if not np.isnan(resolved).any():
+            if resolved.size and float(resolved.min()) < 0:
+                offender = int(np.argmax(resolved < 0))
+                raise GraphError(
+                    f"negative delay {resolved[offender]} for gate "
+                    f"{table.gate(offender)}"
+                )
+            return resolved.tolist()
+    delays: list[float] = []
+    for gate in circuit.gates:
+        gate_delay = delay(gate)
+        if gate_delay < 0:
+            raise GraphError(f"negative delay {gate_delay} for gate {gate}")
+        delays.append(gate_delay)
+    return delays
+
+
 def delays_from_mapping(
     delay_by_kind: Mapping[GateKind, float],
 ) -> Callable[[Gate], float]:
@@ -66,8 +148,8 @@ def delays_from_mapping(
                 f"no delay registered for gate kind {gate.kind.value!r}"
             ) from None
 
-    # Expose the mapping so critical_path/sweep_critical_path can run
-    # their Gate-free column recurrences on table-backed circuits.
+    # Expose the mapping so resolve_node_delays can gather every node
+    # delay from the circuit's kind column.
     delay.kind_table = dict(delay_by_kind)
     return delay
 
@@ -102,37 +184,7 @@ def critical_path(
     # dist[node] = longest path length ending at (and including) node.
     dist = [0.0] * (num_ops + 2)
     best_pred = [-1] * (num_ops + 2)
-    circuit = qodg.circuit
-    # Gate-free fast path: a per-kind delay callable (it carries a
-    # ``kind_table``, as the pipeline's node-delay callables do) on a
-    # table-backed circuit resolves every node delay from the flat kind
-    # column — no Gate objects, same floats.  Missing kinds fall back to
-    # the callable so its error surfaces unchanged; negative delays
-    # raise here exactly as the per-gate check would, at the first
-    # offending node in program order.
-    node_delays: list[float] | None = None
-    codes: list[int] | None = None
-    kind_table = getattr(delay, "kind_table", None)
-    table = circuit.table_if_ready() if kind_table is not None else None
-    if table is not None:
-        import numpy as np
-
-        from ..circuits.gates import KIND_CODES, KINDS_BY_CODE
-
-        lut = np.full(len(KINDS_BY_CODE), np.nan)
-        for kind, value in kind_table.items():
-            lut[KIND_CODES[kind]] = value
-        resolved = lut[table.kind]
-        if not (resolved.size and np.isnan(resolved).any()):
-            if resolved.size and float(resolved.min()) < 0:
-                offender = int(np.argmax(resolved < 0))
-                raise GraphError(
-                    f"negative delay {resolved[offender]} for gate "
-                    f"{table.gate(offender)}"
-                )
-            node_delays = resolved.tolist()
-            codes = table.kind.tolist()
-    gates = circuit.gates if node_delays is None else None
+    node_delays = resolve_node_delays(qodg.circuit, delay)
     # Hot path: read the adjacency lists directly rather than through the
     # bounds-checked accessor (this loop dominates LEQA's runtime).
     all_preds, _ = qodg._lists()
@@ -144,15 +196,7 @@ def critical_path(
             if pred_dist > best:
                 best = pred_dist
                 pred_choice = pred
-        if node_delays is not None:
-            node_delay = node_delays[node]
-        else:
-            node_delay = delay(gates[node])
-            if node_delay < 0:
-                raise GraphError(
-                    f"negative delay {node_delay} for gate {gates[node]}"
-                )
-        dist[node] = best + node_delay
+        dist[node] = best + node_delays[node]
         best_pred[node] = pred_choice
     best = 0.0
     pred_choice = start
@@ -170,21 +214,4 @@ def critical_path(
         path.append(node)
         node = best_pred[node]
     path.reverse()
-
-    counts: dict[GateKind, int] = {}
-    if codes is not None:
-        from ..circuits.gates import KINDS_BY_CODE
-
-        for node in path:
-            kind = KINDS_BY_CODE[codes[node]]
-            counts[kind] = counts.get(kind, 0) + 1
-    else:
-        for node in path:
-            kind = gates[node].kind
-            counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=dist[end],
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+    return path_result(dist[end], tuple(path), qodg.circuit.table().kind)

@@ -11,9 +11,17 @@ property the test suite asserts on random circuits).
 This costs O(gates) with a small constant and no per-node allocation,
 which matters for the paper's Table 3: LEQA's runtime should stay linear
 in operation count with a constant far below the detailed mapper's.
-:func:`sweep_critical_path` returns the same :class:`CriticalPathResult`
-as :func:`repro.qodg.critical_path.critical_path`; only tie-breaking
-between equally long paths may differ.
+
+The recurrence exists once, as :func:`critical_path_chunk`: it consumes
+one chunk of operand/delay columns and threads a
+:class:`CriticalPathCarry` (per-qubit chain state, best node so far, next
+node id) into the next chunk, and :func:`backtrack` walks the returned
+predecessors into a :class:`CriticalPathResult`.
+:func:`sweep_critical_path` is the one-chunk case over a materialized
+circuit; :func:`repro.circuits.stream.estimate_stream` feeds it one
+spilled chunk at a time.  Both return the same result as
+:func:`repro.qodg.critical_path.critical_path`; only tie-breaking between
+equally long paths may differ.
 
 Parameter sweeps add a second shape of demand: the *same* circuit under
 *many* per-kind delay tables (a Table-1 sensitivity grid, a fabric-size
@@ -31,18 +39,27 @@ equal to it (same IEEE operations in the same order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateKind
+from ..circuits.gates import KINDS_BY_CODE, Gate, GateKind
 from ..exceptions import GraphError
-from .critical_path import CriticalPathResult
+from .critical_path import (
+    CriticalPathResult,
+    critical_path,
+    path_result,
+    resolve_node_delays,
+)
+from .graph import build_qodg
 
 __all__ = [
     "CompiledOps",
+    "CriticalPathCarry",
+    "backtrack",
     "compile_ops",
+    "critical_path_chunk",
     "sweep_critical_path",
     "sweep_critical_path_lengths",
 ]
@@ -69,10 +86,20 @@ class CompiledOps:
         return len(self.ops)
 
 
-def _compile_ops_from_table(table, num_qubits: int) -> CompiledOps:
-    """Vectorized :func:`compile_ops` over a flat gate table."""
-    from ..circuits.gates import KINDS_BY_CODE
+def compile_ops(circuit: Circuit) -> CompiledOps:
+    """Lower a circuit to the flat operand/kind table of the batched sweep.
 
+    Vectorized over the circuit's :class:`~repro.circuits.table.GateTable`
+    columns; kinds are numbered in first-occurrence order.
+
+    Raises
+    ------
+    GraphError
+        If a gate touches more than two qubits (the FT gate set — the
+        only one the estimator accepts — is all one- and two-qubit
+        gates; decompose first).
+    """
+    table = circuit.table()
     arities = table.arities()
     if len(arities) and int(arities.max()) > 2:
         offender = int(np.argmax(arities > 2))
@@ -82,58 +109,14 @@ def _compile_ops_from_table(table, num_qubits: int) -> CompiledOps:
             f"{int(arities[offender])} qubits (run FT synthesis first)"
         )
     codes = table.kind
-    # Kind table in first-occurrence order (matches the dict-insertion
-    # order of the object path).
     unique_codes, first_idx = np.unique(codes, return_index=True)
-    by_first = np.argsort(first_idx, kind="stable")
-    unique_codes = unique_codes[by_first]
+    unique_codes = unique_codes[np.argsort(first_idx, kind="stable")]
     lut = np.zeros(len(KINDS_BY_CODE), dtype=np.int64)
     lut[unique_codes] = np.arange(len(unique_codes))
     o0, o1 = table.operand_pairs()
-    ops = tuple(
-        zip(lut[codes].tolist(), o0.tolist(), o1.tolist())
-    )
+    ops = tuple(zip(lut[codes].tolist(), o0.tolist(), o1.tolist()))
     kinds = tuple(KINDS_BY_CODE[code] for code in unique_codes.tolist())
-    return CompiledOps(num_qubits=num_qubits, ops=ops, kinds=kinds)
-
-
-def compile_ops(circuit: Circuit) -> CompiledOps:
-    """Lower a circuit to the flat operand/kind table of the batched sweep.
-
-    Table-backed circuits compile vectorized from the flat
-    :class:`~repro.circuits.table.GateTable` columns; object-built ones
-    walk their gates.  Both produce identical compiled tables.
-
-    Raises
-    ------
-    GraphError
-        If a gate touches more than two qubits (the FT gate set — the
-        only one the estimator accepts — is all one- and two-qubit
-        gates; decompose first).
-    """
-    table = circuit.table_if_ready()
-    if table is not None:
-        return _compile_ops_from_table(table, circuit.num_qubits)
-    kind_index: dict[GateKind, int] = {}
-    kinds: list[GateKind] = []
-    ops: list[tuple[int, int, int]] = []
-    for gate in circuit.gates:
-        operands = gate.controls + gate.targets
-        if len(operands) > 2:
-            raise GraphError(
-                f"compile_ops supports one- and two-qubit gates only; "
-                f"gate kind {gate.kind.value!r} touches {len(operands)} "
-                "qubits (run FT synthesis first)"
-            )
-        index = kind_index.get(gate.kind)
-        if index is None:
-            index = kind_index[gate.kind] = len(kinds)
-            kinds.append(gate.kind)
-        qubit_b = operands[1] if len(operands) == 2 else -1
-        ops.append((index, operands[0], qubit_b))
-    return CompiledOps(
-        num_qubits=circuit.num_qubits, ops=tuple(ops), kinds=tuple(kinds)
-    )
+    return CompiledOps(num_qubits=circuit.num_qubits, ops=ops, kinds=kinds)
 
 
 def sweep_critical_path_lengths(
@@ -190,77 +173,98 @@ def sweep_critical_path_lengths(
     return np.max(np.vstack(dist), axis=0)
 
 
-def _sweep_critical_path_table(
-    table, num_qubits: int, kind_table: dict[GateKind, float]
-) -> CriticalPathResult | None:
-    """Table-column twin of :func:`sweep_critical_path`.
+class CriticalPathCarry:
+    """Chain state of the critical-path recurrence between chunks.
 
-    Runs the same recurrence over primitive int rows — no Gate
-    materialization — when every gate kind appears in ``kind_table``
-    with a non-negative delay.  Returns ``None`` when it cannot take the
-    fast path (missing kind, negative delay, arity > 2), so the caller
-    falls back to the object loop and its exact error behaviour.
+    Per qubit, the length of the longest chain ending at its last gate
+    and that gate's node id (``-1`` = the virtual start node); the
+    longest chain so far and its end node; and the id the next chunk's
+    first gate gets.
     """
-    from ..circuits.gates import KIND_CODES, KINDS_BY_CODE
 
-    if len(table) and table.max_operands() > 2:
-        return None
-    lut = np.full(len(KINDS_BY_CODE), -1.0)
-    for kind, value in kind_table.items():
-        lut[KIND_CODES[kind]] = value
-    delays = lut[table.kind]
-    if delays.size and float(delays.min()) < 0:
-        return None
-    o0, o1 = table.operand_pairs()
-    codes = table.kind.tolist()
-    ops_a = o0.tolist()
-    ops_b = o1.tolist()
-    gate_delays = delays.tolist()
-    qubit_dist = [0.0] * num_qubits
-    qubit_last = [-1] * num_qubits
-    best_pred = [-1] * len(codes)
-    overall_best = 0.0
-    overall_last = -1
-    for index, qubit_a in enumerate(ops_a):
+    __slots__ = ("qubit_dist", "qubit_last", "best", "best_node", "next_node")
+
+    def __init__(self, num_qubits: int) -> None:
+        self.qubit_dist = [0.0] * num_qubits
+        self.qubit_last = [-1] * num_qubits
+        self.best = 0.0
+        self.best_node = -1
+        self.next_node = 0
+
+
+def critical_path_chunk(
+    o0: Iterable[int],
+    o1: Iterable[int],
+    delays: Iterable[float],
+    carry: CriticalPathCarry,
+) -> list[int]:
+    """Run the longest-chain recurrence over one chunk of gates.
+
+    ``o0``/``o1`` are the gates' operand columns (``o1 = -1`` for
+    one-qubit gates, as :meth:`~repro.circuits.table.GateTable.operand_pairs`
+    returns them) and ``delays`` their non-negative node delays.  Updates
+    ``carry`` in place and returns each gate's predecessor on its longest
+    chain (``-1`` = the start node), so feeding a circuit through in any
+    number of chunks with one carry gives the same floats and the same
+    predecessors as one chunk.  Ties keep the first operand's chain.
+    """
+    qubit_dist = carry.qubit_dist
+    qubit_last = carry.qubit_last
+    overall_best = carry.best
+    overall_last = carry.best_node
+    node = carry.next_node
+    preds: list[int] = []
+    append = preds.append
+    for qubit_a, qubit_b, gate_delay in zip(o0, o1, delays):
         best = qubit_dist[qubit_a]
-        pred = qubit_last[qubit_a] if best > 0.0 else -1
-        # Mirror the object loop: `chain > best` starting from 0.0, so a
-        # zero-length chain keeps pred = -1 (the virtual start node).
-        if best <= 0.0:
+        if best > 0.0:
+            pred = qubit_last[qubit_a]
+        else:
+            # A zero-length chain hangs off the virtual start node.
             best = 0.0
             pred = -1
-        qubit_b = ops_b[index]
         if qubit_b >= 0:
             chain = qubit_dist[qubit_b]
             if chain > best:
                 best = chain
                 pred = qubit_last[qubit_b]
-        total = best + gate_delays[index]
-        best_pred[index] = pred
+        total = best + gate_delay
+        append(pred)
         qubit_dist[qubit_a] = total
-        qubit_last[qubit_a] = index
+        qubit_last[qubit_a] = node
         if qubit_b >= 0:
             qubit_dist[qubit_b] = total
-            qubit_last[qubit_b] = index
+            qubit_last[qubit_b] = node
         if total > overall_best:
             overall_best = total
-            overall_last = index
+            overall_last = node
+        node += 1
+    carry.best = overall_best
+    carry.best_node = overall_last
+    carry.next_node = node
+    return preds
+
+
+def backtrack(
+    carry: CriticalPathCarry, preds: Sequence[int], codes: np.ndarray
+) -> CriticalPathResult:
+    """The longest chain, walked back from ``carry``'s best node.
+
+    ``preds`` and ``codes`` are the predecessor and kind-code columns of
+    every node so far; ``preds`` must yield Python ints (a list, or a
+    memoryview over a spilled int64 column).
+    """
     path: list[int] = []
-    node = overall_last
+    node = carry.best_node
     while node != -1:
         path.append(node)
-        node = best_pred[node]
+        node = preds[node]
     path.reverse()
-    counts: dict[GateKind, int] = {}
-    for node in path:
-        kind = KINDS_BY_CODE[codes[node]]
-        counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=overall_best,
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+    node_ids = tuple(path)
+    # The tuple shares the int objects; dropping the list now frees its
+    # slot array (8 B/node) before the path is counted.
+    del path
+    return path_result(carry.best, node_ids, codes)
 
 
 def sweep_critical_path(
@@ -272,73 +276,18 @@ def sweep_critical_path(
     :func:`repro.qodg.critical_path.critical_path`, without constructing
     the graph.  See that function for the result contract.
 
-    When ``delay`` is a per-kind table callable (it exposes a
-    ``kind_table`` mapping, as the pipeline's node-delay callables do)
-    and the circuit is table-backed, the recurrence runs over the flat
-    int columns without materializing Gate objects — bitwise-identical
-    result, same IEEE operations in the same order.
+    Node delays resolve once (a gather over the kind column for per-kind
+    delay callables, see
+    :func:`~repro.qodg.critical_path.resolve_node_delays`), then the
+    whole circuit runs through :func:`critical_path_chunk` as one chunk.
+    Circuits with gates over more than two qubits (pre-synthesis
+    netlists) go through the graph pass itself.
     """
-    kind_table = getattr(delay, "kind_table", None)
-    if kind_table is not None:
-        table = circuit.table_if_ready()
-        if table is not None:
-            result = _sweep_critical_path_table(
-                table, circuit.num_qubits, kind_table
-            )
-            if result is not None:
-                return result
-    gates = circuit.gates
-    num_qubits = circuit.num_qubits
-    # Longest chain length ending at each qubit's last gate, and that
-    # gate's index (-1 = the virtual start node).
-    qubit_dist = [0.0] * num_qubits
-    qubit_last = [-1] * num_qubits
-    dist = [0.0] * len(gates)
-    best_pred = [-1] * len(gates)
-    overall_best = 0.0
-    overall_last = -1
-    for index, gate in enumerate(gates):
-        best = 0.0
-        pred = -1
-        for qubit in gate.controls:
-            chain = qubit_dist[qubit]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit]
-        for qubit in gate.targets:
-            chain = qubit_dist[qubit]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit]
-        gate_delay = delay(gate)
-        if gate_delay < 0:
-            raise GraphError(f"negative delay {gate_delay} for gate {gate}")
-        total = best + gate_delay
-        dist[index] = total
-        best_pred[index] = pred
-        for qubit in gate.controls:
-            qubit_dist[qubit] = total
-            qubit_last[qubit] = index
-        for qubit in gate.targets:
-            qubit_dist[qubit] = total
-            qubit_last[qubit] = index
-        if total > overall_best:
-            overall_best = total
-            overall_last = index
-    # Backtrack the chain.
-    path: list[int] = []
-    node = overall_last
-    while node != -1:
-        path.append(node)
-        node = best_pred[node]
-    path.reverse()
-    counts: dict[GateKind, int] = {}
-    for node in path:
-        kind = gates[node].kind
-        counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=overall_best,
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+    table = circuit.table()
+    if table.max_operands() > 2:
+        return critical_path(build_qodg(circuit), delay)
+    delays = resolve_node_delays(circuit, delay)
+    o0, o1 = table.operand_pairs()
+    carry = CriticalPathCarry(circuit.num_qubits)
+    preds = critical_path_chunk(o0.tolist(), o1.tolist(), delays, carry)
+    return backtrack(carry, preds, table.kind)

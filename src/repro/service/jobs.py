@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import threading
 import time
 import traceback as traceback_module
@@ -634,9 +635,12 @@ class JobQueue:
         excess = len(self._jobs) - self._max_records
         if excess <= 0:
             return
-        for job_id in [
+        # Runs under the lock on every finished job: stop after the
+        # first ``excess`` terminal records (usually one).
+        terminal = (
             job_id
             for job_id, record in self._jobs.items()
             if record.state in ("done", "failed")
-        ][:excess]:
+        )
+        for job_id in list(itertools.islice(terminal, excess)):
             del self._jobs[job_id]

@@ -63,6 +63,33 @@ register_backend(
 )
 
 
+class _GatedBackend:
+    """Test backend that holds its worker until :attr:`gate` is set."""
+
+    gate = threading.Event()
+
+    name = "svc-gated"
+
+    def __init__(self, params=None, cache=None, **_options: object) -> None:
+        self._params = params
+
+    def run(self, circuit) -> BackendResult:
+        _GatedBackend.gate.wait(timeout=60)
+        return BackendResult(
+            backend=self.name,
+            latency=1.0,
+            elapsed_seconds=0.0,
+            qubit_count=circuit.num_qubits,
+            op_count=len(circuit),
+            detail=None,
+        )
+
+
+register_backend(
+    "svc-gated", lambda **kw: _GatedBackend(**kw), overwrite=True
+)
+
+
 @pytest.fixture(autouse=True)
 def _reset_recorder():
     _RecordingBackend.calls = []
@@ -234,6 +261,32 @@ class TestJobQueue:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
         assert len(queue.jobs()) <= 2
+
+    def test_pruning_drops_oldest_terminal_and_keeps_live_head(self):
+        _GatedBackend.gate.clear()
+        with JobQueue(workers=2, max_records=2) as queue:
+            try:
+                blocked = queue.submit(
+                    {"source": "ham3", "backend": "svc-gated"}
+                )
+                deadline = time.monotonic() + 10
+                while queue.status(blocked)["state"] == "queued":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                for source in ("ham15", "8bitadder", "ham3"):
+                    job_id = queue.submit(
+                        {"source": source, "backend": "svc-recorder"}
+                    )
+                    queue.result(job_id, timeout=60)
+                    # The live head is older than every terminal record,
+                    # yet only terminal records are ever pruned.
+                    assert [job["id"] for job in queue.jobs()] == [
+                        blocked, job_id
+                    ]
+                assert queue.status(blocked)["state"] == "running"
+            finally:
+                _GatedBackend.gate.set()
+            queue.result(blocked, timeout=60)
 
     def test_terminal_jobs_stop_coalescing(self):
         with JobQueue(workers=1) as queue:
