@@ -34,13 +34,19 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+import sys
+from typing import Iterator, Sequence
 
 from .._validation import require_positive_int
 from ..exceptions import CircuitError
 from .circuit import Circuit
 from .gates import GateKind, cnot, fredkin, mct
-from .table import TableBuilder
+from .table import (
+    DEFAULT_CHUNK_SIZE,
+    GateTable,
+    TableBuilder,
+    _require_chunk_size,
+)
 
 __all__ = [
     "ripple_adder",
@@ -51,6 +57,8 @@ __all__ = [
     "ham3",
     "random_reversible",
     "random_ft",
+    "stream_random_nct",
+    "stream_random_ft",
     "cnot_ladder",
     "controlled_increment_gates",
     "controlled_rotation_gates",
@@ -403,24 +411,46 @@ def random_reversible(
 
     ``toffoli_fraction`` of the gates are Toffolis, the rest split evenly
     between CNOT and NOT.  Useful for property tests and runtime sweeps
-    where only graph structure matters.
+    where only graph structure matters.  One chunk of
+    :func:`stream_random_nct`.
     """
+    (table,) = stream_random_nct(
+        n, gate_count, seed, toffoli_fraction, chunk_size=sys.maxsize
+    )
+    return Circuit.from_table(table)
+
+
+def stream_random_nct(
+    n: int,
+    gate_count: int,
+    seed: int,
+    toffoli_fraction: float = 0.3,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[GateTable]:
+    """Chunked :func:`random_reversible`: the same RNG draws in the same
+    order, emitted every ``chunk_size`` gates."""
     require_positive_int(n, "n", CircuitError)
     if n < 3:
         raise CircuitError("random_reversible requires n >= 3")
+    _require_chunk_size(chunk_size)
     rng = random.Random(seed)
     builder = TableBuilder(n, name=f"random{n}x{gate_count}")
-    for _ in range(gate_count):
-        roll = rng.random()
-        if roll < toffoli_fraction:
-            c1, c2, tgt = rng.sample(range(n), 3)
-            builder.toffoli(c1, c2, tgt)
-        elif roll < toffoli_fraction + (1 - toffoli_fraction) / 2:
-            c1, tgt = rng.sample(range(n), 2)
-            builder.cnot(c1, tgt)
-        else:
-            builder.x(rng.randrange(n))
-    return Circuit.from_table(builder.finish())
+    for start in range(0, gate_count, chunk_size):
+        for _ in range(min(chunk_size, gate_count - start)):
+            roll = rng.random()
+            if roll < toffoli_fraction:
+                c1, c2, tgt = rng.sample(range(n), 3)
+                builder.toffoli(c1, c2, tgt)
+            elif roll < toffoli_fraction + (1 - toffoli_fraction) / 2:
+                c1, tgt = rng.sample(range(n), 2)
+                builder.cnot(c1, tgt)
+            else:
+                builder.x(rng.randrange(n))
+        if len(builder) == chunk_size:
+            yield builder.finish()
+            builder.clear_rows()
+    builder.shrink_to_fit()
+    yield builder.finish()
 
 
 #: One-qubit kinds :func:`random_ft` draws from (uniformly).
@@ -444,8 +474,24 @@ def random_ft(
     ``cnot_fraction`` of the gates are CNOTs over a random qubit pair,
     the rest uniform draws from the one-qubit FT kinds.  The output needs
     no synthesis, making this the cheapest family for scheduler/estimator
-    ensemble sweeps (the ``random_ft`` workload).
+    ensemble sweeps (the ``random_ft`` workload).  One chunk of
+    :func:`stream_random_ft`.
     """
+    (table,) = stream_random_ft(
+        n, gate_count, seed, cnot_fraction, chunk_size=sys.maxsize
+    )
+    return Circuit.from_table(table)
+
+
+def stream_random_ft(
+    n: int,
+    gate_count: int,
+    seed: int,
+    cnot_fraction: float = 0.4,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[GateTable]:
+    """Chunked :func:`random_ft`: the same RNG draws in the same order,
+    so peak memory is one chunk whatever ``gate_count`` is."""
     require_positive_int(n, "n", CircuitError)
     if n < 2:
         raise CircuitError("random_ft requires n >= 2")
@@ -453,18 +499,25 @@ def random_ft(
         raise CircuitError(
             f"cnot_fraction must be in [0, 1], got {cnot_fraction}"
         )
+    _require_chunk_size(chunk_size)
     rng = random.Random(seed)
     builder = TableBuilder(n, name=f"randomft{n}x{gate_count}")
-    for _ in range(gate_count):
-        if rng.random() < cnot_fraction:
-            control, target = rng.sample(range(n), 2)
-            builder.cnot(control, target)
-        else:
-            builder.one_qubit(
-                _RANDOM_FT_ONE_QUBIT[rng.randrange(len(_RANDOM_FT_ONE_QUBIT))],
-                rng.randrange(n),
-            )
-    return Circuit.from_table(builder.finish())
+    one_qubit_kinds = _RANDOM_FT_ONE_QUBIT
+    for start in range(0, gate_count, chunk_size):
+        for _ in range(min(chunk_size, gate_count - start)):
+            if rng.random() < cnot_fraction:
+                control, target = rng.sample(range(n), 2)
+                builder.cnot(control, target)
+            else:
+                builder.one_qubit(
+                    one_qubit_kinds[rng.randrange(len(one_qubit_kinds))],
+                    rng.randrange(n),
+                )
+        if len(builder) == chunk_size:
+            yield builder.finish()
+            builder.clear_rows()
+    builder.shrink_to_fit()
+    yield builder.finish()
 
 
 def cnot_ladder(n: int, layers: int = 1) -> Circuit:

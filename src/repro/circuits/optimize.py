@@ -140,9 +140,9 @@ def optimize_ft(
     Raises
     ------
     CircuitError
-        If the fixed point is not reached within ``max_passes`` (cannot
-        happen — every pass strictly shrinks or preserves the gate list —
-        but guards the loop).
+        If ``max_passes`` is below 1, or the fixed point is not reached
+        within ``max_passes`` (cannot happen — every pass strictly
+        shrinks or preserves the gate list — but guards the loop).
     """
     if engine == "table":
         from .circuit import Circuit as _Circuit
@@ -156,6 +156,8 @@ def optimize_ft(
         raise CircuitError(
             f"unknown optimizer engine {engine!r}; choose 'table' or 'legacy'"
         )
+    if max_passes < 1:
+        raise CircuitError(f"max_passes must be >= 1, got {max_passes}")
     current = circuit
     for _ in range(max_passes):
         current, rewrites = cancel_pairs_once(current)

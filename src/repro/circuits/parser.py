@@ -23,21 +23,30 @@ particular after ``.end``.
 
 Both readers stream gate lines straight into a
 :class:`~repro.circuits.table.TableBuilder` — five integer appends per
-gate, no intermediate :class:`~repro.circuits.gates.Gate` objects — and
-return a table-backed :class:`~repro.circuits.circuit.Circuit`, so a
-million-line netlist parses without a million gate allocations.
+gate, no intermediate :class:`~repro.circuits.gates.Gate` objects.  Each
+is written once, as a chunked reader (:func:`stream_read_real`,
+:func:`stream_read_qasm_lite`) that emits a
+:class:`~repro.circuits.table.GateTable` every ``chunk_size`` gates; the
+materialized readers are its one-chunk case and return a table-backed
+:class:`~repro.circuits.circuit.Circuit`.
 """
 
 from __future__ import annotations
 
 import io
+import sys
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from ..exceptions import CircuitError, ParseError
 from .circuit import Circuit
 from .gates import GateKind, kind_from_name
-from .table import TableBuilder
+from .table import (
+    DEFAULT_CHUNK_SIZE,
+    GateTable,
+    TableBuilder,
+    _require_chunk_size,
+)
 
 __all__ = [
     "read_real",
@@ -48,6 +57,9 @@ __all__ = [
     "reads_qasm_lite",
     "write_qasm_lite",
     "writes_qasm_lite",
+    "stream_read_real",
+    "stream_reads_real",
+    "stream_read_qasm_lite",
 ]
 
 
@@ -76,25 +88,49 @@ def read_real(source: TextIO | str | Path, name: str | None = None) -> Circuit:
     Circuit
         Circuit over the declared variables, containing X/CNOT/TOFFOLI/
         FREDKIN/MCT/MCF gates, backed by a flat
-        :class:`~repro.circuits.table.GateTable`.
+        :class:`~repro.circuits.table.GateTable` — the one chunk of
+        :func:`stream_read_real`.
     """
+    (table,) = stream_read_real(source, name=name, chunk_size=sys.maxsize)
+    return Circuit.from_table(table)
+
+
+def stream_reads_real(
+    text: str, name: str = "circuit", chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Iterator[GateTable]:
+    """Chunked :func:`reads_real` (string input)."""
+    return stream_read_real(io.StringIO(text), name=name, chunk_size=chunk_size)
+
+
+def stream_read_real(
+    source: TextIO | str | Path,
+    name: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[GateTable]:
+    """Chunked RevLib ``.real`` reader: a table is emitted every
+    ``chunk_size`` gates.  End-of-input errors (missing ``.begin`` or
+    ``.end``) surface when the generator is exhausted."""
+    _require_chunk_size(chunk_size)
     if isinstance(source, (str, Path)):
         path = Path(source)
         with path.open("r", encoding="utf-8") as stream:
-            return read_real(stream, name=name or path.stem)
+            yield from stream_read_real(
+                stream, name=name or path.stem, chunk_size=chunk_size
+            )
+        return
     builder: TableBuilder | None = None
     declared_numvars: int | None = None
     variables: list[str] | None = None
     in_body = False
     ended = False
+    room = chunk_size  # gate rows left before the current chunk is full
     for line_number, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue  # blank or comment-only lines are fine anywhere
         if ended:
             raise ParseError("content after .end", line_number)
-        lowered = line.lower()
-        if lowered.startswith("."):
+        if line.startswith("."):
             tokens = line.split()
             directive = tokens[0].lower()
             if directive == ".numvars":
@@ -127,7 +163,8 @@ def read_real(source: TextIO | str | Path, name: str | None = None) -> Circuit:
                     )
                 try:
                     builder = TableBuilder(
-                        len(variables), qubit_names=variables
+                        len(variables), name=name or "circuit",
+                        qubit_names=variables,
                     )
                 except CircuitError as error:
                     raise ParseError(str(error), line_number) from None
@@ -155,11 +192,17 @@ def read_real(source: TextIO | str | Path, name: str | None = None) -> Circuit:
             raise ParseError(f"gate line {line!r} before .begin", line_number)
         assert builder is not None
         _parse_real_gate(line, builder, line_number)
+        room -= 1
+        if not room:
+            yield builder.finish()
+            builder.clear_rows()
+            room = chunk_size
     if builder is None:
         raise ParseError("no .begin section found")
     if in_body and not ended:
         raise ParseError("missing .end")
-    return Circuit.from_table(builder.finish(name=name or "circuit"))
+    builder.shrink_to_fit()
+    yield builder.finish()
 
 
 def _parse_real_gate(
@@ -255,12 +298,36 @@ def reads_qasm_lite(text: str, name: str = "circuit") -> Circuit:
 def read_qasm_lite(
     source: TextIO | str | Path, name: str | None = None
 ) -> Circuit:
-    """Parse a qasm-lite netlist (this library's own simple format)."""
+    """Parse a qasm-lite netlist (this library's own simple format): the
+    one chunk of :func:`stream_read_qasm_lite`."""
+    (table,) = stream_read_qasm_lite(
+        source, name=name, chunk_size=sys.maxsize
+    )
+    return Circuit.from_table(table)
+
+
+def stream_read_qasm_lite(
+    source: TextIO | str | Path,
+    name: str | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[GateTable]:
+    """Chunked qasm-lite reader.
+
+    qasm-lite may declare qubits between gates, so mid-stream chunks can
+    carry a smaller register than later ones; the final chunk (always
+    emitted, even empty) carries the complete register.
+    """
+    _require_chunk_size(chunk_size)
     if isinstance(source, (str, Path)):
         path = Path(source)
         with path.open("r", encoding="utf-8") as stream:
-            return read_qasm_lite(stream, name=name or path.stem)
+            yield from stream_read_qasm_lite(
+                stream, name=name or path.stem, chunk_size=chunk_size
+            )
+        return
     builder = TableBuilder(0, name or "circuit")
+    qubit_index = builder.qubit_index
+    room = chunk_size  # gate rows left before the current chunk is full
     for line_number, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -283,11 +350,17 @@ def read_qasm_lite(
             continue
         try:
             kind = kind_from_name(mnemonic)
-            operands = [builder.qubit_index(qname) for qname in tokens[1:]]
+            operands = [qubit_index(qname) for qname in tokens[1:]]
             _append_from_operands(builder, kind, operands)
         except CircuitError as error:
             raise ParseError(str(error), line_number) from None
-    return Circuit.from_table(builder.finish())
+        room -= 1
+        if not room:
+            yield builder.finish()
+            builder.clear_rows()
+            room = chunk_size
+    builder.shrink_to_fit()
+    yield builder.finish()
 
 
 def _append_from_operands(

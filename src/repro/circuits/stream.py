@@ -25,51 +25,63 @@ Chunk-stream conventions
   fingerprints.  ``tests/test_stream.py`` pins that contract across the
   workload registry at chunk sizes 1, prime and larger than the circuit.
 
-FT lowering and the critical path are written once, as chunk-carry
-functions, and the materialized path is their one-chunk case:
-:func:`lower_ft_stream` and :func:`~repro.circuits.table.lower_ft` share
-one per-chunk lowering (the ancilla allocator is the carry), and
-:func:`estimate_stream` and
-:func:`~repro.qodg.sweep.sweep_critical_path` share
-:func:`~repro.qodg.sweep.critical_path_chunk`.  The peephole scan and the
-IIG accumulation keep their own carry state (pending window, adjacency
-insertion order), mirroring the materialized implementations statement
-for statement.
+Every front-end pass is written once, as a chunk-carry function, and
+the materialized entry point is its one-chunk case:
+
+* the readers and random generators live in
+  :mod:`~repro.circuits.parser` and :mod:`~repro.circuits.generators`
+  (``read_real`` is ``stream_read_real(..., chunk_size=sys.maxsize)``);
+* :func:`lower_ft_stream` and :func:`~repro.circuits.table.lower_ft`
+  share one per-chunk lowering (the ancilla allocator is the carry);
+* :func:`optimize_stream` and :func:`~repro.circuits.table.optimize_table`
+  run the same peephole scan to a fixed point, spilling each pass to
+  disk here and holding it in a list there;
+* :func:`estimate_stream` folds chunks into the
+  :class:`~repro.qodg.iig.IIGAccumulator` that
+  :func:`~repro.qodg.iig.build_iig` runs on one chunk, and shares
+  :func:`~repro.qodg.sweep.critical_path_chunk` with
+  :func:`~repro.qodg.sweep.sweep_critical_path`.
+
+This module holds the pieces only the out-of-core path needs
+(chunk slicing, spill files, assembly, fingerprinting, the streamed
+estimate) and re-exports the chunked producers under their historical
+names.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import random
+import itertools
 import struct
 import tempfile
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from ..exceptions import CircuitError, ParseError
+from ..exceptions import CircuitError
 from ..obs import default_registry as _obs_registry
 from ..obs import record_span, span as obs_span
-from .gates import KINDS_BY_CODE, kind_from_name
-from .generators import _RANDOM_FT_ONE_QUBIT
-from .parser import _append_from_operands, _parse_real_gate
+from ..qodg.iig import IIGAccumulator
+from .gates import KINDS_BY_CODE
+from .generators import stream_random_ft, stream_random_nct
+from .parser import stream_read_qasm_lite, stream_read_real, stream_reads_real
 from .table import (
+    DEFAULT_CHUNK_SIZE,
     GateTable,
-    TableBuilder,
-    _INVERSE_OF,
     _McExpandCarry,
-    _PHASE_FUSION_CODES,
-    _SELF_INVERSE_CODES,
+    _Row,
     _lower_ft_chunk,
+    _require_chunk_size,
+    _rows_of_table,
+    _scan_to_fixed_point,
+    _table_of_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.estimator import LatencyEstimate
     from ..fabric.params import PhysicalParams
-    from ..qodg.iig import IIG
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -78,6 +90,7 @@ __all__ = [
     "stream_random_ft",
     "stream_random_nct",
     "stream_read_real",
+    "stream_reads_real",
     "stream_read_qasm_lite",
     "lower_ft_stream",
     "optimize_stream",
@@ -86,20 +99,6 @@ __all__ = [
     "stream_fingerprint",
     "estimate_stream",
 ]
-
-#: Default rows per emitted chunk.  Large enough that per-chunk numpy
-#: dispatch overhead is negligible, small enough that a handful of
-#: in-flight chunks stay far below any benchmark table's full size.
-DEFAULT_CHUNK_SIZE = 65536
-
-
-def _require_chunk_size(chunk_size: int) -> int:
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
-        raise CircuitError(f"chunk_size must be an int, got {chunk_size!r}")
-    if chunk_size < 1:
-        raise CircuitError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
-
 
 class StreamProfile:
     """Per-chunk wall-clock trace of one streaming run.
@@ -161,260 +160,6 @@ def stream_table(
         )
 
 
-def stream_random_ft(
-    n: int,
-    gate_count: int,
-    seed: int,
-    cnot_fraction: float = 0.4,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[GateTable]:
-    """Chunked :func:`~repro.circuits.generators.random_ft`: exact replay.
-
-    Same RNG draws in the same order as the materialized generator, so
-    ``assemble(stream_random_ft(...))`` equals
-    ``random_ft(...).table()`` bitwise — but peak memory is one chunk,
-    whatever ``gate_count`` is.
-    """
-    from .._validation import require_positive_int
-
-    require_positive_int(n, "n", CircuitError)
-    if n < 2:
-        raise CircuitError("random_ft requires n >= 2")
-    if not 0.0 <= cnot_fraction <= 1.0:
-        raise CircuitError(
-            f"cnot_fraction must be in [0, 1], got {cnot_fraction}"
-        )
-    _require_chunk_size(chunk_size)
-    rng = random.Random(seed)
-    builder = TableBuilder(
-        n, name=f"randomft{n}x{gate_count}",
-        initial_capacity=min(chunk_size, 1 << 20),
-    )
-    one_qubit_kinds = _RANDOM_FT_ONE_QUBIT
-    for _ in range(gate_count):
-        if rng.random() < cnot_fraction:
-            control, target = rng.sample(range(n), 2)
-            builder.cnot(control, target)
-        else:
-            builder.one_qubit(
-                one_qubit_kinds[rng.randrange(len(one_qubit_kinds))],
-                rng.randrange(n),
-            )
-        if len(builder) >= chunk_size:
-            yield builder.finish()
-            builder.clear_rows()
-    builder.shrink_to_fit()
-    yield builder.finish()
-
-
-def stream_random_nct(
-    n: int,
-    gate_count: int,
-    seed: int,
-    toffoli_fraction: float = 0.3,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[GateTable]:
-    """Chunked :func:`~repro.circuits.generators.random_reversible`."""
-    from .._validation import require_positive_int
-
-    require_positive_int(n, "n", CircuitError)
-    if n < 3:
-        raise CircuitError("random_reversible requires n >= 3")
-    _require_chunk_size(chunk_size)
-    rng = random.Random(seed)
-    builder = TableBuilder(
-        n, name=f"random{n}x{gate_count}",
-        initial_capacity=min(chunk_size, 1 << 20),
-    )
-    for _ in range(gate_count):
-        roll = rng.random()
-        if roll < toffoli_fraction:
-            c1, c2, tgt = rng.sample(range(n), 3)
-            builder.toffoli(c1, c2, tgt)
-        elif roll < toffoli_fraction + (1 - toffoli_fraction) / 2:
-            c1, tgt = rng.sample(range(n), 2)
-            builder.cnot(c1, tgt)
-        else:
-            builder.x(rng.randrange(n))
-        if len(builder) >= chunk_size:
-            yield builder.finish()
-            builder.clear_rows()
-    builder.shrink_to_fit()
-    yield builder.finish()
-
-
-def stream_read_real(
-    source: TextIO | str | Path,
-    name: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[GateTable]:
-    """Chunked RevLib ``.real`` reader: the streaming twin of
-    :func:`~repro.circuits.parser.read_real`.
-
-    Directive handling, gate parsing and every :class:`ParseError` are
-    identical (shared helpers); gate rows are just emitted every
-    ``chunk_size`` lines instead of accumulating.  End-of-input errors
-    (missing ``.begin``/``.end``) surface when the generator is
-    exhausted.
-    """
-    _require_chunk_size(chunk_size)
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with path.open("r", encoding="utf-8") as stream:
-            yield from stream_read_real(
-                stream, name=name or path.stem, chunk_size=chunk_size
-            )
-        return
-    builder: TableBuilder | None = None
-    declared_numvars: int | None = None
-    variables: list[str] | None = None
-    in_body = False
-    ended = False
-    circuit_name = name or "circuit"
-    for line_number, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue  # blank or comment-only lines are fine anywhere
-        if ended:
-            raise ParseError("content after .end", line_number)
-        lowered = line.lower()
-        if lowered.startswith("."):
-            tokens = line.split()
-            directive = tokens[0].lower()
-            if directive == ".numvars":
-                if len(tokens) != 2:
-                    raise ParseError(".numvars expects one argument", line_number)
-                try:
-                    declared_numvars = int(tokens[1])
-                except ValueError:
-                    raise ParseError(
-                        f"invalid .numvars value {tokens[1]!r}", line_number
-                    ) from None
-                if declared_numvars <= 0:
-                    raise ParseError(".numvars must be positive", line_number)
-            elif directive == ".variables":
-                variables = tokens[1:]
-                if not variables:
-                    raise ParseError(".variables expects qubit names", line_number)
-            elif directive == ".begin":
-                if declared_numvars is None and variables is None:
-                    raise ParseError(
-                        ".begin before .numvars/.variables", line_number
-                    )
-                if variables is None:
-                    variables = [f"x{i}" for i in range(declared_numvars or 0)]
-                if declared_numvars is not None and len(variables) != declared_numvars:
-                    raise ParseError(
-                        f".numvars is {declared_numvars} but .variables lists "
-                        f"{len(variables)} names",
-                        line_number,
-                    )
-                try:
-                    builder = TableBuilder(
-                        len(variables), name=circuit_name,
-                        qubit_names=variables,
-                        initial_capacity=min(chunk_size, 1 << 20),
-                    )
-                except CircuitError as error:
-                    raise ParseError(str(error), line_number) from None
-                in_body = True
-            elif directive == ".end":
-                if not in_body:
-                    raise ParseError(".end before .begin", line_number)
-                ended = True
-            elif directive in (
-                ".version",
-                ".inputs",
-                ".outputs",
-                ".constants",
-                ".garbage",
-                ".inputbus",
-                ".outputbus",
-                ".define",
-                ".module",
-            ):
-                continue  # metadata irrelevant to latency estimation
-            else:
-                raise ParseError(f"unknown directive {directive!r}", line_number)
-            continue
-        if not in_body:
-            raise ParseError(f"gate line {line!r} before .begin", line_number)
-        assert builder is not None
-        _parse_real_gate(line, builder, line_number)
-        if len(builder) >= chunk_size:
-            yield builder.finish()
-            builder.clear_rows()
-    if builder is None:
-        raise ParseError("no .begin section found")
-    if in_body and not ended:
-        raise ParseError("missing .end")
-    builder.shrink_to_fit()
-    yield builder.finish()
-
-
-def stream_reads_real(
-    text: str, name: str = "circuit", chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[GateTable]:
-    """Chunked :func:`~repro.circuits.parser.reads_real` (string input)."""
-    return stream_read_real(io.StringIO(text), name=name, chunk_size=chunk_size)
-
-
-def stream_read_qasm_lite(
-    source: TextIO | str | Path,
-    name: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[GateTable]:
-    """Chunked qasm-lite reader: streaming twin of
-    :func:`~repro.circuits.parser.read_qasm_lite`.
-
-    qasm-lite may declare qubits between gates, so mid-stream chunks can
-    carry a smaller register than later ones; the final chunk (always
-    emitted, even empty) carries the complete register.
-    """
-    _require_chunk_size(chunk_size)
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with path.open("r", encoding="utf-8") as stream:
-            yield from stream_read_qasm_lite(
-                stream, name=name or path.stem, chunk_size=chunk_size
-            )
-        return
-    builder = TableBuilder(
-        0, name or "circuit", initial_capacity=min(chunk_size, 1 << 20)
-    )
-    for line_number, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        mnemonic = tokens[0].lower()
-        if mnemonic == "qubits":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise ParseError("qubits expects a count", line_number)
-            for _ in range(int(tokens[1])):
-                builder.add_qubit()
-            continue
-        if mnemonic == "qubit":
-            if len(tokens) != 2:
-                raise ParseError("qubit expects one name", line_number)
-            try:
-                builder.add_qubit(tokens[1])
-            except CircuitError as error:
-                raise ParseError(str(error), line_number) from None
-            continue
-        try:
-            kind = kind_from_name(mnemonic)
-            operands = [builder.qubit_index(qname) for qname in tokens[1:]]
-            _append_from_operands(builder, kind, operands)
-        except CircuitError as error:
-            raise ParseError(str(error), line_number) from None
-        if len(builder) >= chunk_size:
-            yield builder.finish()
-            builder.clear_rows()
-    builder.shrink_to_fit()
-    yield builder.finish()
-
-
 # ---------------------------------------------------------------------------
 # FT synthesis as a chunk pass
 # ---------------------------------------------------------------------------
@@ -468,187 +213,97 @@ def lower_ft_stream(
 
 
 # ---------------------------------------------------------------------------
-# Row spill files (pass-to-pass scratch for the out-of-core passes)
-# ---------------------------------------------------------------------------
-
-_Row = tuple[int, int, int, int, int, tuple[int, ...]]
-
-
-def _write_row_batch(handle, rows: list[_Row]) -> None:
-    """Append one batch of primitive rows to an open spill file."""
-    kind = np.asarray([r[0] for r in rows], dtype=np.int8)
-    c1 = np.asarray([r[1] for r in rows], dtype=np.int64)
-    c2 = np.asarray([r[2] for r in rows], dtype=np.int64)
-    t1 = np.asarray([r[3] for r in rows], dtype=np.int64)
-    t2 = np.asarray([r[4] for r in rows], dtype=np.int64)
-    counts = np.asarray([len(r[5]) for r in rows], dtype=np.int64)
-    extra: list[int] = []
-    for r in rows:
-        extra.extend(r[5])
-    for array in (kind, c1, c2, t1, t2, counts,
-                  np.asarray(extra, dtype=np.int64)):
-        np.save(handle, array, allow_pickle=False)
-
-
-def _read_row_batches(
-    handle,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield ``(kind, c1, c2, t1, t2, counts, extra)`` batches in order."""
-    handle.seek(0)
-    while True:
-        try:
-            kind = np.load(handle, allow_pickle=False)
-        except (EOFError, ValueError):
-            return
-        arrays = [kind]
-        for _ in range(6):
-            arrays.append(np.load(handle, allow_pickle=False))
-        yield tuple(arrays)
-
-
-def _rows_of_batch(batch: tuple[np.ndarray, ...]) -> Iterator[_Row]:
-    kind, c1, c2, t1, t2, counts, extra = batch
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    extra_list = extra.tolist()
-    count_list = counts.tolist()
-    offset_list = offsets.tolist()
-    for i, row in enumerate(
-        zip(kind.tolist(), c1.tolist(), c2.tolist(), t1.tolist(), t2.tolist())
-    ):
-        if count_list[i]:
-            yield (*row, tuple(extra_list[offset_list[i] : offset_list[i + 1]]))
-        else:
-            yield (*row, ())
-
-
-def _rows_of_table(table: GateTable) -> Iterator[_Row]:
-    """One chunk's rows as the primitive tuples the peephole scan eats
-    (same extraction as :func:`~repro.circuits.table.optimize_table`)."""
-    extra_counts = table.extra_counts()
-    sparse = np.nonzero(extra_counts)[0]
-    extra_rows: dict[int, tuple[int, ...]] = {}
-    for row in sparse.tolist():
-        lo, hi = table.extra_indptr[row], table.extra_indptr[row + 1]
-        extra_rows[row] = tuple(table.extra[lo:hi].tolist())
-    for i, (code, c1, c2, t1, t2) in enumerate(
-        zip(
-            table.kind.tolist(),
-            table.ctrl.tolist(),
-            table.ctrl2.tolist(),
-            table.target.tolist(),
-            table.target2.tolist(),
-        )
-    ):
-        yield (code, c1, c2, t1, t2, extra_rows.get(i, ()))
-
-
-def _batch_to_table(
-    batch: tuple[np.ndarray, ...], qubit_names: tuple[str, ...], name: str
-) -> GateTable:
-    kind, c1, c2, t1, t2, counts, extra = batch
-    extra_indptr = np.zeros(len(kind) + 1, dtype=np.int64)
-    if extra.size:
-        np.cumsum(counts, out=extra_indptr[1:])
-    return GateTable(
-        kind=kind,
-        ctrl=c1,
-        ctrl2=c2,
-        target=t1,
-        target2=t2,
-        extra_indptr=extra_indptr,
-        extra=extra,
-        qubit_names=qubit_names,
-        name=name,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Peephole optimization as an out-of-core multi-pass scan
 # ---------------------------------------------------------------------------
 
-#: Appended rows between frontier recomputations in the streaming scan.
-_SCAN_FLUSH_EVERY = 4096
+#: The :class:`GateTable` columns a spill file stores, in order.
+_SPILL_COLUMNS = (
+    "kind", "ctrl", "ctrl2", "target", "target2", "extra_indptr", "extra"
+)
 
 
-def _scan_stream(
-    rows: Iterator[_Row], emit: Callable[[list[_Row]], None]
-) -> int:
-    """One cancellation/fusion pass over a row stream, bounded window.
+def _write_table(handle, table: GateTable) -> None:
+    """Append one table's columns to an open spill file."""
+    for column in _SPILL_COLUMNS:
+        np.save(handle, getattr(table, column), allow_pickle=False)
 
-    Identical decisions to :func:`~repro.circuits.table._scan_once`:
-    only rows still reachable through ``last_on_qubit`` can be cancelled
-    or fused, so everything below ``min(last_on_qubit.values())`` is
-    frozen and flushed to ``emit`` in order.  The frontier is
-    recomputed every :data:`_SCAN_FLUSH_EVERY` appends (an O(num_qubits)
-    ``min``), keeping the pending window a few thousand rows for
-    circuits whose qubits stay active.
+
+def _read_tables(
+    handle, count: int, qubit_names: tuple[str, ...], name: str
+) -> Iterator[GateTable]:
+    """Read back exactly ``count`` tables written by :func:`_write_table`.
+
+    A file cut short raises (``np.load``'s ``EOFError``/``ValueError``)
+    instead of ending the stream early.
     """
-    pending: dict[int, _Row] = {}
-    last_on_qubit: dict[int, int] = {}
-    next_index = 0
-    next_flush = 0
-    since_flush = 0
-    rewrites = 0
+    for _ in range(count):
+        columns = {
+            column: np.load(handle, allow_pickle=False)
+            for column in _SPILL_COLUMNS
+        }
+        yield GateTable(**columns, qubit_names=qubit_names, name=name)
 
-    def flush(frontier: int) -> None:
-        nonlocal next_flush
-        if frontier <= next_flush:
-            return
-        batch = []
-        for index in range(next_flush, frontier):
-            row = pending.pop(index, None)
-            if row is not None:
-                batch.append(row)
-        next_flush = frontier
-        if batch:
-            emit(batch)
 
-    for row in rows:
-        code, c1, c2, t1, t2, extra = row
-        qubits = [t1]
-        if c1 >= 0:
-            qubits.append(c1)
-        if c2 >= 0:
-            qubits.append(c2)
-        qubits.extend(extra)
-        if t2 >= 0:
-            qubits.append(t2)
-        previous = {last_on_qubit.get(q) for q in qubits}
-        candidate_index = previous.pop() if len(previous) == 1 else None
-        candidate = (
-            pending.get(candidate_index)
-            if candidate_index is not None
-            else None
-        )
-        if candidate is not None:
-            ccode = candidate[0]
-            same_operands = candidate[1:] == row[1:]
-            if same_operands and (
-                (ccode == code and ccode in _SELF_INVERSE_CODES)
-                or _INVERSE_OF.get(ccode) == code
-            ):
-                del pending[candidate_index]
-                for qubit in qubits:
-                    del last_on_qubit[qubit]
-                rewrites += 1
-                continue
-            if same_operands and ccode == code:
-                fused = _PHASE_FUSION_CODES.get(code)
-                if fused is not None:
-                    pending[candidate_index] = (fused, -1, -1, t1, -1, ())
-                    rewrites += 1
-                    continue
-        pending[next_index] = row
-        for qubit in qubits:
-            last_on_qubit[qubit] = next_index
-        next_index += 1
-        since_flush += 1
-        if since_flush >= _SCAN_FLUSH_EVERY:
-            since_flush = 0
-            flush(min(last_on_qubit.values(), default=next_index))
-    flush(next_index)
-    return rewrites
+class _Spill:
+    """One peephole pass's survivors on disk.
+
+    The pass's emit target (:func:`~repro.circuits.table._scan_to_fixed_point`
+    sink): rows are packed into a :class:`GateTable` every ``chunk_size``
+    rows and appended to the file; iterating replays the rows in order,
+    and the file is deleted once read back.
+    """
+
+    def __init__(self, path: Path, chunk_size: int) -> None:
+        self._path = path
+        self._chunk_size = chunk_size
+        self._buffer: list[_Row] = []
+        self._count = 0
+
+    def extend(self, rows: list[_Row]) -> None:
+        self._buffer.extend(rows)
+        if len(self._buffer) >= self._chunk_size:
+            self._write()
+
+    def _write(self) -> None:
+        with self._path.open("ab") as handle:
+            _write_table(handle, _table_of_rows(self._buffer, (), ""))
+        self._count += 1
+        self._buffer.clear()
+
+    def tables(
+        self, qubit_names: tuple[str, ...] = (), name: str = ""
+    ) -> Iterator[GateTable]:
+        """Write the last batch, then read every table back (at least
+        one, the last possibly empty) under the given register and name.
+        Called once, after the pass."""
+        if self._buffer or not self._count:
+            self._write()
+        with self._path.open("rb") as handle:
+            yield from _read_tables(handle, self._count, qubit_names, name)
+        self._path.unlink()
+
+    def __iter__(self) -> Iterator[_Row]:
+        for table in self.tables():
+            yield from _rows_of_table(table)
+
+
+def _rechunk(
+    tables: Iterable[GateTable], chunk_size: int
+) -> Iterator[GateTable]:
+    """Re-cut a non-empty table stream into ``chunk_size``-row chunks;
+    only the last may be shorter (or empty, for an empty stream)."""
+    pending: list[GateTable] = []
+    pending_rows = 0
+    for table in tables:
+        pending.append(table)
+        pending_rows += len(table)
+        if pending_rows >= chunk_size:
+            pieces = list(stream_table(assemble(pending), chunk_size))
+            pending = [pieces.pop()] if len(pieces[-1]) < chunk_size else []
+            pending_rows = sum(len(piece) for piece in pending)
+            yield from pieces
+    if pending:
+        yield assemble(pending)
 
 
 def optimize_stream(
@@ -659,15 +314,13 @@ def optimize_stream(
 ) -> Iterator[GateTable]:
     """Out-of-core :func:`~repro.circuits.table.optimize_table`.
 
-    Each fixed-point iteration streams the rows once — the first from
-    the incoming chunks, later ones from a temporary spill file — and
-    writes survivors to a fresh spill, so peak memory is the scan window
-    plus one batch regardless of circuit size.  Converges (or raises
-    the same non-convergence error) exactly like the materialized pass.
+    Runs the same scan to the same fixed point, but each pass streams
+    its rows once — the first from the incoming chunks, later ones from
+    the previous pass's spill file — and writes survivors to a fresh
+    spill, so peak memory is the scan window plus one batch regardless
+    of circuit size.  The survivors come back in ``chunk_size`` chunks.
     """
     _require_chunk_size(chunk_size)
-    if max_passes < 1:
-        raise CircuitError(f"max_passes must be >= 1, got {max_passes}")
     with tempfile.TemporaryDirectory(prefix="repro-peephole-") as tmp:
         tmpdir = Path(tmp)
         register: tuple[str, ...] = ()
@@ -697,164 +350,13 @@ def optimize_stream(
                 if profile is not None:
                     profile.add("peephole-ingest", len(table), seconds)
 
-        source_rows: Iterator[_Row] = rows_from_input()
-        spill_path: Path | None = None
-        for pass_number in range(max_passes):
-            out_path = tmpdir / f"pass{pass_number}.npy"
-            with out_path.open("wb") as sink:
-                buffered: list[_Row] = []
-
-                def emit(batch: list[_Row]) -> None:
-                    buffered.extend(batch)
-                    if len(buffered) >= chunk_size:
-                        _write_row_batch(sink, buffered)
-                        buffered.clear()
-
-                rewrites = _scan_stream(source_rows, emit)
-                if buffered:
-                    _write_row_batch(sink, buffered)
-            if spill_path is not None:
-                spill_path.unlink()
-            spill_path = out_path
-            if rewrites == 0:
-                break
-
-            def rows_from_spill(path: Path = spill_path) -> Iterator[_Row]:
-                with path.open("rb") as handle:
-                    for batch in _read_row_batches(handle):
-                        yield from _rows_of_batch(batch)
-
-            source_rows = rows_from_spill()
-        else:
-            raise CircuitError("peephole optimization did not converge")
-        assert spill_path is not None
-        emitted = False
-        with spill_path.open("rb") as handle:
-            # Re-chunk the surviving rows to the requested chunk size.
-            carry: list[tuple[np.ndarray, ...]] = []
-            carry_rows = 0
-            for batch in _read_row_batches(handle):
-                carry.append(batch)
-                carry_rows += len(batch[0])
-                while carry_rows >= chunk_size:
-                    merged = _merge_batches(carry)
-                    head = _slice_batch(merged, 0, chunk_size)
-                    rest_rows = len(merged[0]) - chunk_size
-                    carry = (
-                        [_slice_batch(merged, chunk_size, len(merged[0]))]
-                        if rest_rows
-                        else []
-                    )
-                    carry_rows = rest_rows
-                    emitted = True
-                    yield _batch_to_table(head, register, name)
-            if carry_rows or not emitted:
-                merged = _merge_batches(carry) if carry else _empty_batch()
-                yield _batch_to_table(merged, register, name)
-
-
-def _empty_batch() -> tuple[np.ndarray, ...]:
-    return (
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
-
-
-def _merge_batches(
-    batches: list[tuple[np.ndarray, ...]],
-) -> tuple[np.ndarray, ...]:
-    if len(batches) == 1:
-        return batches[0]
-    return tuple(
-        np.concatenate([batch[i] for batch in batches])
-        for i in range(7)
-    )
-
-
-def _slice_batch(
-    batch: tuple[np.ndarray, ...], lo: int, hi: int
-) -> tuple[np.ndarray, ...]:
-    kind, c1, c2, t1, t2, counts, extra = batch
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return (
-        kind[lo:hi], c1[lo:hi], c2[lo:hi], t1[lo:hi], t2[lo:hi],
-        counts[lo:hi], extra[offsets[lo] : offsets[hi]],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Incremental IIG accumulation
-# ---------------------------------------------------------------------------
-
-
-class IIGAccumulator:
-    """Chunk-wise interaction pair counting.
-
-    Per chunk, two-qubit rows are pair-counted with the same
-    ``np.unique`` + first-occurrence ``lexsort`` as
-    :func:`repro.qodg.iig._build_iig_from_table`; updating the adjacency
-    dicts in that per-chunk order appends each row's *new* neighbours in
-    first-interaction order, so the finished graph's CSR view is
-    bitwise-identical to the one-shot construction — including the
-    neighbour ordering the estimator's weighted sums depend on.
-    """
-
-    def __init__(self) -> None:
-        self._adjacency: list[dict[int, int]] = []
-        self._total_weight = 0
-
-    def update(self, table: GateTable) -> None:
-        """Fold one chunk's two-qubit interactions into the counts."""
-        num_qubits = table.num_qubits
-        while len(self._adjacency) < num_qubits:
-            self._adjacency.append({})
-        mask = table.arities() == 2
-        total = int(mask.sum())
-        if not total:
-            return
-        has_ctrl = table.ctrl[mask] >= 0
-        qa = np.where(has_ctrl, table.ctrl[mask], table.target[mask])
-        qb = np.where(has_ctrl, table.target[mask], table.target2[mask])
-        u = np.empty(total * 2, dtype=np.int64)
-        v = np.empty(total * 2, dtype=np.int64)
-        u[0::2] = qa
-        u[1::2] = qb
-        v[0::2] = qb
-        v[1::2] = qa
-        keys = u * num_qubits + v
-        unique_keys, first_idx, counts = np.unique(
-            keys, return_index=True, return_counts=True
+        passes = itertools.count()
+        survivors = _scan_to_fixed_point(
+            rows_from_input(),
+            max_passes,
+            lambda: _Spill(tmpdir / f"pass{next(passes)}.npy", chunk_size),
         )
-        sources = unique_keys // num_qubits
-        order = np.lexsort((first_idx, sources))
-        adjacency = self._adjacency
-        for src, dst, weight in zip(
-            sources[order].tolist(),
-            (unique_keys % num_qubits)[order].tolist(),
-            counts[order].tolist(),
-        ):
-            row = adjacency[src]
-            row[dst] = row.get(dst, 0) + weight
-        self._total_weight += total
-
-    def finish(self, num_qubits: int | None = None) -> "IIG":
-        """The accumulated graph as an :class:`~repro.qodg.iig.IIG`."""
-        from ..qodg.iig import IIG
-
-        count = max(len(self._adjacency), num_qubits or 0)
-        iig = IIG(count)
-        while len(self._adjacency) < count:
-            self._adjacency.append({})
-        iig._adjacency = self._adjacency
-        iig._total_weight = self._total_weight
-        iig._version += 1
-        return iig
+        yield from _rechunk(survivors.tables(register, name), chunk_size)
 
 
 # ---------------------------------------------------------------------------

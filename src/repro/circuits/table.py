@@ -29,18 +29,19 @@ Tables are treated as immutable once built; producers stream rows into a
 On top of the storage the module provides the **table passes** — the FT
 synthesis stages of :mod:`repro.circuits.decompose` re-expressed as
 vectorized template expansions (:func:`lower_ft`) and the peephole
-optimizer of :mod:`repro.circuits.optimize` as an array scan
-(:func:`optimize_table`).  Both are bitwise-equivalent to the object
-implementations, which remain available as the ``engine="legacy"``
-oracle; the equivalence is asserted across the circuit library by
-``tests/test_table_equivalence.py``.
+optimizer of :mod:`repro.circuits.optimize` as a bounded-window row scan
+(:func:`optimize_table`).  Each is written once, as the per-chunk pass
+that :mod:`repro.circuits.stream` also drives.  Both are
+bitwise-equivalent to the object implementations, which remain available
+as the ``engine="legacy"`` oracle; the equivalence is asserted across the
+circuit library by ``tests/test_table_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -70,16 +71,31 @@ _INT = np.dtype("<i8")  # explicit little-endian: fingerprint bytes are stable
 
 #: Default first allocation of a :class:`TableBuilder` column buffer
 #: (rows).  Growth is geometric (doubling), so building an n-row table
-#: costs O(n) amortized copies from any starting capacity; streaming
-#: chunk emitters pass their chunk size as ``initial_capacity`` to land
-#: in one allocation.
+#: costs O(n) amortized copies from any starting capacity, and a chunk
+#: emitter's buffers stop growing once they hold one chunk.
 _INITIAL_CAPACITY = 1024
+
+#: Default rows per emitted chunk of the chunked front-end passes.  Large
+#: enough that per-chunk numpy dispatch overhead is negligible, small
+#: enough that a handful of in-flight chunks stay far below any benchmark
+#: table's full size.  Materialized entry points pass ``sys.maxsize``:
+#: one chunk.
+DEFAULT_CHUNK_SIZE = 65536
 
 #: Rows buffered in the python staging lists before a bulk flush into
 #: the numpy column buffers.  Scalar ``ndarray.__setitem__`` costs ~4x a
 #: list append, so the hot append path stays on lists and amortizes the
 #: int conversion over slice-assignment flushes.
 _STAGING_ROWS = 512
+
+
+def _require_chunk_size(chunk_size: int) -> int:
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
+        raise CircuitError(f"chunk_size must be an int, got {chunk_size!r}")
+    if chunk_size < 1:
+        raise CircuitError(f"chunk_size must be >= 1, got {chunk_size}")
+    return chunk_size
+
 
 # -- kind codes the passes branch on ----------------------------------------
 
@@ -1163,26 +1179,87 @@ def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
 
 
 # ---------------------------------------------------------------------------
-# Peephole optimization as an array scan
+# Peephole optimization as a row scan
 # ---------------------------------------------------------------------------
 
 _SELF_INVERSE_CODES = frozenset({_X, KIND_CODES[GateKind.Y], _Z, _H, _CNOT})
 _INVERSE_OF = {_T: _TDG, _TDG: _T, _S: _SDG, _SDG: _S}
 _PHASE_FUSION_CODES = {_T: _S, _TDG: _SDG, _S: _Z, _SDG: _Z}
 
+#: One row as the peephole scan reads it: ``(code, c1, c2, t1, t2,
+#: extra_controls)`` with ``-1`` padding.  Equal operand sets imply equal
+#: padded tuples, so the same-operand test is plain tuple comparison.
+_Row = tuple[int, int, int, int, int, tuple[int, ...]]
 
-def _scan_once(
-    rows: list[tuple[int, int, int, int, int, tuple[int, ...]]],
-) -> tuple[list[tuple[int, int, int, int, int, tuple[int, ...]]], int]:
-    """One forward cancellation/fusion pass over primitive rows.
+#: Appended rows between frontier recomputations in :func:`_scan_stream`.
+_SCAN_FLUSH_EVERY = 4096
 
-    The row tuple is ``(code, c1, c2, t1, t2, extra_controls)`` with
-    ``-1`` padding; equal operand sets imply equal padded tuples, so the
-    same-operand test is plain tuple comparison.  Logic mirrors
-    :func:`repro.circuits.optimize.cancel_pairs_once` exactly.
+
+def _rows_of_table(table: GateTable) -> list[_Row]:
+    """A table's rows as the tuples the peephole scan eats."""
+    extra_rows: dict[int, tuple[int, ...]] = {}
+    for row in np.nonzero(table.extra_counts())[0].tolist():
+        lo, hi = table.extra_indptr[row], table.extra_indptr[row + 1]
+        extra_rows[row] = tuple(table.extra[lo:hi].tolist())
+    return [
+        (code, c1, c2, t1, t2, extra_rows.get(i, ()))
+        for i, (code, c1, c2, t1, t2) in enumerate(
+            zip(
+                table.kind.tolist(),
+                table.ctrl.tolist(),
+                table.ctrl2.tolist(),
+                table.target.tolist(),
+                table.target2.tolist(),
+            )
+        )
+    ]
+
+
+def _table_of_rows(
+    rows: Sequence[_Row], qubit_names: tuple[str, ...], name: str
+) -> GateTable:
+    """Pack scan rows back into a table: the inverse of
+    :func:`_rows_of_table`."""
+    n = len(rows)
+    kind, c1, c2, t1, t2, extras = zip(*rows) if n else ((),) * 6
+    extra_indptr = np.zeros(n + 1, dtype=np.int64)
+    extra: list[int] = []
+    if any(extras):
+        np.cumsum([len(row_extra) for row_extra in extras],
+                  out=extra_indptr[1:])
+        for row_extra in extras:
+            extra.extend(row_extra)
+    return GateTable(
+        kind=np.array(kind, dtype=np.int8),
+        ctrl=np.array(c1, dtype=np.int64),
+        ctrl2=np.array(c2, dtype=np.int64),
+        target=np.array(t1, dtype=np.int64),
+        target2=np.array(t2, dtype=np.int64),
+        extra_indptr=extra_indptr,
+        extra=np.array(extra, dtype=np.int64),
+        qubit_names=qubit_names,
+        name=name,
+    )
+
+
+def _scan_stream(
+    rows: Iterable[_Row], emit: Callable[[list[_Row]], object]
+) -> int:
+    """One cancellation/fusion pass over a row stream, bounded window.
+
+    Logic mirrors :func:`repro.circuits.optimize.cancel_pairs_once`:
+    only rows still reachable through ``last_on_qubit`` can be cancelled
+    or fused, so every row below ``min(last_on_qubit.values())`` is
+    frozen and flushed to ``emit`` in order.  The frontier is
+    recomputed every :data:`_SCAN_FLUSH_EVERY` appends (an O(num_qubits)
+    ``min``), keeping the window a few thousand rows for circuits whose
+    qubits stay active.  Returns the rewrite count.
     """
-    surviving: list[tuple[int, int, int, int, int, tuple[int, ...]] | None] = []
+    # Rows not yet emitted, None where cancelled; ``last_on_qubit``
+    # indexes into this window and is rebased at every flush.
+    window: list[_Row | None] = []
     last_on_qubit: dict[int, int] = {}
+    check_at = _SCAN_FLUSH_EVERY
     rewrites = 0
     for row in rows:
         code, c1, c2, t1, t2, extra = row
@@ -1197,9 +1274,7 @@ def _scan_once(
         previous = {last_on_qubit.get(q) for q in qubits}
         candidate_index = previous.pop() if len(previous) == 1 else None
         candidate = (
-            surviving[candidate_index]
-            if candidate_index is not None
-            else None
+            window[candidate_index] if candidate_index is not None else None
         )
         if candidate is not None:
             ccode = candidate[0]
@@ -1208,7 +1283,7 @@ def _scan_once(
                 (ccode == code and ccode in _SELF_INVERSE_CODES)
                 or _INVERSE_OF.get(ccode) == code
             ):
-                surviving[candidate_index] = None
+                window[candidate_index] = None
                 for qubit in qubits:
                     del last_on_qubit[qubit]
                 rewrites += 1
@@ -1216,14 +1291,56 @@ def _scan_once(
             if same_operands and ccode == code:
                 fused = _PHASE_FUSION_CODES.get(code)
                 if fused is not None:
-                    surviving[candidate_index] = (fused, -1, -1, t1, -1, ())
+                    window[candidate_index] = (fused, -1, -1, t1, -1, ())
                     rewrites += 1
                     continue
-        index = len(surviving)
-        surviving.append(row)
+        index = len(window)
+        window.append(row)
         for qubit in qubits:
             last_on_qubit[qubit] = index
-    return [row for row in surviving if row is not None], rewrites
+        if index >= check_at:
+            frontier = min(last_on_qubit.values())
+            _flush_window(window, frontier, emit)
+            for qubit in last_on_qubit:
+                last_on_qubit[qubit] -= frontier
+            check_at = index - frontier + _SCAN_FLUSH_EVERY
+    _flush_window(window, len(window), emit)
+    return rewrites
+
+
+def _flush_window(
+    window: list[_Row | None],
+    frontier: int,
+    emit: Callable[[list[_Row]], object],
+) -> None:
+    """Emit the scan window's rows below ``frontier`` in order, dropping
+    cancelled ones, and cut them from the window."""
+    batch = [row for row in window[:frontier] if row is not None]
+    del window[:frontier]
+    if batch:
+        emit(batch)
+
+
+def _scan_to_fixed_point(
+    rows: Iterable[_Row],
+    max_passes: int,
+    new_sink: Callable[[], Iterable[_Row]] = list,
+):
+    """Run :func:`_scan_stream` until a pass rewrites nothing.
+
+    Each pass emits its survivors into a fresh ``new_sink()`` — anything
+    with ``extend`` that iterates the emitted rows back in order (a list
+    in memory, a spill file out of core) — which feeds the next pass.
+    Returns the converged pass's sink.
+    """
+    if max_passes < 1:
+        raise CircuitError(f"max_passes must be >= 1, got {max_passes}")
+    for _ in range(max_passes):
+        sink = new_sink()
+        if _scan_stream(rows, sink.extend) == 0:
+            return sink
+        rows = sink
+    raise CircuitError("peephole optimization did not converge")
 
 
 def optimize_table(table: GateTable, max_passes: int = 100) -> GateTable:
@@ -1232,61 +1349,9 @@ def optimize_table(table: GateTable, max_passes: int = 100) -> GateTable:
     The table counterpart of
     :func:`repro.circuits.optimize.optimize_ft`: FT-set rows cancel and
     fuse, synthesis-level rows pass through but participate in adjacency
-    tracking.  Bitwise-identical output to the object pass.
+    tracking.  Bitwise-identical output to the object pass.  The whole
+    table is one chunk of :func:`~repro.circuits.stream.optimize_stream`,
+    with the passes held in memory instead of spilled.
     """
-    extra_counts = table.extra_counts()
-    sparse = np.nonzero(extra_counts)[0]
-    extra_rows: dict[int, tuple[int, ...]] = {}
-    for row in sparse.tolist():
-        lo, hi = table.extra_indptr[row], table.extra_indptr[row + 1]
-        extra_rows[row] = tuple(table.extra[lo:hi].tolist())
-    rows = [
-        (code, c1, c2, t1, t2, extra_rows.get(i, ()))
-        for i, (code, c1, c2, t1, t2) in enumerate(
-            zip(
-                table.kind.tolist(),
-                table.ctrl.tolist(),
-                table.ctrl2.tolist(),
-                table.target.tolist(),
-                table.target2.tolist(),
-            )
-        )
-    ]
-    for _ in range(max_passes):
-        rows, rewrites = _scan_once(rows)
-        if rewrites == 0:
-            break
-    else:
-        raise CircuitError("peephole optimization did not converge")
-    n = len(rows)
-    kind = np.empty(n, dtype=np.int8)
-    c1 = np.empty(n, dtype=np.int64)
-    c2 = np.empty(n, dtype=np.int64)
-    t1 = np.empty(n, dtype=np.int64)
-    t2 = np.empty(n, dtype=np.int64)
-    extra_counts_out: list[int] = []
-    extra_out: list[int] = []
-    for i, (code, rc1, rc2, rt1, rt2, extra) in enumerate(rows):
-        kind[i] = code
-        c1[i] = rc1
-        c2[i] = rc2
-        t1[i] = rt1
-        t2[i] = rt2
-        extra_counts_out.append(len(extra))
-        extra_out.extend(extra)
-    extra_indptr = np.zeros(n + 1, dtype=np.int64)
-    if extra_out:
-        np.cumsum(
-            np.asarray(extra_counts_out, dtype=np.int64), out=extra_indptr[1:]
-        )
-    return GateTable(
-        kind=kind,
-        ctrl=c1,
-        ctrl2=c2,
-        target=t1,
-        target2=t2,
-        extra_indptr=extra_indptr,
-        extra=np.asarray(extra_out, dtype=np.int64),
-        qubit_names=table.qubit_names,
-        name=table.name,
-    )
+    rows = _scan_to_fixed_point(_rows_of_table(table), max_passes)
+    return _table_of_rows(rows, table.qubit_names, table.name)

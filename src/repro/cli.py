@@ -545,7 +545,9 @@ def _estimate_streaming(args: argparse.Namespace) -> int:
         stream_table,
     )
 
-    chunk_size = args.chunk_gates or DEFAULT_CHUNK_SIZE
+    chunk_size = (
+        DEFAULT_CHUNK_SIZE if args.chunk_gates is None else args.chunk_gates
+    )
     profile = StreamProfile() if args.profile else None
     path = Path(args.circuit)
     if path.is_file():

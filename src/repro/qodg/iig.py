@@ -19,7 +19,7 @@ from typing import Iterator
 from ..circuits.circuit import Circuit
 from ..exceptions import GraphError
 
-__all__ = ["IIG", "IIGArrays", "build_iig"]
+__all__ = ["IIG", "IIGAccumulator", "IIGArrays", "build_iig"]
 
 
 @dataclass(frozen=True)
@@ -204,50 +204,71 @@ class IIG:
         )
 
 
-def _build_iig_from_table(table, num_qubits: int) -> IIG:
-    """Vectorized IIG construction straight from a flat gate table.
+class IIGAccumulator:
+    """Chunk-wise interaction pair counting.
 
-    Two-qubit rows are pair-counted with one ``np.unique`` over encoded
-    directed pairs; the adjacency dicts are then filled edge by edge in
-    **first-interaction order** (recovered from the first-occurrence
-    indices), so the result — including the CSR view's row ordering — is
-    identical to the gate-walking construction.
+    Per chunk, two-qubit rows are pair-counted with one ``np.unique``
+    over encoded directed pairs, and the adjacency dicts are updated
+    edge by edge in **first-interaction order** (recovered from the
+    first-occurrence indices with a ``lexsort``).  Each chunk appends its
+    *new* neighbours in that order, so the finished graph — including
+    the CSR view's row ordering the estimator's weighted sums depend on
+    — is the same for any chunking, and :func:`build_iig` on a
+    table-backed circuit is the one-chunk case.
     """
-    import numpy as np
 
-    iig = IIG(num_qubits)
-    mask = table.arities() == 2
-    total = int(mask.sum())
-    if not total:
+    def __init__(self) -> None:
+        self._adjacency: list[dict[int, int]] = []
+        self._total_weight = 0
+
+    def update(self, table) -> None:
+        """Fold one :class:`~repro.circuits.table.GateTable` chunk's
+        two-qubit interactions into the counts."""
+        import numpy as np
+
+        num_qubits = table.num_qubits
+        while len(self._adjacency) < num_qubits:
+            self._adjacency.append({})
+        mask = table.arities() == 2
+        total = int(mask.sum())
+        if not total:
+            return
+        # Operands in controls-then-targets order, as the object walk reads.
+        ctrl = table.ctrl[mask]
+        target = table.target[mask]
+        has_ctrl = ctrl >= 0
+        qa = np.where(has_ctrl, ctrl, target)
+        qb = np.where(has_ctrl, target, table.target2[mask])
+        # Directed pairs in chronological order: (a->b, b->a) per gate.
+        keys = np.stack(
+            (qa * num_qubits + qb, qb * num_qubits + qa), axis=1
+        ).ravel()
+        unique_keys, first_idx, counts = np.unique(
+            keys, return_index=True, return_counts=True
+        )
+        sources, dests = np.divmod(unique_keys, num_qubits)
+        # Per source qubit, neighbours in first-interaction order.
+        order = np.lexsort((first_idx, sources))
+        adjacency = self._adjacency
+        for src, dst, weight in zip(
+            sources[order].tolist(),
+            dests[order].tolist(),
+            counts[order].tolist(),
+        ):
+            row = adjacency[src]
+            row[dst] = row.get(dst, 0) + weight
+        self._total_weight += total
+
+    def finish(self, num_qubits: int | None = None) -> IIG:
+        """The accumulated graph as an :class:`IIG`."""
+        count = max(len(self._adjacency), num_qubits or 0)
+        iig = IIG(count)
+        while len(self._adjacency) < count:
+            self._adjacency.append({})
+        iig._adjacency = self._adjacency
+        iig._total_weight = self._total_weight
+        iig._version += 1
         return iig
-    # Operands in controls-then-targets order, as the object walk reads.
-    has_ctrl = table.ctrl[mask] >= 0
-    qa = np.where(has_ctrl, table.ctrl[mask], table.target[mask])
-    qb = np.where(has_ctrl, table.target[mask], table.target2[mask])
-    # Directed pairs in chronological order: (a->b, b->a) per gate.
-    u = np.empty(total * 2, dtype=np.int64)
-    v = np.empty(total * 2, dtype=np.int64)
-    u[0::2] = qa
-    u[1::2] = qb
-    v[0::2] = qb
-    v[1::2] = qa
-    keys = u * num_qubits + v
-    unique_keys, first_idx, counts = np.unique(
-        keys, return_index=True, return_counts=True
-    )
-    sources = unique_keys // num_qubits
-    # Per source qubit, neighbours in first-interaction order.
-    order = np.lexsort((first_idx, sources))
-    adjacency = iig._adjacency
-    for src, dst, weight in zip(
-        sources[order].tolist(),
-        (unique_keys % num_qubits)[order].tolist(),
-        counts[order].tolist(),
-    ):
-        adjacency[src][dst] = weight
-    iig._total_weight = total
-    iig._version += 1
-    return iig
 
 
 def build_iig(circuit: Circuit) -> IIG:
@@ -259,13 +280,16 @@ def build_iig(circuit: Circuit) -> IIG:
     decomposed before LEQA runs and are ignored here with their pairwise
     interactions unspecified — pass FT circuits for paper-faithful use).
 
-    Table-backed circuits are pair-counted vectorized (one ``np.unique``
-    over the flat operand columns — edges, not gates, cost Python work);
-    object-built circuits walk their gates as before.
+    Table-backed circuits are pair-counted vectorized as one
+    :class:`IIGAccumulator` chunk (one ``np.unique`` over the flat operand
+    columns — edges, not gates, cost Python work); object-built circuits
+    walk their gates as before.
     """
     table = circuit.table_if_ready()
     if table is not None:
-        return _build_iig_from_table(table, circuit.num_qubits)
+        accumulator = IIGAccumulator()
+        accumulator.update(table)
+        return accumulator.finish(circuit.num_qubits)
     iig = IIG(circuit.num_qubits)
     # Hot loop: inlined adjacency update (same effect as add_interaction
     # with weight 1, minus per-call validation — operands were validated

@@ -55,6 +55,15 @@ class TestEstimate:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("chunk_gates", ["0", "-1"])
+    def test_stream_rejects_non_positive_chunk_gates(self, capsys, chunk_gates):
+        code, out, err = run_cli(
+            capsys, "estimate", "ham3", "--stream", "--chunk-gates", chunk_gates
+        )
+        assert code == 1
+        assert f"chunk_size must be >= 1, got {chunk_gates}" in err
+        assert "estimated latency" not in out
+
 
 class TestMap:
     def test_named_benchmark(self, capsys):

@@ -20,6 +20,7 @@ from repro.circuits.generators import (
     hamming_coder,
     hwb,
     modular_adder,
+    random_ft,
     random_reversible,
     ripple_adder,
 )
@@ -291,3 +292,43 @@ class TestSyntheticGenerators:
     def test_cnot_ladder_needs_two_qubits(self):
         with pytest.raises(CircuitError):
             cnot_ladder(1)
+
+
+class TestGoldenRandom:
+    """The random generators' RNG replay, frozen as recorded fingerprints.
+
+    The materialized generators are the one-chunk case of the chunked
+    ones, so these literals (not a second generator) pin the draw order.
+    """
+
+    @pytest.mark.parametrize(
+        "args,fingerprint",
+        [
+            ((2, 1, 0, 0.4), "f4326c44faff36c69b83ab46d6e2c336"),
+            ((7, 500, 11, 0.4), "6acdd9f939ebf42837ad0088e6502b33"),
+            ((16, 2000, 12345, 0.1), "ce0338243ea6300bcdac2bb57f0d3f51"),
+        ],
+    )
+    def test_random_ft(self, args, fingerprint):
+        n, gate_count, _, _ = args
+        table = random_ft(*args).table()
+        assert table.name == f"randomft{n}x{gate_count}"
+        assert table.num_qubits == n
+        assert len(table) == gate_count
+        assert table.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize(
+        "args,fingerprint",
+        [
+            ((3, 1, 0, 0.3), "97a8b044fd5627a2253017bceaa847ed"),
+            ((8, 600, 7, 0.3), "3c1790f8d1bf3f78acdae3a67a174743"),
+            ((20, 3000, 424242, 0.6), "a83bb76f86b08a3dcfc1009967ce9045"),
+        ],
+    )
+    def test_random_reversible(self, args, fingerprint):
+        n, gate_count, _, _ = args
+        table = random_reversible(*args).table()
+        assert table.name == f"random{n}x{gate_count}"
+        assert table.num_qubits == n
+        assert len(table) == gate_count
+        assert table.fingerprint() == fingerprint

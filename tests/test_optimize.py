@@ -22,6 +22,7 @@ from repro.circuits.gates import (
 )
 from repro.circuits.optimize import cancel_pairs_once, optimize_ft
 from repro.circuits.simulate import circuit_unitary
+from repro.exceptions import CircuitError
 
 
 def _unitary_equal(c1: Circuit, c2: Circuit) -> bool:
@@ -165,3 +166,51 @@ class TestSafety:
         optimized = optimize_ft(lowered)
         assert len(optimized) < len(lowered)
         assert _unitary_equal(lowered, optimized)
+
+
+class TestMaxPasses:
+    """Every peephole entry point rejects ``max_passes < 1`` the same way,
+    even on a circuit that needs no rewrite."""
+
+    @staticmethod
+    def _already_optimal() -> Circuit:
+        circuit = Circuit(2)
+        circuit.extend([h(0), cnot(0, 1), t(1)])
+        return circuit
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["optimize_table", "optimize_ft-table", "optimize_ft-legacy",
+         "optimize_stream"],
+    )
+    @pytest.mark.parametrize("max_passes", [0, -1])
+    def test_rejected_everywhere(self, entry, max_passes):
+        from repro.circuits.stream import optimize_stream, stream_table
+        from repro.circuits.table import optimize_table
+
+        circuit = self._already_optimal()
+        runs = {
+            "optimize_table": lambda: optimize_table(
+                circuit.table(), max_passes=max_passes
+            ),
+            "optimize_ft-table": lambda: optimize_ft(
+                circuit, max_passes=max_passes, engine="table"
+            ),
+            "optimize_ft-legacy": lambda: optimize_ft(
+                circuit, max_passes=max_passes, engine="legacy"
+            ),
+            "optimize_stream": lambda: list(
+                optimize_stream(
+                    stream_table(circuit.table()), max_passes=max_passes
+                )
+            ),
+        }
+        with pytest.raises(
+            CircuitError, match=f"max_passes must be >= 1, got {max_passes}"
+        ):
+            runs[entry]()
+
+    def test_one_pass_suffices_when_nothing_rewrites(self):
+        circuit = self._already_optimal()
+        assert len(optimize_ft(circuit, max_passes=1)) == 3
+        assert len(optimize_ft(circuit, max_passes=1, engine="legacy")) == 3

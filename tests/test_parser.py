@@ -226,3 +226,66 @@ class TestQasmLite:
     def test_parsed_circuits_are_table_backed(self):
         circuit = reads_qasm_lite("qubits 2\ncnot q0 q1\nh q0\n")
         assert circuit.table_if_ready() is not None
+
+
+#: Fixed netlists with MCT and MCF rows, and the fingerprints, register
+#: and row counts their parse produced when recorded.  The readers are one
+#: code path shared with the chunked ones, so these literals (not a second
+#: reader) pin the parse output.
+GOLDEN_REAL = """\
+# MCT and MCF rows
+.version 2.0
+.numvars 6
+.variables a b c d e f
+.begin
+t1 a
+t2 a b
+t3 a b c
+t5 a b c d e
+f2 b c
+f3 a b c
+f5 a b c d e
+t4 f e d c
+f6 a b c d e f
+.end
+"""
+
+GOLDEN_QASM_LITE = """\
+# MCT and MCF rows
+qubits 2
+qubit a
+qubit b
+h q0
+cx q0 q1
+t a
+tdg b
+ccx q0 q1 a
+mct q0 q1 a b
+qubit c
+mcf q0 q1 a b c
+cswap c a b
+swap q1 c
+mct c b a q1 q0
+s b
+sdg q0
+"""
+
+
+class TestGoldenParse:
+    def test_real_fingerprint(self):
+        table = reads_real(GOLDEN_REAL, name="golden").table()
+        assert table.name == "golden"
+        assert table.qubit_names == ("a", "b", "c", "d", "e", "f")
+        assert len(table) == 9
+        assert table.counts_by_kind()[GateKind.MCT] == 2
+        assert table.counts_by_kind()[GateKind.MCF] == 2
+        assert table.fingerprint() == "72114c8050d0965f21a1cb970c266e94"
+
+    def test_qasm_lite_fingerprint(self):
+        table = reads_qasm_lite(GOLDEN_QASM_LITE, name="golden").table()
+        assert table.name == "golden"
+        assert table.qubit_names == ("q0", "q1", "a", "b", "c")
+        assert len(table) == 12
+        assert table.counts_by_kind()[GateKind.MCT] == 2
+        assert table.counts_by_kind()[GateKind.MCF] == 1
+        assert table.fingerprint() == "a050be1e8afc746bcc99ead356963bdb"

@@ -41,7 +41,10 @@ from repro.circuits.stream import (
     stream_reads_real,
     stream_table,
 )
-from repro.circuits.table import lower_ft, optimize_table
+from repro.circuits.optimize import optimize_ft
+from repro.circuits.stream import _read_tables, _write_table
+from repro.circuits import table as table_module
+from repro.circuits.table import _SCAN_FLUSH_EVERY, lower_ft, optimize_table
 from repro.core.estimator import LEQAEstimator
 from repro.exceptions import CircuitError, EstimationError, ParseError
 from repro.fabric.params import FabricSpec, PhysicalParams
@@ -218,6 +221,99 @@ class TestOptimizeStream:
             optimize_stream(stream_table(ft, 97), chunk_size=97)
         )
         assert_tables_equal(streamed, expected)
+
+
+def _object_backed(table) -> Circuit:
+    """A Circuit holding Gate objects only (forces the legacy passes)."""
+    circuit = Circuit(0, table.name)
+    for name in table.qubit_names:
+        circuit.add_qubit(name)
+    circuit.extend(table.to_gates())
+    return circuit
+
+
+class TestPeepholeFrontierFlush:
+    """A peephole pass over many flush windows, against the object oracle.
+
+    The scan freezes and emits rows below the qubit frontier every
+    ``_SCAN_FLUSH_EVERY`` appends; this input spans several windows, so
+    a flush that dropped, reordered or emitted a still-live row would
+    show up as a difference from the object pass.
+    """
+
+    @pytest.fixture(scope="class")
+    def ft_and_expected(self):
+        ft = lower_ft(random_reversible(12, 4000, seed=3).table())
+        expected = optimize_ft(
+            _object_backed(ft), engine="legacy"
+        ).table()
+        assert len(ft) == 20520 > 4 * _SCAN_FLUSH_EVERY
+        assert len(expected) == 19630
+        return ft, expected
+
+    def test_optimize_table(self, ft_and_expected):
+        ft, expected = ft_and_expected
+        assert_tables_equal(optimize_table(ft), expected)
+
+    @pytest.mark.parametrize("chunk_size", [97, 4096])
+    def test_optimize_stream(self, ft_and_expected, chunk_size):
+        ft, expected = ft_and_expected
+        chunks = list(
+            optimize_stream(
+                stream_table(ft, chunk_size), chunk_size=chunk_size
+            )
+        )
+        assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+        assert_tables_equal(assemble(chunks), expected)
+
+    @pytest.mark.parametrize("flush_every", [1, 5, 64])
+    def test_dense_flush_cadence(self, ft_and_expected, monkeypatch, flush_every):
+        # Flushing far more often puts many more live rows right at the
+        # frontier, where an off-by-one would emit one too early.
+        monkeypatch.setattr(table_module, "_SCAN_FLUSH_EVERY", flush_every)
+        ft, expected = ft_and_expected
+        assert_tables_equal(optimize_table(ft), expected)
+        streamed = optimize_stream(stream_table(ft, 97), chunk_size=97)
+        assert_tables_equal(assemble(streamed), expected)
+
+
+class TestSpillFile:
+    """The peephole spill reads back exactly the tables written."""
+
+    @staticmethod
+    def _spill(tables) -> bytes:
+        buffer = io.BytesIO()
+        for table in tables:
+            _write_table(buffer, table)
+        return buffer.getvalue()
+
+    def test_round_trip(self):
+        ft = lower_ft(random_reversible(6, 60, seed=1).table())
+        parts = list(stream_table(ft, 100))
+        data = self._spill(parts)
+        read = list(
+            _read_tables(io.BytesIO(data), len(parts), ft.qubit_names, ft.name)
+        )
+        assert len(read) == len(parts)
+        assert_tables_equal(assemble(read), ft)
+
+    @pytest.mark.parametrize("cut", ["mid-header", "boundary", "mid-data"])
+    def test_truncated_spill_raises(self, cut):
+        ft = lower_ft(random_reversible(6, 60, seed=1).table())
+        parts = list(stream_table(ft, 100))
+        data = self._spill(parts)
+        first = len(self._spill(parts[:1]))
+        end = {
+            "mid-header": first + 20,
+            "boundary": first,
+            "mid-data": len(data) - 9,
+        }[cut]
+        with pytest.raises((EOFError, ValueError)):
+            list(
+                _read_tables(
+                    io.BytesIO(data[:end]), len(parts), ft.qubit_names, ft.name
+                )
+            )
 
 
 class TestParserStreams:
