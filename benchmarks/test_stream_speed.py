@@ -34,7 +34,6 @@ import os
 import time
 import tracemalloc
 
-from repro.circuits.circuit import Circuit
 from repro.circuits.generators import random_ft
 from repro.circuits.stream import (
     estimate_stream,

@@ -1,5 +1,9 @@
 """Circuit representation, parsing, FT synthesis and benchmark generators."""
 
+# A re-export module: ``__all__`` is computed from the imported names at
+# the bottom, which a static unused-import check cannot evaluate.
+# ruff: noqa: F401
+
 from .algorithms import bernstein_vazirani, cuccaro_adder, grover
 from .circuit import Circuit, CircuitStats
 from .decompose import (

@@ -20,20 +20,18 @@ passes produce), by a list of :class:`Gate` objects (the historical form
 mutating callers build), or by both.  Either view materializes the other
 lazily, so array consumers (QODG/IIG CSR builders, the batched sweeps)
 never pay for Gate objects and object consumers never notice the
-difference.
+difference.  The table is the circuit's one compiled form: the queries
+here (statistics, FT check, equality, the content fingerprint) read it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .._validation import require_non_negative_int
 from ..exceptions import CircuitError
-from .gates import FT_KINDS, Gate, GateKind, KIND_CODES, ONE_QUBIT_FT_KINDS
+from .gates import Gate, GateKind, ONE_QUBIT_FT_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .table import GateTable
@@ -110,13 +108,8 @@ class Circuit:
         self._table: "GateTable | None" = None
         self._table_token: tuple[int, int] | None = None
         self._gates_view: tuple[Gate, ...] | None = None
-        # Incremental fingerprint state: (num_qubits, hashed_count,
-        # hasher) plus a (token, hexdigest) cache — see
-        # content_fingerprint().
-        self._fp_state: tuple[int, int, "hashlib._Hash"] | None = None
+        # (token, hexdigest) — see content_fingerprint().
         self._fp_cache: tuple[tuple[int, int], str] | None = None
-        # (gate_count, verdict) — see is_ft().
-        self._is_ft: tuple[int, bool] | None = None
 
     # -- table backing -----------------------------------------------------
 
@@ -138,9 +131,7 @@ class Circuit:
         circuit._table = table
         circuit._table_token = (table.num_qubits, len(table))
         circuit._gates_view = None
-        circuit._fp_state = None
         circuit._fp_cache = None
-        circuit._is_ft = None
         return circuit
 
     def _gate_count(self) -> int:
@@ -166,9 +157,7 @@ class Circuit:
         self._table = None
         self._table_token = None
         self._gates_view = None
-        self._fp_state = None
         self._fp_cache = None
-        self._is_ft = None
 
     def table(self) -> "GateTable":
         """The circuit as a flat :class:`GateTable`, built once and cached.
@@ -262,7 +251,6 @@ class Circuit:
                 )
         self._gates.append(gate)
         self._gates_view = None
-        self._is_ft = None
 
     def extend(self, gates: Iterable[Gate]) -> None:
         """Append every gate from ``gates`` in order."""
@@ -290,11 +278,7 @@ class Circuit:
             return NotImplemented
         if self._qubit_names != other._qubit_names:
             return False
-        mine = self.table_if_ready()
-        theirs = other.table_if_ready()
-        if mine is not None and theirs is not None:
-            return mine.same_content(theirs)
-        return self._gates == other._gates
+        return self.table().same_content(other.table())
 
     def __repr__(self) -> str:
         return (
@@ -306,43 +290,23 @@ class Circuit:
 
     def stats(self) -> CircuitStats:
         """Compute aggregate statistics (one pass over the flat kinds)."""
-        table = self.table_if_ready()
-        if table is not None:
-            counts = table.counts_by_kind()
-        else:
-            counts = dict(Counter(g.kind for g in self._gates))
+        table = self.table()
+        counts = table.counts_by_kind()
         return CircuitStats(
             qubit_count=self.num_qubits,
-            gate_count=self._gate_count(),
+            gate_count=len(table),
             counts_by_kind=counts,
             two_qubit_count=counts.get(GateKind.CNOT, 0),
-            is_ft=all(kind in FT_KINDS for kind in counts),
+            is_ft=table.is_ft(),
         )
 
     def is_ft(self) -> bool:
-        """Whether every gate belongs to the fault-tolerant gate set.
-
-        Cached between calls (the mapper asks on every run): gates are
-        immutable and the container only grows, so the verdict stays
-        valid while the gate count is unchanged.
-        """
-        count = self._gate_count()
-        if self._is_ft is not None and self._is_ft[0] == count:
-            return self._is_ft[1]
-        table = self.table_if_ready()
-        if table is not None:
-            verdict = table.is_ft()
-        else:
-            verdict = all(gate.kind in FT_KINDS for gate in self._gates)
-        self._is_ft = (count, verdict)
-        return verdict
+        """Whether every gate belongs to the fault-tolerant gate set."""
+        return self.table().is_ft()
 
     def count_kind(self, kind: GateKind) -> int:
         """Number of gates of the given kind."""
-        table = self.table_if_ready()
-        if table is not None:
-            return table.counts_by_kind().get(kind, 0)
-        return sum(1 for gate in self._gates if gate.kind is kind)
+        return self.table().counts_by_kind().get(kind, 0)
 
     def active_qubits(self) -> set[int]:
         """Indices of qubits touched by at least one gate."""
@@ -353,18 +317,11 @@ class Circuit:
 
     def one_qubit_ft_histogram(self) -> dict[GateKind, int]:
         """Counts of each one-qubit FT gate kind present in the circuit."""
-        table = self.table_if_ready()
-        if table is not None:
-            return {
-                kind: count
-                for kind, count in table.counts_by_kind().items()
-                if kind in ONE_QUBIT_FT_KINDS
-            }
-        counts: Counter[GateKind] = Counter()
-        for gate in self._gates:
-            if gate.kind in ONE_QUBIT_FT_KINDS:
-                counts[gate.kind] += 1
-        return dict(counts)
+        return {
+            kind: count
+            for kind, count in self.table().counts_by_kind().items()
+            if kind in ONE_QUBIT_FT_KINDS
+        }
 
     def content_fingerprint(self) -> str:
         """Content hash of the register size and exact gate sequence.
@@ -372,45 +329,14 @@ class Circuit:
         Two circuits with identical registers and gate lists share a
         fingerprint regardless of their names, which is what the engine's
         artifact cache keys content-derived stages (IIG, presence zones)
-        on.  The digest is the blake2b of the canonical gate-record
-        stream (:meth:`GateTable.record_stream`): table-backed circuits
-        hash the flat buffer in one vectorized pass, object-backed ones
-        feed an *incremental* hasher, so appending gates only ever hashes
-        the new suffix — repeated cache-stage lookups re-serialize
-        nothing either way.
+        on.  The digest is :meth:`GateTable.fingerprint` of
+        :meth:`table`, cached while the circuit is unchanged, so repeated
+        cache-stage lookups hash nothing.
         """
         token = (self.num_qubits, self._gate_count())
-        if self._fp_cache is not None and self._fp_cache[0] == token:
-            return self._fp_cache[1]
-        state = self._fp_state
-        if (
-            state is None
-            or state[0] != token[0]  # register grew: prefix changed
-            or state[1] > token[1]
-        ):
-            hasher = hashlib.blake2b(digest_size=16)
-            hasher.update(struct.pack("<q", token[0]))
-            start = 0
-        else:
-            _, start, hasher = state
-        if start < token[1]:
-            table = self.table_if_ready()
-            if start == 0 and table is not None:
-                hasher.update(table.record_stream().tobytes())
-            else:
-                from .table import pack_gate_record
-
-                codes = KIND_CODES
-                for gate in self._gates[start:]:
-                    hasher.update(
-                        pack_gate_record(
-                            codes[gate.kind], gate.controls, gate.targets
-                        )
-                    )
-        self._fp_state = (token[0], token[1], hasher)
-        value = hasher.copy().hexdigest()
-        self._fp_cache = (token, value)
-        return value
+        if self._fp_cache is None or self._fp_cache[0] != token:
+            self._fp_cache = (token, self.table().fingerprint())
+        return self._fp_cache[1]
 
     def copy(self, name: str | None = None) -> "Circuit":
         """Return a shallow copy (gates are immutable so sharing is safe).

@@ -64,7 +64,6 @@ from ..exceptions import CircuitError
 from ..obs import default_registry as _obs_registry
 from ..obs import record_span, span as obs_span
 from ..qodg.iig import IIGAccumulator
-from .gates import KINDS_BY_CODE
 from .generators import stream_random_ft, stream_random_nct
 from .parser import stream_read_qasm_lite, stream_read_real, stream_reads_real
 from .table import (
@@ -499,7 +498,7 @@ def estimate_stream(
         _node_delay_table,
         _not_ft_error,
     )
-    from ..qodg.critical_path import kind_delay_lut
+    from ..qodg.critical_path import first_missing_kind, kind_delay_lut
     from ..qodg.sweep import CriticalPathCarry, backtrack, critical_path_chunk
 
     started = time.perf_counter()
@@ -564,12 +563,10 @@ def estimate_stream(
                     codes = np.load(ops_file, allow_pickle=False)
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
+                    missing = first_missing_kind(lut, codes)
+                    if missing is not None:
+                        raise _not_ft_error(missing)
                     delays = lut[codes]
-                    missing = np.isnan(delays)
-                    if missing.any():
-                        raise _not_ft_error(
-                            KINDS_BY_CODE[int(codes[np.argmax(missing)])]
-                        )
                     preds = critical_path_chunk(
                         o0.tolist(), o1.tolist(), delays.tolist(), carry
                     )

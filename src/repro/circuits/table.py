@@ -122,6 +122,16 @@ _ONE_QUBIT_CODE_MASK: np.ndarray = np.zeros(len(KINDS_BY_CODE), dtype=bool)
 for _kind in ONE_QUBIT_FT_KINDS:
     _ONE_QUBIT_CODE_MASK[KIND_CODES[_kind]] = True
 
+# Kind codes keyed by ``id(kind)`` for the per-row paths: enum members
+# are singletons, and ``GateKind.__hash__`` is a Python-level call that
+# a ``KIND_CODES[kind]`` lookup or set-membership test pays every row.
+_CODE_BY_ID: dict[int, int] = {
+    id(kind): code for kind, code in KIND_CODES.items()
+}
+_ONE_QUBIT_CODE_BY_ID: dict[int, int] = {
+    id(kind): KIND_CODES[kind] for kind in ONE_QUBIT_FT_KINDS
+}
+
 # The 15-gate FT realization of TOFFOLI(a, b; c) as template rows
 # (:func:`repro.circuits.decompose.toffoli_to_ft_gates`).  Roles index the
 # (a, b, c) operand triple; -1 means "no control".
@@ -348,10 +358,8 @@ class GateTable:
 
         Each gate contributes ``[code, n_ctrl, n_tgt, *controls,
         *targets]``.  The layout is append-stable (a gate's record never
-        depends on later gates), so :meth:`Circuit.content_fingerprint`
-        can hash new gates incrementally with
-        :func:`pack_gate_record` and land on the same digest this
-        vectorized stream produces.
+        depends on later gates), so the records of a chunk stream
+        concatenate to the stream of the assembled table.
         """
         n = len(self.kind)
         if not n:
@@ -406,16 +414,6 @@ class GateTable:
             f"GateTable(name={self.name!r}, qubits={self.num_qubits}, "
             f"gates={len(self.kind)})"
         )
-
-
-def pack_gate_record(
-    code: int, controls: Sequence[int], targets: Sequence[int]
-) -> bytes:
-    """One gate's fingerprint record — see :meth:`GateTable.record_stream`."""
-    n_ctrl, n_tgt = len(controls), len(targets)
-    return struct.pack(
-        f"<{3 + n_ctrl + n_tgt}q", code, n_ctrl, n_tgt, *controls, *targets
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +622,13 @@ class TableBuilder:
 
     def one_qubit(self, kind: GateKind, target: int) -> None:
         """Append a one-qubit FT gate."""
-        if kind not in ONE_QUBIT_FT_KINDS:
+        code = _ONE_QUBIT_CODE_BY_ID.get(id(kind))
+        if code is None:
             raise CircuitError(
                 f"{kind.value} is not a one-qubit FT gate kind"
             )
         self._check_bounds(target)
-        self._push(KIND_CODES[kind], -1, -1, target, -1)
+        self._push(code, -1, -1, target, -1)
 
     def x(self, target: int) -> None:
         """Append a Pauli-X (NOT)."""
@@ -727,13 +726,15 @@ class TableBuilder:
         """
         controls = tuple(controls)
         targets = tuple(targets)
-        if kind in ONE_QUBIT_FT_KINDS:
+        code = _ONE_QUBIT_CODE_BY_ID.get(id(kind))
+        if code is not None:
             if controls or len(targets) != 1:
                 raise CircuitError(
                     f"{kind.value} requires 0 controls and 1 targets, got "
                     f"{len(controls)} and {len(targets)}"
                 )
-            self.one_qubit(kind, targets[0])
+            self._check_bounds(targets[0])
+            self._push(code, -1, -1, targets[0], -1)
         elif kind is GateKind.CNOT:
             if len(controls) != 1 or len(targets) != 1:
                 raise CircuitError(
@@ -786,7 +787,7 @@ class TableBuilder:
         c1 = controls[0] if len(controls) > 0 else -1
         c2 = controls[1] if len(controls) > 1 else -1
         t2 = targets[1] if len(targets) > 1 else -1
-        self._push(KIND_CODES[gate.kind], c1, c2, targets[0], t2)
+        self._push(_CODE_BY_ID[id(gate.kind)], c1, c2, targets[0], t2)
         if len(controls) > 2:
             self._extra_counts[-1] = len(controls) - 2
             self._extra.extend(controls[2:])
@@ -846,10 +847,10 @@ def table_from_gates(
     t2s: list[int] = []
     extra_counts: list[int] = []
     extra: list[int] = []
-    codes = KIND_CODES
+    codes = _CODE_BY_ID
     for gate in gates:
         controls, targets = gate.controls, gate.targets
-        kind.append(codes[gate.kind])
+        kind.append(codes[id(gate.kind)])
         nc = len(controls)
         c1s.append(controls[0] if nc > 0 else -1)
         c2s.append(controls[1] if nc > 1 else -1)

@@ -1,5 +1,9 @@
 """LEQA core: the analytical latency estimation model of the paper."""
 
+# A re-export module: ``__all__`` is computed from the imported names at
+# the bottom, which a static unused-import check cannot evaluate.
+# ruff: noqa: F401
+
 from .coverage import (
     DEFAULT_MAX_TERMS,
     coverage_probability,

@@ -40,7 +40,7 @@ Stage graph (parameter aspects in brackets)::
                                                 │
                         delays [gate_delays, t_move]
                                                 │
-                             ops ──▶ critical ──▶ D
+                                   critical ──▶ D
 """
 
 from __future__ import annotations
@@ -52,19 +52,18 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import KIND_CODES, Gate, GateKind
+from ..circuits.gates import Gate, GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
 from ..obs import span as obs_span
-from ..qodg.critical_path import critical_path, kind_delay_lut
+from ..qodg.critical_path import (
+    critical_path,
+    first_missing_kind,
+    kind_delay_lut,
+)
 from ..qodg.graph import QODG
 from ..qodg.iig import IIG, build_iig
-from ..qodg.sweep import (
-    CompiledOps,
-    compile_ops,
-    sweep_critical_path,
-    sweep_critical_path_lengths,
-)
+from ..qodg.sweep import sweep_critical_path, sweep_critical_path_lengths
 from .coverage import (
     DEFAULT_MAX_TERMS,
     expected_coverage_surface,
@@ -156,11 +155,10 @@ STAGE_ORDER: tuple[StageSpec, ...] = (
         ("queueing",),
         "per-kind node-delay table (Eq. 1 inputs)",
     ),
-    StageSpec("ops", (), (), "flat critical-path topology of the circuit"),
     StageSpec(
         "critical",
         (),
-        ("delays", "ops"),
+        ("delays",),
         "longest path of the routing-aware QODG (Eq. 1)",
     ),
 )
@@ -542,10 +540,6 @@ class StagedPipeline:
 
         return self._stage("queueing", key, build)
 
-    def _ops_stage(self, circuit: Circuit) -> CompiledOps:
-        key = circuit.content_fingerprint()
-        return self._stage("ops", key, lambda: compile_ops(circuit))
-
     # -- entry points -------------------------------------------------------
 
     def run(
@@ -635,7 +629,6 @@ class StagedPipeline:
             )
             return worker.sweep(circuit, grid, iig=iig)
         zones = self._zones_stage(circuit, iig)
-        compiled = self._ops_stage(circuit)
         rows: list[tuple[PhysicalParams, float, float, dict[GateKind, float]]]
         rows = []
         for params in grid:
@@ -647,14 +640,14 @@ class StagedPipeline:
                 (params, d_uncong, l_avg_cnot,
                  _node_delay_table(params, l_avg_cnot))
             )
-        codes = [KIND_CODES[kind] for kind in compiled.kinds]
-        tables = np.empty((len(codes), len(rows)))
-        for column, (_, _, _, table) in enumerate(rows):
-            tables[:, column] = kind_delay_lut(table)[codes]
-        missing = np.isnan(tables).any(axis=1)
-        if missing.any():
-            raise _not_ft_error(compiled.kinds[int(np.argmax(missing))])
-        lengths = sweep_critical_path_lengths(compiled, tables)
+        delays = np.stack(
+            [kind_delay_lut(table) for _, _, _, table in rows], axis=1
+        )
+        gates = circuit.table()
+        missing = first_missing_kind(delays, gates.kind)
+        if missing is not None:
+            raise _not_ft_error(missing)
+        lengths = sweep_critical_path_lengths(gates, delays)
         return [
             SweepPoint(
                 params=params,

@@ -19,7 +19,6 @@ stage          key
 ``ham``        content hash + estimator options
 ``uncong``     content hash + options + the ``qubit_speed`` slice
 ``queueing``   content hash + options + speed/fabric/capacity slices
-``ops``        content hash of the gate list
 ``qodg``       content hash + gate-delay table
 ``placement``  content hash + strategy/seed + fabric geometry
 ``schedule``   content hash + full parameter fingerprint + mapper options
@@ -36,7 +35,7 @@ op arrays are fabric-independent, so a fabric-size sweep compiles them
 exactly once, while placements and schedules key on the geometry and
 parameter slices they read.
 
-The ``ham``–``ops`` stages belong to the staged analytic pipeline
+The ``ham``–``queueing`` stages belong to the staged analytic pipeline
 (:mod:`repro.core.pipeline`), which keys each entry by the
 *stage-relevant parameter fingerprint* — the slice of
 :class:`~repro.fabric.params.PhysicalParams` the stage transitively
@@ -104,7 +103,6 @@ _STAGES = (
     "uncong",
     "coverage",
     "queueing",
-    "ops",
     "qodg",
     "placement",
     "schedule",

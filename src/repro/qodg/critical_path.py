@@ -26,6 +26,7 @@ __all__ = [
     "CriticalPathResult",
     "critical_path",
     "delays_from_mapping",
+    "first_missing_kind",
     "kind_delay_lut",
     "path_result",
     "resolve_node_delays",
@@ -88,6 +89,24 @@ def kind_delay_lut(kind_table: Mapping[GateKind, float]) -> np.ndarray:
     for kind, value in kind_table.items():
         lut[KIND_CODES[kind]] = value
     return lut
+
+
+def first_missing_kind(lut: np.ndarray, codes: np.ndarray) -> GateKind | None:
+    """The kind of the first gate whose delay ``lut`` lacks, if any.
+
+    ``lut`` is indexed by kind code along its first axis — a
+    :func:`kind_delay_lut`, or a ``(kinds, points)`` stack of them — and
+    ``NaN`` marks a missing delay (at any point).  ``codes`` is the
+    gates' kind column in program order, so callers can name the first
+    offending gate's kind in their own error.
+    """
+    missing = np.isnan(lut)
+    if missing.ndim > 1:
+        missing = missing.any(axis=1)
+    hits = missing[codes]
+    if not hits.any():
+        return None
+    return KINDS_BY_CODE[int(codes[int(np.argmax(hits))])]
 
 
 def resolve_node_delays(

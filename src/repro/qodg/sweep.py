@@ -26,150 +26,119 @@ equally long paths may differ.
 Parameter sweeps add a second shape of demand: the *same* circuit under
 *many* per-kind delay tables (a Table-1 sensitivity grid, a fabric-size
 sweep — every point changes only the node delays reaching the critical
-path).  :func:`compile_ops` lowers the circuit once into a flat,
-parameter-free operand/kind table, and
-:func:`sweep_critical_path_lengths` runs the forward pass for all delay
-tables simultaneously — the per-qubit chain state becomes a
-``(num_qubits, num_tables)`` array and each gate is one ``maximum`` plus
-one add over the batch axis.  Per point this is several times cheaper
-than repeating the scalar sweep, and the per-point lengths are *bitwise*
+path).  :func:`sweep_critical_path_lengths` runs the same recurrence over
+the same columns — the table's kind codes and
+:meth:`~repro.circuits.table.GateTable.operand_pairs` — with a
+``(kinds, points)`` delay matrix: the per-qubit chain state becomes a
+``(num_qubits, points)`` array and each gate is one ``maximum`` plus one
+add over the point axis.  Per point this is several times cheaper than
+repeating the scalar sweep, and the per-point lengths are *bitwise*
 equal to it (same IEEE operations in the same order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import KINDS_BY_CODE, Gate, GateKind
+from ..circuits.gates import KINDS_BY_CODE, Gate
+from ..circuits.table import GateTable
 from ..exceptions import GraphError
 from .critical_path import (
     CriticalPathResult,
     critical_path,
+    first_missing_kind,
     path_result,
     resolve_node_delays,
 )
 from .graph import build_qodg
 
 __all__ = [
-    "CompiledOps",
     "CriticalPathCarry",
     "backtrack",
-    "compile_ops",
     "critical_path_chunk",
     "sweep_critical_path",
     "sweep_critical_path_lengths",
 ]
 
 
-@dataclass(frozen=True)
-class CompiledOps:
-    """Parameter-free critical-path topology of one circuit.
-
-    The circuit's gate list lowered to primitive tuples the batched sweep
-    consumes without touching :class:`~repro.circuits.gates.Gate` objects:
-    ``ops[i] = (kind_index, qubit_a, qubit_b)`` with ``qubit_b = -1`` for
-    one-operand gates, and ``kinds[kind_index]`` the corresponding
-    :class:`GateKind`.  Depends only on circuit content, so the engine
-    cache can build it once per circuit and reuse it across every
-    parameter grid.
-    """
-
-    num_qubits: int
-    ops: tuple[tuple[int, int, int], ...]
-    kinds: tuple[GateKind, ...]
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-def compile_ops(circuit: Circuit) -> CompiledOps:
-    """Lower a circuit to the flat operand/kind table of the batched sweep.
-
-    Vectorized over the circuit's :class:`~repro.circuits.table.GateTable`
-    columns; kinds are numbered in first-occurrence order.
-
-    Raises
-    ------
-    GraphError
-        If a gate touches more than two qubits (the FT gate set — the
-        only one the estimator accepts — is all one- and two-qubit
-        gates; decompose first).
-    """
-    table = circuit.table()
-    arities = table.arities()
-    if len(arities) and int(arities.max()) > 2:
-        offender = int(np.argmax(arities > 2))
-        raise GraphError(
-            f"compile_ops supports one- and two-qubit gates only; "
-            f"gate kind {table.gate_kind(offender).value!r} touches "
-            f"{int(arities[offender])} qubits (run FT synthesis first)"
-        )
-    codes = table.kind
-    unique_codes, first_idx = np.unique(codes, return_index=True)
-    unique_codes = unique_codes[np.argsort(first_idx, kind="stable")]
-    lut = np.zeros(len(KINDS_BY_CODE), dtype=np.int64)
-    lut[unique_codes] = np.arange(len(unique_codes))
-    o0, o1 = table.operand_pairs()
-    ops = tuple(zip(lut[codes].tolist(), o0.tolist(), o1.tolist()))
-    kinds = tuple(KINDS_BY_CODE[code] for code in unique_codes.tolist())
-    return CompiledOps(num_qubits=circuit.num_qubits, ops=ops, kinds=kinds)
-
-
 def sweep_critical_path_lengths(
-    compiled: CompiledOps, delay_tables: np.ndarray | Sequence[Sequence[float]]
+    table: GateTable, delays: np.ndarray | Sequence[Sequence[float]]
 ) -> np.ndarray:
     """Critical-path lengths of one circuit under many delay tables.
 
     Parameters
     ----------
-    compiled:
-        The circuit's :func:`compile_ops` topology.
-    delay_tables:
-        Array of shape ``(len(compiled.kinds), num_tables)``: row ``k``
-        holds the node delay of gate kind ``compiled.kinds[k]`` at every
-        sweep point (operation delay plus the point's routing latency).
+    table:
+        The circuit's gate table.
+    delays:
+        Array of shape ``(len(KINDS_BY_CODE), points)``: row ``code``
+        holds the node delay of kind ``KINDS_BY_CODE[code]`` at every
+        point (operation delay plus the point's routing latency), i.e.
+        one :func:`~repro.qodg.critical_path.kind_delay_lut` per column.
+        Rows of kinds the table does not use may be ``NaN``.
 
     Returns
     -------
     numpy.ndarray
-        ``num_tables`` lengths; entry ``t`` is bitwise equal to
-        ``sweep_critical_path(circuit, delay_t).length`` for the delay
-        callable described by column ``t``.
+        ``points`` lengths; entry ``p`` is bitwise equal to
+        ``sweep_critical_path(circuit, delay_p).length`` for the delay
+        callable described by column ``p``.
+
+    Raises
+    ------
+    GraphError
+        If ``delays`` has the wrong shape or a negative entry, a kind the
+        table uses has no delay, or a gate touches more than two qubits
+        (the FT gate set — the only one the estimator accepts — is all
+        one- and two-qubit gates; decompose first).
     """
-    tables = np.ascontiguousarray(delay_tables, dtype=float)
-    if tables.ndim != 2 or tables.shape[0] != len(compiled.kinds):
+    matrix = np.ascontiguousarray(delays, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != len(KINDS_BY_CODE):
         raise GraphError(
-            f"delay_tables must have shape ({len(compiled.kinds)}, "
-            f"num_tables), got {tables.shape}"
+            f"delays must have shape ({len(KINDS_BY_CODE)}, points), "
+            f"got {matrix.shape}"
         )
-    if tables.size and tables.min() < 0:
+    if (matrix < 0).any():
         raise GraphError("negative delay in batched critical-path tables")
-    num_tables = tables.shape[1]
-    if not len(compiled.ops) or not compiled.num_qubits:
-        return np.zeros(num_tables)
-    # Chain state per qubit, batched over the table axis.  Kept as a
+    arities = table.arities()
+    if len(arities) and int(arities.max()) > 2:
+        offender = int(np.argmax(arities > 2))
+        raise GraphError(
+            f"sweep_critical_path_lengths supports one- and two-qubit gates "
+            f"only; gate kind {table.gate_kind(offender).value!r} touches "
+            f"{int(arities[offender])} qubits (run FT synthesis first)"
+        )
+    missing = first_missing_kind(matrix, table.kind)
+    if missing is not None:
+        raise GraphError(f"no delay for gate kind {missing.value!r}")
+    points = matrix.shape[1]
+    if not len(table):
+        return np.zeros(points)
+    # Chain state per qubit, batched over the point axis.  Kept as a
     # list of row arrays so a gate's update *rebinds* its operand rows
     # to the freshly allocated chain vector instead of copying into a
     # 2D array — every row is written whole, never mutated, so sharing
     # (including the single initial zero row) is safe.  Entries are
     # non-decreasing, so the final elementwise maximum over rows is the
     # overall longest-path length at every point.
-    zero = np.zeros(num_tables)
-    dist: list[np.ndarray] = [zero] * compiled.num_qubits
-    rows = [tables[index] for index in range(len(compiled.kinds))]
+    zero = np.zeros(points)
+    dist: list[np.ndarray] = [zero] * table.num_qubits
+    rows = list(matrix)
     maximum = np.maximum
-    for kind, qubit_a, qubit_b in compiled.ops:
+    o0, o1 = table.operand_pairs()
+    for code, qubit_a, qubit_b in zip(
+        table.kind.tolist(), o0.tolist(), o1.tolist()
+    ):
         if qubit_b >= 0:
             total = maximum(dist[qubit_a], dist[qubit_b])
-            total += rows[kind]
+            total += rows[code]
             dist[qubit_a] = total
             dist[qubit_b] = total
         else:
-            dist[qubit_a] = dist[qubit_a] + rows[kind]
+            dist[qubit_a] = dist[qubit_a] + rows[code]
     return np.max(np.vstack(dist), axis=0)
 
 

@@ -59,11 +59,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..circuits.circuit import Circuit
 from ..circuits.gates import GateKind
+from ..circuits.table import FT_CODE_MASK
 from ..exceptions import MappingError
 from ..fabric.params import PhysicalParams
 from ..fabric.tqa import Position, TQA
+from ..qodg.critical_path import first_missing_kind, kind_delay_lut
 from .routing import Router, SlotRouter
 from .trace import ScheduleTrace, TraceEvent
 
@@ -176,96 +180,43 @@ class CompiledQODG:
         return len(self.delays)
 
 
-def _compile_qodg_from_table(
-    table, circuit: Circuit, delays: dict[GateKind, float]
-) -> CompiledQODG | None:
-    """Vectorized compile straight from a flat gate table.
-
-    Returns ``None`` when a kind lacks a fabric delay or a gate exceeds
-    two operands, so the caller's object walk raises its exact error.
-    """
-    import numpy as np
-
-    from ..circuits.gates import KIND_CODES, KINDS_BY_CODE
-
-    if len(table) and table.max_operands() > 2:
-        return None
-    lut = np.full(len(KINDS_BY_CODE), np.nan)
-    for kind, value in delays.items():
-        lut[KIND_CODES[kind]] = value
-    base = lut[table.kind]
-    if base.size and np.isnan(base).any():
-        return None
-    cnot_mask = table.kind == KIND_CODES[GateKind.CNOT]
-    q0 = np.where(cnot_mask, table.ctrl, table.target)
-    q1 = np.where(cnot_mask, table.target, -1)
-    return CompiledQODG(
-        num_qubits=circuit.num_qubits,
-        q0=np.ascontiguousarray(q0, dtype=np.int64),
-        q1=np.ascontiguousarray(q1, dtype=np.int64),
-        delays=np.ascontiguousarray(base, dtype=np.float64),
-        fingerprint=circuit.content_fingerprint(),
-        delays_token=delays_table_token(delays),
-    )
-
-
 def compile_qodg(
     circuit: Circuit,
     delays: dict[GateKind, float] | None = None,
 ) -> CompiledQODG:
     """Flatten an FT circuit into :class:`CompiledQODG` arrays.
 
-    Table-backed circuits compile vectorized from the flat gate table;
-    object-built ones walk their gates.  Identical arrays either way.
+    One vectorized pass over the circuit's gate table: the operands are
+    :meth:`~repro.circuits.table.GateTable.operand_pairs` and the base
+    delays one :func:`~repro.qodg.critical_path.kind_delay_lut` gather
+    over the kind column.  Only FT kinds are executable, whatever else
+    ``delays`` names.
 
     Raises
     ------
     MappingError
-        If any gate kind has no fabric delay (non-FT circuit).
+        If a gate kind has no fabric delay (non-FT circuit), naming the
+        first offending gate's kind.
     """
-    import numpy as np
-
     if delays is None:
         from ..fabric.params import GateDelays
 
         delays = GateDelays().by_kind()
-    table = circuit.table_if_ready()
-    if table is not None:
-        compiled = _compile_qodg_from_table(table, circuit, delays)
-        if compiled is not None:
-            return compiled
-    cnot = GateKind.CNOT
-    # Key the delay table by enum identity: GateKind.__hash__ is a
-    # Python-level descriptor and dominates a dict keyed on the enum.
-    delay_by_id = {id(kind): value for kind, value in delays.items()}
-    q0: list[int] = []
-    q1: list[int] = []
-    base: list[float] = []
-    for gate in circuit.gates:
-        kind = gate.kind
-        delay = delay_by_id.get(id(kind))
-        if delay is None:
-            raise MappingError(
-                f"gate kind {kind.value!r} is not executable on the "
-                "fabric; run synthesize_ft() first"
-            )
-        if kind is cnot:
-            q0.append(gate.controls[0])
-            q1.append(gate.targets[0])
-        else:
-            q0.append(gate.targets[0])
-            q1.append(-1)
-        base.append(delay)
-    count = len(base)
+    table = circuit.table()
+    lut = kind_delay_lut(delays)
+    lut[~FT_CODE_MASK] = np.nan
+    missing = first_missing_kind(lut, table.kind)
+    if missing is not None:
+        raise MappingError(
+            f"gate kind {missing.value!r} is not executable on the "
+            "fabric; run synthesize_ft() first"
+        )
+    q0, q1 = table.operand_pairs()
     return CompiledQODG(
         num_qubits=circuit.num_qubits,
-        q0=np.array(q0, dtype=np.int64) if count else np.empty(0, np.int64),
-        q1=np.array(q1, dtype=np.int64) if count else np.empty(0, np.int64),
-        delays=(
-            np.array(base, dtype=np.float64)
-            if count
-            else np.empty(0, np.float64)
-        ),
+        q0=np.ascontiguousarray(q0, dtype=np.int64),
+        q1=np.ascontiguousarray(q1, dtype=np.int64),
+        delays=lut[table.kind],
         fingerprint=circuit.content_fingerprint(),
         delays_token=delays_table_token(delays),
     )
@@ -430,8 +381,6 @@ def _schedule_kernel(
     module or missing compiler degrades to the pure-Python engine with a
     :class:`RuntimeWarning` instead of failing the schedule.
     """
-    import numpy as np
-
     try:
         from . import _kernel
 

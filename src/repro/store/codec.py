@@ -35,7 +35,6 @@ tag                 cache stages / value
 ``float``           ``uncong`` (one scalar)
 ``float_tuple``     ``coverage`` (the ``E[S_q]`` series)
 ``queueing``        ``queueing`` (``(L_CNOT^avg, surfaces)``)
-``compiled_ops``    ``ops`` (:class:`~repro.qodg.sweep.CompiledOps`)
 ``compiled_qodg``   ``qodg`` (:class:`~repro.qspr.scheduling.CompiledQODG`)
 ``placement``       ``placement`` (a ``list[Position]``)
 ``schedule``        ``schedule`` (trace-free ``ScheduleResult``)
@@ -59,7 +58,6 @@ from ..core.pipeline import ZoneArrays
 from ..exceptions import StoreError
 from ..qodg.critical_path import CriticalPathResult
 from ..qodg.iig import IIG
-from ..qodg.sweep import CompiledOps
 from ..qspr.scheduling import CompiledQODG, ScheduleResult, ScheduleStats
 
 __all__ = ["CODEC_VERSION", "encodable", "encode", "decode"]
@@ -232,30 +230,6 @@ def _decode_queueing(meta: dict, data) -> tuple:
     )
 
 
-def _encode_compiled_ops(compiled: CompiledOps) -> bytes:
-    ops = np.asarray(compiled.ops, dtype=np.int64).reshape(-1, 3)
-    codes = np.asarray(
-        [KIND_CODES[kind] for kind in compiled.kinds], dtype=np.int8
-    )
-    return _pack(
-        "compiled_ops",
-        {"num_qubits": compiled.num_qubits},
-        {"ops": ops, "kind_codes": codes},
-    )
-
-
-def _decode_compiled_ops(meta: dict, data) -> CompiledOps:
-    ops = tuple(
-        (int(k), int(a), int(b)) for k, a, b in data["ops"].tolist()
-    )
-    kinds = tuple(
-        KINDS_BY_CODE[code] for code in data["kind_codes"].tolist()
-    )
-    return CompiledOps(
-        num_qubits=int(meta["num_qubits"]), ops=ops, kinds=kinds
-    )
-
-
 def _encode_compiled_qodg(compiled: CompiledQODG) -> bytes:
     token_kinds = [kind for kind, _ in compiled.delays_token]
     token_delays = _f64(*(delay for _, delay in compiled.delays_token))
@@ -424,7 +398,6 @@ _DECODERS: dict[str, Callable[[dict, object], object]] = {
     "float": _decode_float,
     "float_tuple": _decode_float_tuple,
     "queueing": _decode_queueing,
-    "compiled_ops": _decode_compiled_ops,
     "compiled_qodg": _decode_compiled_qodg,
     "placement": _decode_placement,
     "schedule": _decode_schedule,
@@ -452,8 +425,6 @@ def _classify(value: object) -> str | None:
         return "ndarray"
     if isinstance(value, float):
         return "float"
-    if isinstance(value, CompiledOps):
-        return "compiled_ops"
     if isinstance(value, CompiledQODG):
         return "compiled_qodg"
     if isinstance(value, ScheduleResult):
@@ -486,7 +457,6 @@ _ENCODERS: dict[str, Callable[[object], bytes]] = {
     "float": _encode_float,
     "float_tuple": _encode_float_tuple,
     "queueing": _encode_queueing,
-    "compiled_ops": _encode_compiled_ops,
     "compiled_qodg": _encode_compiled_qodg,
     "placement": _encode_placement,
     "schedule": _encode_schedule,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 

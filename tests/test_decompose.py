@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import (

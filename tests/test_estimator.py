@@ -9,7 +9,7 @@ from repro.circuits.gates import GateKind, cnot, h, t, toffoli, x
 from repro.circuits.generators import ham3
 from repro.core.estimator import LEQAEstimator, estimate_latency
 from repro.exceptions import EstimationError
-from repro.fabric.params import FabricSpec, GateDelays, PhysicalParams
+from repro.fabric.params import FabricSpec, PhysicalParams
 
 
 class TestOneQubitOnlyCircuits:

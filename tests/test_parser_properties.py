@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import (
-    GateKind,
     cnot,
     fredkin,
     h,

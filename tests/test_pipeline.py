@@ -17,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import cnot, h, t, tdg, toffoli, x
+from repro.circuits.gates import (
+    KIND_CODES,
+    KINDS_BY_CODE,
+    GateKind,
+    cnot,
+    h,
+    t,
+    tdg,
+    toffoli,
+    x,
+)
 from repro.core.coverage import expected_coverage_surfaces
 from repro.core.estimator import LEQAEstimator
 from repro.core.pipeline import (
@@ -36,11 +46,7 @@ from repro.engine import ArtifactCache
 from repro.exceptions import EngineError, EstimationError, GraphError
 from repro.fabric.params import DEFAULT_PARAMS, FabricSpec, PhysicalParams
 from repro.qodg.iig import build_iig
-from repro.qodg.sweep import (
-    compile_ops,
-    sweep_critical_path,
-    sweep_critical_path_lengths,
-)
+from repro.qodg.sweep import sweep_critical_path, sweep_critical_path_lengths
 
 
 @st.composite
@@ -223,7 +229,7 @@ class TestBatchedSweep:
         StagedPipeline(cache=cache).sweep(adder_ft, grid)
         stats = cache.stats()
         for stage in ("iig", "zones", "ham", "uncong", "coverage",
-                      "queueing", "ops"):
+                      "queueing"):
             assert stats.miss_count(stage) == 1, stage
         assert stats.hit_count("uncong") == len(grid) - 1
         assert stats.hit_count("queueing") == len(grid) - 1
@@ -231,12 +237,16 @@ class TestBatchedSweep:
     def test_non_ft_circuit_rejected(self):
         circuit = Circuit(3)
         circuit.append(toffoli(0, 1, 2))
-        with pytest.raises((EstimationError, GraphError)):
+        with pytest.raises(EstimationError, match="'toffoli' is not an FT"):
             StagedPipeline().sweep(circuit, [DEFAULT_PARAMS])
 
     def test_latency_seconds(self, adder_ft):
         (point,) = StagedPipeline().sweep(adder_ft, [DEFAULT_PARAMS])
         assert point.latency_seconds == pytest.approx(point.latency * 1e-6)
+
+
+def _delay_matrix(points: int, value: float = 1.0) -> np.ndarray:
+    return np.full((len(KINDS_BY_CODE), points), value)
 
 
 class TestBatchedCriticalPath:
@@ -249,45 +259,53 @@ class TestBatchedCriticalPath:
     def test_lengths_bitwise_equal_scalar_sweep(
         self, circuit, seed, num_tables
     ):
-        compiled = compile_ops(circuit)
         rng = np.random.default_rng(seed)
-        tables = rng.uniform(
-            0.5, 20.0, size=(len(compiled.kinds), num_tables)
+        delays = rng.uniform(
+            0.5, 20.0, size=(len(KINDS_BY_CODE), num_tables)
         )
-        lengths = sweep_critical_path_lengths(compiled, tables)
+        lengths = sweep_critical_path_lengths(circuit.table(), delays)
         assert lengths.shape == (num_tables,)
         for column in range(num_tables):
-            table = {
-                kind: tables[row, column]
-                for row, kind in enumerate(compiled.kinds)
-            }
-            scalar = sweep_critical_path(circuit, lambda g: table[g.kind])
+            scalar = sweep_critical_path(
+                circuit, lambda g: delays[KIND_CODES[g.kind], column]
+            )
             assert scalar.length == lengths[column]
 
     def test_empty_circuit(self):
-        compiled = compile_ops(Circuit(3))
         lengths = sweep_critical_path_lengths(
-            compiled, np.empty((0, 4))
+            Circuit(3).table(), _delay_matrix(4, np.nan)
         )
         assert np.array_equal(lengths, np.zeros(4))
+
+    def test_unused_kinds_may_lack_delays(self, tiny_ft_circuit):
+        delays = _delay_matrix(2, np.nan)
+        for kind in (GateKind.H, GateKind.CNOT, GateKind.T, GateKind.TDG,
+                     GateKind.X):
+            delays[KIND_CODES[kind]] = (1.0, 2.0)
+        lengths = sweep_critical_path_lengths(tiny_ft_circuit.table(), delays)
+        assert np.array_equal(lengths, [5.0, 10.0])
+        delays[KIND_CODES[GateKind.TDG], 1] = np.nan
+        with pytest.raises(GraphError, match="no delay for gate kind 'tdg'"):
+            sweep_critical_path_lengths(tiny_ft_circuit.table(), delays)
 
     def test_three_qubit_gate_rejected(self):
         circuit = Circuit(3)
         circuit.append(toffoli(0, 1, 2))
         with pytest.raises(GraphError, match="one- and two-qubit"):
-            compile_ops(circuit)
+            sweep_critical_path_lengths(circuit.table(), _delay_matrix(1))
 
     def test_negative_delay_rejected(self, tiny_ft_circuit):
-        compiled = compile_ops(tiny_ft_circuit)
-        tables = np.full((len(compiled.kinds), 2), 1.0)
-        tables[0, 1] = -1.0
+        delays = _delay_matrix(2)
+        delays[KIND_CODES[GateKind.H], 1] = -1.0
         with pytest.raises(GraphError, match="negative delay"):
-            sweep_critical_path_lengths(compiled, tables)
+            sweep_critical_path_lengths(tiny_ft_circuit.table(), delays)
 
     def test_bad_table_shape_rejected(self, tiny_ft_circuit):
-        compiled = compile_ops(tiny_ft_circuit)
+        table = tiny_ft_circuit.table()
         with pytest.raises(GraphError, match="shape"):
-            sweep_critical_path_lengths(compiled, np.ones(3))
+            sweep_critical_path_lengths(table, np.ones(3))
+        with pytest.raises(GraphError, match="shape"):
+            sweep_critical_path_lengths(table, np.ones((3, 2)))
 
 
 class TestStageGraphDeclarations:

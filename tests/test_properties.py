@@ -7,7 +7,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.decompose import synthesize_ft
 from repro.circuits.generators import random_reversible
 from repro.circuits.simulate import simulate_basis
 from repro.core.coverage import (

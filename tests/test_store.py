@@ -25,7 +25,6 @@ from repro.engine import ArtifactCache, CircuitSpec
 from repro.exceptions import EngineError, StoreError
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.qodg.iig import build_iig
-from repro.qodg.sweep import compile_ops
 from repro.qspr.mapper import QSPRMapper
 from repro.qspr.scheduling import compile_qodg
 from repro.store import ArtifactStore, decode, encodable, encode, key_digest
@@ -94,11 +93,6 @@ class TestCodecRoundTrips:
         queueing = (value, series)
         assert decode(encode(queueing)) == queueing
         assert decode(encode((0.0, ()))) == (0.0, ())
-
-    def test_compiled_ops(self, ft_circuit):
-        compiled = compile_ops(ft_circuit)
-        clone = decode(encode(compiled))
-        assert clone == compiled
 
     def test_compiled_qodg(self, ft_circuit):
         compiled = compile_qodg(ft_circuit, DEFAULT_PARAMS.delays.by_kind())

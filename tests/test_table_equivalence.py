@@ -2,10 +2,10 @@
 
 The GateTable IR refactor's contract: for every circuit the library can
 produce, the table passes (parse, FT synthesis, peephole optimization)
-and the table-built CSR cores (QODG, IIG, compiled ops) are **bitwise
-identical** to the legacy object implementations — same gate streams,
-same ancilla names, same adjacency arrays, same LEQA latencies, same
-mapper schedules.
+and the table-built CSR cores (QODG, IIG, the mapper's compiled QODG)
+are **bitwise identical** to the legacy object implementations — same
+gate streams, same ancilla names, same adjacency arrays, same LEQA
+latencies, same mapper schedules.
 
 The default run covers every benchmark family at tractable parameter
 points plus synthetic edge cases (MCF/SWAP kinds, idle qubits, empty
@@ -22,7 +22,6 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import synthesize_ft
-from repro.circuits.gates import GateKind
 from repro.circuits.generators import (
     cnot_ladder,
     gf2_multiplier,
@@ -34,18 +33,21 @@ from repro.circuits.generators import (
     random_reversible,
     ripple_adder,
 )
-from repro.circuits.library import BENCHMARKS, build
+from repro.circuits.library import BENCHMARKS
 from repro.circuits.optimize import optimize_ft
 from repro.circuits.parser import reads_qasm_lite, writes_qasm_lite
+from repro.circuits.stream import estimate_stream, stream_table
 from repro.circuits.table import TableBuilder
 from repro.core.estimator import LEQAEstimator
+from repro.core.pipeline import StagedPipeline
 from repro.engine import ArtifactCache, CircuitSpec
 from repro.engine.runner import sweep_workload, BatchRunner
+from repro.exceptions import EstimationError, MappingError
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.qodg.graph import build_qodg
 from repro.qodg.iig import build_iig
-from repro.qodg.sweep import compile_ops
 from repro.qspr.mapper import QSPRMapper
+from repro.qspr.scheduling import compile_qodg
 
 
 def _mixed_kinds() -> Circuit:
@@ -87,11 +89,9 @@ if os.environ.get("REPRO_FULL") == "1":
 def _object_backed(circuit: Circuit) -> Circuit:
     """A copy holding Gate objects only (forces every legacy code path)."""
     clone = Circuit(0, circuit.name)
-    clone._qubit_names = list(circuit.qubit_names)
-    clone._index_by_name = {
-        name: i for i, name in enumerate(circuit.qubit_names)
-    }
-    clone._gates = list(circuit.gates)
+    for name in circuit.qubit_names:
+        clone.add_qubit(name)
+    clone.extend(circuit.gates)
     return clone
 
 
@@ -151,13 +151,18 @@ class TestFrontEndEquivalence:
         for field in ("indptr", "indices", "weights", "degrees", "weight_sums"):
             assert np.array_equal(getattr(fa, field), getattr(sa, field)), field
 
-    def test_compiled_ops_identical(self, label, make):
+    def test_compiled_qodg_identical(self, label, make):
         ft = synthesize_ft(make(), engine="table")
-        fast = compile_ops(ft)
-        slow = compile_ops(_object_backed(ft))
-        assert fast.kinds == slow.kinds
-        assert fast.ops == slow.ops
+        delays = DEFAULT_PARAMS.delays.by_kind()
+        fast = compile_qodg(ft, delays)
+        slow = compile_qodg(_object_backed(ft), delays)
         assert fast.num_qubits == slow.num_qubits
+        for field in ("q0", "q1", "delays"):
+            mine, theirs = getattr(fast, field), getattr(slow, field)
+            assert mine.dtype == theirs.dtype, field
+            assert np.array_equal(mine, theirs), field
+        assert fast.fingerprint == slow.fingerprint
+        assert fast.delays_token == slow.delays_token
 
     def test_fingerprints_agree_across_backings(self, label, make):
         circuit = make()
@@ -198,6 +203,68 @@ class TestEstimationEquivalence:
         assert fast.schedule.stats == slow.schedule.stats
 
 
+def _swap_bearing() -> Circuit:
+    builder = TableBuilder(3, name="swap-bearing")
+    builder.h(0)
+    builder.cnot(0, 1)
+    builder.swap(1, 2)
+    builder.t(2)
+    return Circuit.from_table(builder.finish())
+
+
+def _toffoli_bearing() -> Circuit:
+    builder = TableBuilder(3, name="toffoli-bearing")
+    builder.h(0)
+    builder.toffoli(0, 1, 2)
+    builder.swap(0, 2)
+    return Circuit.from_table(builder.finish())
+
+
+@pytest.mark.parametrize(
+    "make,kind",
+    [(_swap_bearing, "swap"), (_toffoli_bearing, "toffoli")],
+    ids=["swap", "toffoli"],
+)
+class TestNonFtErrorParity:
+    """Every entry point names the first non-FT gate's kind, alike."""
+
+    def test_estimators_raise_one_error(self, make, kind):
+        circuit = make()
+        pipeline = StagedPipeline()
+        grid = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_fabric(20, 20)]
+        messages = []
+        for backing in (circuit, _object_backed(circuit)):
+            with pytest.raises(EstimationError) as run_error:
+                pipeline.run(backing, DEFAULT_PARAMS)
+            with pytest.raises(EstimationError) as sweep_error:
+                pipeline.sweep(backing, grid)
+            messages += [str(run_error.value), str(sweep_error.value)]
+        for chunk_size in (1, len(circuit) + 10):
+            with pytest.raises(EstimationError) as stream_error:
+                estimate_stream(
+                    stream_table(circuit.table(), chunk_size), DEFAULT_PARAMS
+                )
+            messages.append(str(stream_error.value))
+        expected = (
+            f"gate kind {kind!r} is not an FT operation; "
+            "run synthesize_ft() before estimating"
+        )
+        assert messages == [expected] * 6
+
+    def test_compile_qodg_raises_one_error(self, make, kind):
+        circuit = make()
+        messages = []
+        for backing in (circuit, _object_backed(circuit)):
+            with pytest.raises(MappingError) as error:
+                compile_qodg(backing, DEFAULT_PARAMS.delays.by_kind())
+            messages.append(str(error.value))
+        expected = (
+            f"gate kind {kind!r} is not executable on the fabric; "
+            "run synthesize_ft() first"
+        )
+        assert messages == [expected] * 2
+
+
 class TestToffoliTemplate:
     def test_table_template_matches_object_oracle(self):
         """The array template and toffoli_to_ft_gates stay in lock-step."""
@@ -223,7 +290,7 @@ class TestTableRoundtrips:
         base = reads_qasm_lite("qubits 3\nh q0\ncnot q0 q1\n")
         grown = reads_qasm_lite("qubits 3\nh q0\n")
         assert base.content_fingerprint() != grown.content_fingerprint()
-        grown.append(cnot(0, 1))  # incremental suffix hash
+        grown.append(cnot(0, 1))  # the cached digest must not go stale
         assert base.content_fingerprint() == grown.content_fingerprint()
         grown.append(h(2))
         assert base.content_fingerprint() != grown.content_fingerprint()
