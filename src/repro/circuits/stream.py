@@ -38,8 +38,9 @@ the materialized entry point is its one-chunk case:
   disk here and holding it in a list there;
 * :func:`estimate_stream` folds chunks into the
   :class:`~repro.qodg.iig.IIGAccumulator` that
-  :func:`~repro.qodg.iig.build_iig` runs on one chunk, and shares
-  :func:`~repro.qodg.sweep.critical_path_chunk` with
+  :func:`~repro.qodg.iig.build_iig` runs on one chunk, takes the model
+  step :meth:`~repro.core.pipeline.StagedPipeline.run` takes, and
+  shares :func:`~repro.qodg.sweep.critical_path_chunk` with
   :func:`~repro.qodg.sweep.sweep_critical_path`.
 
 This module holds the pieces only the out-of-core path needs
@@ -437,26 +438,6 @@ def stream_fingerprint(chunks: Iterable[GateTable]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _StreamCircuit:
-    """Register-and-identity shim standing in for a Circuit in the
-    pipeline's stage methods (which read ``num_qubits``, ``__len__`` and
-    ``content_fingerprint`` only)."""
-
-    def __init__(self, num_qubits: int, op_count: int, name: str) -> None:
-        self.num_qubits = num_qubits
-        self.name = name
-        self._op_count = op_count
-
-    def __len__(self) -> int:
-        return self._op_count
-
-    def content_fingerprint(self) -> str:
-        # estimate_stream always runs the pipeline cache-less, so stage
-        # keys are computed but never used; a stable placeholder avoids
-        # hashing the (already consumed) stream a second time.
-        return f"stream:{self.name}:{self.num_qubits}:{self._op_count}"
-
-
 def estimate_stream(
     chunks: Iterable[GateTable],
     params: "PhysicalParams",
@@ -465,13 +446,15 @@ def estimate_stream(
 ) -> "LatencyEstimate":
     """LEQA over a chunk stream in bounded memory.
 
-    Two passes: the first consumes the chunks once, accumulating the
-    IIG incrementally and spilling the critical-path columns
-    ``(kind, o0, o1)`` to temporary files; the model stages (zones,
-    uncongested latency, queueing) then run on the accumulated arrays
-    through the *same* :class:`~repro.core.pipeline.StagedPipeline`
-    stage methods as the materialized path, and the second pass replays
-    the spilled columns chunk by chunk through
+    Two passes: the first consumes the chunks once, rejecting any chunk
+    with a gate outside the FT set
+    (:func:`~repro.core.pipeline.require_ft`), accumulating the IIG
+    incrementally and spilling the critical-path columns
+    ``(kind, o0, o1)`` to temporary files; the model step
+    (:func:`~repro.core.pipeline.model_point`, the one
+    :meth:`~repro.core.pipeline.StagedPipeline.run` takes) then runs on
+    the accumulated IIG, and the second pass replays the spilled
+    columns chunk by chunk through
     :func:`~repro.qodg.sweep.critical_path_chunk` with one carry — the
     recurrence :func:`~repro.qodg.sweep.sweep_critical_path` runs as a
     single chunk — then :func:`~repro.qodg.sweep.backtrack` walks the
@@ -489,24 +472,17 @@ def estimate_stream(
     Raises
     ------
     EstimationError
-        If a gate outside the FT set is encountered (same message as the
-        materialized path).
+        At the first chunk holding a gate outside the FT set, before
+        any model stage runs (same message as the materialized path).
     """
-    from ..core.estimator import LatencyEstimate
-    from ..core.pipeline import (
-        StagedPipeline,
-        _node_delay_table,
-        _not_ft_error,
-    )
-    from ..qodg.critical_path import first_missing_kind, kind_delay_lut
+    from ..core.pipeline import model_point, require_ft
+    from ..qodg.critical_path import kind_delay_lut
     from ..qodg.sweep import CriticalPathCarry, backtrack, critical_path_chunk
 
     started = time.perf_counter()
-    pipeline = StagedPipeline(cache=None, **options)
     accumulator = IIGAccumulator()
     num_qubits = 0
     op_count = 0
-    name = "circuit"
     with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
         tmpdir = Path(tmp)
         ops_path = tmpdir / "ops.npy"
@@ -521,9 +497,9 @@ def estimate_stream(
                     metric="stream.stage.seconds",
                     stage="ingest",
                 ) as sp:
+                    require_ft(table.kind)
                     num_qubits = table.num_qubits
                     op_count += len(table)
-                    name = table.name
                     accumulator.update(table)
                     o0, o1 = table.operand_pairs()
                     np.save(ops_file, table.kind, allow_pickle=False)
@@ -541,14 +517,8 @@ def estimate_stream(
                 )
                 if profile is not None:
                     profile.add("ingest", len(table), sp.seconds)
-        iig = accumulator.finish(num_qubits)
-        shim = _StreamCircuit(num_qubits, op_count, name)
-        zones = pipeline._zones_stage(shim, iig)
-        d_uncong = pipeline._uncong_stage(shim, zones, params)
-        l_avg_cnot, surfaces = pipeline._queueing_stage(
-            shim, zones, d_uncong, params
-        )
-        lut = kind_delay_lut(_node_delay_table(params, l_avg_cnot))
+        point = model_point(accumulator.finish(num_qubits), params, **options)
+        lut = kind_delay_lut(point.delay.kind_table)
         # Pass 2: the spilled columns through the critical-path
         # recurrence, one chunk at a time with one carry.
         carry = CriticalPathCarry(num_qubits)
@@ -563,9 +533,6 @@ def estimate_stream(
                     codes = np.load(ops_file, allow_pickle=False)
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
-                    missing = first_missing_kind(lut, codes)
-                    if missing is not None:
-                        raise _not_ft_error(missing)
                     delays = lut[codes]
                     preds = critical_path_chunk(
                         o0.tolist(), o1.tolist(), delays.tolist(), carry
@@ -589,16 +556,4 @@ def estimate_stream(
             preds, codes = [], np.empty(0, dtype=np.int8)
         result = backtrack(carry, preds, codes)
         del preds, codes
-    elapsed = time.perf_counter() - started
-    return LatencyEstimate(
-        latency=result.length,
-        l_avg_cnot=l_avg_cnot,
-        l_avg_one_qubit=params.one_qubit_routing_latency,
-        d_uncong=d_uncong,
-        average_zone_area=zones.average_area,
-        coverage_surfaces=surfaces,
-        critical=result,
-        qubit_count=num_qubits,
-        op_count=op_count,
-        elapsed_seconds=elapsed,
-    )
+    return point.estimate(result, op_count, started)

@@ -272,9 +272,9 @@ class LEQAEstimator:
         Delegates to the pipeline's shared table builder so the scalar
         oracle and the vectorized stage graph apply one rule.
         """
-        from .pipeline import _delay_callable, _node_delay_table
+        from .pipeline import node_delay
 
-        return _delay_callable(_node_delay_table(self._params, l_avg_cnot))
+        return node_delay(self._params, l_avg_cnot)
 
     # -- entry points -------------------------------------------------------
 
@@ -288,15 +288,10 @@ class LEQAEstimator:
         :meth:`estimate_qodg` to run against an explicit graph.
 
         ``iig`` accepts a prebuilt interaction graph of the same circuit
-        (the engine's artifact cache passes one), skipping line 1 of the
-        algorithm; when omitted the IIG is built here.
+        (a register mismatch raises), skipping line 1 of the algorithm;
+        with a cache the pipeline reads the cache's own IIG instead.
         """
         started = time.perf_counter()
-        if iig is not None and iig.num_qubits != circuit.num_qubits:
-            raise EstimationError(
-                f"prebuilt IIG has {iig.num_qubits} qubits but the circuit "
-                f"has {circuit.num_qubits}; it belongs to a different circuit"
-            )
         if self._vectorized:
             return self.pipeline().run(
                 circuit, self._params, iig=iig, started=started
@@ -326,6 +321,9 @@ class LEQAEstimator:
         # Scalar reference path (vectorized=False): the paper's Algorithm 1
         # with per-qubit Python loops, kept as the oracle the vectorized
         # stage graph is property-tested against.
+        from .pipeline import require_iig_of
+
+        require_iig_of(circuit, iig)
         zones = compute_zones(iig)                       # lines 1-3
         d_uncong = self.uncongested_latency(zones)       # lines 4-8
         l_avg_cnot, surfaces = self.average_cnot_latency(  # lines 9-18

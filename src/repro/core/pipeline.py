@@ -24,7 +24,11 @@ This module makes the structure first-class:
   (:meth:`~StagedPipeline.sweep`, returning light-weight
   :class:`SweepPoint` rows), keying every stage in an
   :class:`~repro.engine.cache.ArtifactCache` by exactly the parameter
-  slice that stage (transitively) reads.
+  slice that stage (transitively) reads.  ``run``, each ``sweep`` point
+  and :func:`~repro.circuits.stream.estimate_stream` (through
+  :func:`model_point`) take one model step to a :class:`ModelPoint`,
+  after one FT check (:func:`require_ft`); without a cache no stage
+  key is built, and a chunk stream is never hashed.
 
 The scalar methods on :class:`~repro.core.estimator.LEQAEstimator`
 remain the reference oracle; property tests assert the vectorized
@@ -45,18 +49,20 @@ Stage graph (parameter aspects in brackets)::
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateKind
+from ..circuits.gates import FT_KINDS, Gate, GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
 from ..obs import span as obs_span
 from ..qodg.critical_path import (
+    CriticalPathResult,
     critical_path,
     first_missing_kind,
     kind_delay_lut,
@@ -69,12 +75,12 @@ from .coverage import (
     expected_coverage_surface,
     expected_coverage_surfaces,
 )
+from .estimator import LatencyEstimate
 from .queueing import vectorized_queue_model
 from .tsp import expected_hamiltonian_paths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..engine.cache import ArtifactCache
-    from .estimator import LatencyEstimate
 
 __all__ = [
     "PARAM_ASPECTS",
@@ -86,7 +92,12 @@ __all__ = [
     "stages_invalidated_by",
     "ZoneArrays",
     "SweepPoint",
+    "ModelPoint",
     "StagedPipeline",
+    "model_point",
+    "node_delay",
+    "require_ft",
+    "require_iig_of",
     "sweep_estimates",
 ]
 
@@ -325,20 +336,6 @@ class SweepPoint:
         return self.latency * 1e-6
 
 
-def _node_delay_table(
-    params: PhysicalParams, l_avg_cnot: float
-) -> dict[GateKind, float]:
-    """Per-kind node delays: ``d_CNOT + L_CNOT^avg`` / ``d_g + 2 T_move``."""
-    one_qubit_routing = params.one_qubit_routing_latency
-    table: dict[GateKind, float] = {}
-    for kind, base in params.delays.by_kind().items():
-        if kind is GateKind.CNOT:
-            table[kind] = base + l_avg_cnot
-        else:
-            table[kind] = base + one_qubit_routing
-    return table
-
-
 def _not_ft_error(kind: GateKind) -> EstimationError:
     return EstimationError(
         f"gate kind {kind.value!r} is not an FT operation; "
@@ -346,17 +343,82 @@ def _not_ft_error(kind: GateKind) -> EstimationError:
     )
 
 
-def _delay_callable(table: dict[GateKind, float]) -> Callable[[Gate], float]:
+def node_delay(
+    params: PhysicalParams, l_avg_cnot: float
+) -> Callable[[Gate], float]:
+    """Per-gate node delays of Eq. 1: ``d_CNOT + L_CNOT^avg`` for CNOTs,
+    ``d_g + 2 T_move`` for one-qubit kinds; any other kind raises.
+
+    The callable carries its per-kind ``kind_table``, so the critical
+    path resolves every node delay with one gather over the kind column.
+    """
+    one_qubit_routing = params.one_qubit_routing_latency
+    table = {
+        kind: base + (l_avg_cnot if kind is GateKind.CNOT
+                      else one_qubit_routing)
+        for kind, base in params.delays.by_kind().items()
+    }
+
     def delay(gate: Gate) -> float:
         try:
             return table[gate.kind]
         except KeyError:
             raise _not_ft_error(gate.kind) from None
 
-    # Expose the per-kind table so the critical path resolves every node
-    # delay with one gather over the circuit's kind column.
     delay.kind_table = table
     return delay
+
+
+#: Zero at every FT kind's code, NaN elsewhere (see :func:`require_ft`).
+_FT_LUT = kind_delay_lut(dict.fromkeys(FT_KINDS, 0.0))
+
+
+def require_ft(codes: np.ndarray) -> None:
+    """Reject a kind-code column (a circuit's or a chunk's) holding a
+    gate outside the FT set, naming the first offender's kind."""
+    missing = first_missing_kind(_FT_LUT, codes)
+    if missing is not None:
+        raise _not_ft_error(missing)
+
+
+def require_iig_of(circuit: Circuit, iig: IIG | None) -> None:
+    """Reject a prebuilt IIG whose register is not the circuit's."""
+    if iig is not None and iig.num_qubits != circuit.num_qubits:
+        raise EstimationError(
+            f"prebuilt IIG has {iig.num_qubits} qubits but the circuit "
+            f"has {circuit.num_qubits}; it belongs to a different circuit"
+        )
+
+
+@dataclass(frozen=True)
+class ModelPoint:
+    """Algorithm 1 up to the critical path, at one parameter point:
+    zones, ``d_uncong``, ``L_CNOT^avg``, ``L_g^avg``, the ``E[S_q]``
+    series and the node-delay callable of Eq. 1."""
+
+    zones: ZoneArrays
+    d_uncong: float
+    l_avg_cnot: float
+    l_avg_one_qubit: float
+    surfaces: tuple[float, ...]
+    delay: Callable[[Gate], float]
+
+    def estimate(
+        self, critical: CriticalPathResult, op_count: int, started: float
+    ) -> LatencyEstimate:
+        """The full estimate, given this point's critical path."""
+        return LatencyEstimate(
+            latency=critical.length,
+            l_avg_cnot=self.l_avg_cnot,
+            l_avg_one_qubit=self.l_avg_one_qubit,
+            d_uncong=self.d_uncong,
+            average_zone_area=self.zones.average_area,
+            coverage_surfaces=self.surfaces,
+            critical=critical,
+            qubit_count=self.zones.num_qubits,
+            op_count=op_count,
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
 
 class StagedPipeline:
@@ -387,17 +449,12 @@ class StagedPipeline:
         self._queue_model = queue_model
         self._cache = cache
 
-    @property
-    def cache(self) -> "ArtifactCache | None":
-        """The artifact cache stages are memoized in (``None`` = none)."""
-        return self._cache
+    # -- the model step -----------------------------------------------------
 
-    # -- stage access -------------------------------------------------------
-
-    def _stage(self, name: str, key: Hashable, builder):
-        # One span per actual stage *build*: cache hits skip the span,
-        # so ``pipeline.stage.seconds`` measures the analytic work, not
-        # dict lookups.
+    def _stage(self, name: str, key: Callable[[], Hashable], builder):
+        # ``key`` is called only with a cache attached.  One span per
+        # actual stage *build*: cache hits skip the span, so
+        # ``pipeline.stage.seconds`` measures the analytic work.
         def timed_build():
             with obs_span(
                 f"pipeline.{name}",
@@ -408,47 +465,46 @@ class StagedPipeline:
 
         if self._cache is None:
             return timed_build()
-        return self._cache.stage(name, key, timed_build)
+        return self._cache.stage(name, key(), timed_build)
 
-    def _iig_stage(self, circuit: Circuit, iig: IIG | None) -> IIG:
-        if iig is not None:
-            return iig
-        if self._cache is not None:
-            return self._cache.iig(circuit)
-        with obs_span(
-            "pipeline.iig", metric="pipeline.stage.seconds", stage="iig"
-        ):
-            return build_iig(circuit)
+    def _zones(
+        self, circuit: Circuit, ident: str, iig: IIG | None
+    ) -> ZoneArrays:
+        """Zones (Eqs. 6-7) from the circuit's IIG.  With a cache they
+        only ever build from its content-keyed ``iig`` stage, as
+        :meth:`~repro.qspr.mapper.QSPRMapper.map` does: a prebuilt graph
+        could otherwise poison every later run of the circuit."""
+        require_iig_of(circuit, iig)
 
-    def _zones_stage(self, circuit: Circuit, iig: IIG | None) -> ZoneArrays:
-        key = (circuit.content_fingerprint(), "arrays")
-        return self._stage(
-            "zones",
-            key,
-            lambda: ZoneArrays.from_iig(self._iig_stage(circuit, iig)),
-        )
+        def build() -> ZoneArrays:
+            if iig is not None and self._cache is None:
+                return ZoneArrays.from_iig(iig)
+            return ZoneArrays.from_iig(self._stage(
+                "iig", lambda: ident, lambda: build_iig(circuit)
+            ))
 
-    def _ham_stage(self, circuit: Circuit, zones: ZoneArrays) -> np.ndarray:
-        key = (circuit.content_fingerprint(), self._strict)
-        return self._stage(
-            "ham",
-            key,
-            lambda: expected_hamiltonian_paths(
-                zones.degrees, zones.areas, strict=self._strict
-            ),
-        )
+        return self._stage("zones", lambda: ident, build)
 
-    def _uncong_stage(
-        self, circuit: Circuit, zones: ZoneArrays, params: PhysicalParams
-    ) -> float:
-        key = (
-            circuit.content_fingerprint(),
-            self._strict,
-            param_slice(params, stage_reads("uncong")),
-        )
+    def _point(
+        self, ident: str | None, zones: ZoneArrays, params: PhysicalParams
+    ) -> ModelPoint:
+        """The model step, Algorithm 1 lines 4-19 at one parameter
+        point; ``ident``, the circuit's content fingerprint, heads the
+        stage keys (``None`` for a chunk stream, which is never cached)."""
+        strict = self._strict
+        max_terms = self._max_sq_terms
+        num_qubits = zones.num_qubits
+        area = zones.average_area
+        fabric = params.fabric
 
-        def build() -> float:
-            lengths = self._ham_stage(circuit, zones)
+        def uncong() -> float:
+            lengths = self._stage(
+                "ham",
+                lambda: (ident, strict),
+                lambda: expected_hamiltonian_paths(
+                    zones.degrees, zones.areas, strict=strict
+                ),
+            )
             degrees = zones.degrees
             weights = zones.weights
             active = (weights > 0) & (degrees > 0)
@@ -462,56 +518,30 @@ class StagedPipeline:
                 np.dot(active_weights, d_uncong_i) / active_weights.sum()
             )
 
-        return self._stage("uncong", key, build)
+        def coverage(terms: int | None) -> np.ndarray:
+            # Built inside the queueing stage's span, so it opens none.
+            def build() -> tuple[float, ...]:
+                return tuple(expected_coverage_surfaces(
+                    num_zones=num_qubits,
+                    width=fabric.width,
+                    height=fabric.height,
+                    area=area,
+                    max_terms=terms,
+                ))
 
-    def _coverage_series(
-        self, num_zones: int, params: PhysicalParams, area: float,
-        max_terms: int | None,
-    ) -> Sequence[float]:
-        fabric = params.fabric
-        if self._cache is not None:
-            return self._cache.coverage_series(
-                num_zones, fabric.width, fabric.height, area, max_terms
-            )
-        return expected_coverage_surfaces(
-            num_zones=num_zones,
-            width=fabric.width,
-            height=fabric.height,
-            area=area,
-            max_terms=max_terms,
-        )
+            if self._cache is None:
+                return np.asarray(build())
+            key = (num_qubits, fabric.width, fabric.height, float(area), terms)
+            return np.asarray(self._cache.stage("coverage", key, build))
 
-    def _queueing_stage(
-        self,
-        circuit: Circuit,
-        zones: ZoneArrays,
-        d_uncong: float,
-        params: PhysicalParams,
-    ) -> tuple[float, tuple[float, ...]]:
-        key = (
-            circuit.content_fingerprint(),
-            self._strict,
-            self._max_sq_terms,
-            self._truncation_guard,
-            self._queue_model,
-            param_slice(params, stage_reads("queueing")),
-        )
-
-        def build() -> tuple[float, tuple[float, ...]]:
-            num_qubits = circuit.num_qubits
+        def queueing() -> tuple[float, tuple[float, ...]]:
             if num_qubits == 0:
                 return 0.0, ()
-            area = zones.average_area
-            surfaces = np.asarray(
-                self._coverage_series(
-                    num_qubits, params, area, self._max_sq_terms
-                )
-            )
-            fabric = params.fabric
+            surfaces = coverage(max_terms)
             truncated = (
                 self._truncation_guard
-                and self._max_sq_terms is not None
-                and num_qubits > self._max_sq_terms
+                and max_terms is not None
+                and num_qubits > max_terms
             )
             if truncated:
                 # Same robustness guard as the scalar oracle: fall back
@@ -522,9 +552,7 @@ class StagedPipeline:
                 )
                 occupied = fabric.area - unoccupied
                 if occupied > 0 and surfaces.sum() < 0.5 * occupied:
-                    surfaces = np.asarray(
-                        self._coverage_series(num_qubits, params, area, None)
-                    )
+                    surfaces = coverage(None)
             overlaps = np.arange(1, len(surfaces) + 1)
             d_q = self._vec_latencies(
                 overlaps, d_uncong, params.channel_capacity
@@ -538,7 +566,22 @@ class StagedPipeline:
                 surface_tuple,
             )
 
-        return self._stage("queueing", key, build)
+        d_uncong = self._stage(
+            "uncong",
+            lambda: (ident, strict, param_slice(params, stage_reads("uncong"))),
+            uncong,
+        )
+        l_avg_cnot, surfaces = self._stage(
+            "queueing",
+            lambda: (ident, strict, max_terms, self._truncation_guard,
+                     self._queue_model,
+                     param_slice(params, stage_reads("queueing"))),
+            queueing,
+        )
+        return ModelPoint(
+            zones, d_uncong, l_avg_cnot, params.one_qubit_routing_latency,
+            surfaces, node_delay(params, l_avg_cnot),
+        )
 
     # -- entry points -------------------------------------------------------
 
@@ -549,7 +592,7 @@ class StagedPipeline:
         iig: IIG | None = None,
         qodg: QODG | None = None,
         started: float | None = None,
-    ) -> "LatencyEstimate":
+    ) -> LatencyEstimate:
         """Evaluate one parameter point, with the full critical path.
 
         Stages are pulled through the cache (when present) under their
@@ -557,17 +600,13 @@ class StagedPipeline:
         single-pass sweep so the result carries the complete
         :class:`~repro.qodg.critical_path.CriticalPathResult`.
         """
-        from .estimator import LatencyEstimate
-
         if started is None:
             started = time.perf_counter()
-        zones = self._zones_stage(circuit, iig)
-        d_uncong = self._uncong_stage(circuit, zones, params)
-        l_avg_cnot, surfaces = self._queueing_stage(
-            circuit, zones, d_uncong, params
-        )
-        table = _node_delay_table(params, l_avg_cnot)
-        delay = _delay_callable(table)
+        require_ft(circuit.table().kind)
+        # Hashed even without a cache: perfbench's circuits.fingerprint
+        # layer is measured on this cache-less path (ROADMAP item 1).
+        ident = circuit.content_fingerprint()
+        point = self._point(ident, self._zones(circuit, ident, iig), params)
         # The critical path is deliberately NOT cached: distinct parameter
         # points almost never repeat a delay table exactly, and each
         # materialized CriticalPathResult holds the whole gate path —
@@ -579,22 +618,10 @@ class StagedPipeline:
             stage="critical",
         ):
             if qodg is not None:
-                result = critical_path(qodg, delay)
+                result = critical_path(qodg, point.delay)
             else:
-                result = sweep_critical_path(circuit, delay)
-        elapsed = time.perf_counter() - started
-        return LatencyEstimate(
-            latency=result.length,
-            l_avg_cnot=l_avg_cnot,
-            l_avg_one_qubit=params.one_qubit_routing_latency,
-            d_uncong=d_uncong,
-            average_zone_area=zones.average_area,
-            coverage_surfaces=surfaces,
-            critical=result,
-            qubit_count=circuit.num_qubits,
-            op_count=len(circuit),
-            elapsed_seconds=elapsed,
-        )
+                result = sweep_critical_path(circuit, point.delay)
+        return point.estimate(result, len(circuit), started)
 
     def sweep(
         self,
@@ -620,47 +647,40 @@ class StagedPipeline:
             # Share stages across the grid through a throwaway cache.
             from ..engine.cache import ArtifactCache
 
-            worker = StagedPipeline(
-                max_sq_terms=self._max_sq_terms,
-                strict_small_zones=self._strict,
-                truncation_guard=self._truncation_guard,
-                queue_model=self._queue_model,
-                cache=ArtifactCache(),
-            )
+            worker = copy.copy(self)
+            worker._cache = ArtifactCache()
             return worker.sweep(circuit, grid, iig=iig)
-        zones = self._zones_stage(circuit, iig)
-        rows: list[tuple[PhysicalParams, float, float, dict[GateKind, float]]]
-        rows = []
-        for params in grid:
-            d_uncong = self._uncong_stage(circuit, zones, params)
-            l_avg_cnot, _ = self._queueing_stage(
-                circuit, zones, d_uncong, params
-            )
-            rows.append(
-                (params, d_uncong, l_avg_cnot,
-                 _node_delay_table(params, l_avg_cnot))
-            )
-        delays = np.stack(
-            [kind_delay_lut(table) for _, _, _, table in rows], axis=1
-        )
         gates = circuit.table()
-        missing = first_missing_kind(delays, gates.kind)
-        if missing is not None:
-            raise _not_ft_error(missing)
+        require_ft(gates.kind)
+        ident = circuit.content_fingerprint()
+        zones = self._zones(circuit, ident, iig)
+        points = [self._point(ident, zones, params) for params in grid]
+        delays = np.stack(
+            [kind_delay_lut(point.delay.kind_table) for point in points],
+            axis=1,
+        )
         lengths = sweep_critical_path_lengths(gates, delays)
         return [
             SweepPoint(
-                params=params,
-                latency=float(lengths[index]),
-                l_avg_cnot=l_avg_cnot,
-                l_avg_one_qubit=params.one_qubit_routing_latency,
-                d_uncong=d_uncong,
-                average_zone_area=zones.average_area,
-                qubit_count=circuit.num_qubits,
-                op_count=len(circuit),
+                params, length, point.l_avg_cnot, point.l_avg_one_qubit,
+                point.d_uncong, zones.average_area, circuit.num_qubits,
+                len(circuit),
             )
-            for index, (params, d_uncong, l_avg_cnot, _) in enumerate(rows)
+            for params, point, length in zip(grid, points, lengths.tolist())
         ]
+
+
+def model_point(
+    iig: IIG, params: PhysicalParams, **options: object
+) -> ModelPoint:
+    """The model step on an IIG in hand, uncached: the streamed
+    estimate's entry, as a chunk stream has no content key.  ``options``
+    forward to :class:`StagedPipeline`."""
+    pipeline = StagedPipeline(cache=None, **options)
+    zones = pipeline._stage(
+        "zones", lambda: None, lambda: ZoneArrays.from_iig(iig)
+    )
+    return pipeline._point(None, zones, params)
 
 
 def sweep_estimates(

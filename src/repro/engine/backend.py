@@ -135,22 +135,21 @@ class LEQABackend:
         memoized in the ``estimate`` stage under the circuit content
         plus the option/parameter fingerprint — a repeated sweep point
         (or a warm persistent store) is a pure lookup.  On a miss the
-        IIG is fetched eagerly (so batch-level reuse shows in the
-        ``iig`` stage stats) and every downstream stage is memoized
-        under its parameter-slice key.
+        pipeline memoizes every stage under its parameter-slice key,
+        the IIG included.
         """
         import time
 
         from ..obs import span as obs_span
 
-        def timed_estimate(iig: object | None = None) -> LatencyEstimate:
+        def timed_estimate() -> LatencyEstimate:
             with obs_span(
                 "pipeline.estimate",
                 metric="pipeline.stage.seconds",
                 stage="estimate",
                 backend=self.name,
             ):
-                return self._estimator.estimate(circuit, iig=iig)
+                return self._estimator.estimate(circuit)
 
         started = time.perf_counter()
         if self._cache is None:
@@ -163,11 +162,7 @@ class LEQABackend:
                 self._options_token,
                 params_fingerprint(self._estimator.params),
             )
-            estimate = self._cache.stage(
-                "estimate",
-                key,
-                lambda: timed_estimate(iig=self._cache.iig(circuit)),
-            )
+            estimate = self._cache.stage("estimate", key, timed_estimate)
         # Report the wall this run actually spent: on a miss that is the
         # build (plus lookup noise); on a memory/store hit it is the
         # lookup itself, not the original build's elapsed_seconds — a

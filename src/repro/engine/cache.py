@@ -35,14 +35,15 @@ op arrays are fabric-independent, so a fabric-size sweep compiles them
 exactly once, while placements and schedules key on the geometry and
 parameter slices they read.
 
-The ``ham``–``queueing`` stages belong to the staged analytic pipeline
+The ``zones``–``queueing`` stages belong to the staged analytic pipeline
 (:mod:`repro.core.pipeline`), which keys each entry by the
 *stage-relevant parameter fingerprint* — the slice of
 :class:`~repro.fabric.params.PhysicalParams` the stage transitively
 reads (:func:`repro.core.pipeline.param_slice`).  A sweep that varies
 only downstream parameters (say, gate delays) therefore skips every
-upstream stage; those entries are reached through the generic
-:meth:`ArtifactCache.stage` accessor.
+upstream stage.  They, like the mapper's, are reached through the
+generic :meth:`ArtifactCache.stage` accessor; ``zones`` builds from
+this cache's ``iig`` entry.
 
 The ``estimate`` stage memoizes whole
 :class:`~repro.core.estimator.LatencyEstimate` records under the circuit
@@ -76,8 +77,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, TypeVar
 
 from ..circuits.circuit import Circuit
-from ..core.coverage import expected_coverage_surfaces
-from ..core.presence import PresenceZones, compute_zones
 from ..fabric.params import PhysicalParams
 from ..obs import default_registry as _obs_registry
 from ..qodg.iig import IIG, build_iig
@@ -296,8 +295,8 @@ class ArtifactCache:
     def stage(self, name: str, key: Hashable, builder: Callable[[], _T]) -> _T:
         """Memoize an arbitrary pipeline stage under an explicit key.
 
-        The entry point :mod:`repro.core.pipeline` uses for its
-        parameter-aware stages: the caller supplies the key (typically a
+        The entry point :mod:`repro.core.pipeline` uses for its stages
+        from ``zones`` on: the caller supplies the key (typically a
         circuit fingerprint plus the stage-relevant parameter slice) and
         the builder runs at most once per key, with the same build-once
         concurrency guarantee as the named accessors.
@@ -345,69 +344,10 @@ class ArtifactCache:
         key = (spec.source, spec.share_ancillas)
         return self._get_or_build("ft", key, build_ft)
 
-    def ft_of(self, circuit: Circuit, share_ancillas: bool = False) -> Circuit:
-        """FT-synthesize an in-hand circuit through the keyed ``ft`` stage.
-
-        Content-addressed twin of :meth:`ft_circuit` for callers that
-        hold a built circuit instead of a spec (ad-hoc sweeps and
-        notebooks; spec-shaped paths such as the workload batch runner
-        stay on the cheaper source-keyed :meth:`ft_circuit`): the stage
-        key is the circuit's content fingerprint, so two
-        differently-named sources with byte-identical gate streams share
-        one lowering.
-        """
-        from ..circuits.decompose import synthesize_ft
-
-        def build_ft() -> Circuit:
-            if circuit.is_ft():
-                return circuit
-            return synthesize_ft(circuit, share_ancillas=share_ancillas)
-
-        key = (circuit_fingerprint(circuit), share_ancillas)
-        return self._get_or_build("ft", key, build_ft)
-
     def iig(self, circuit: Circuit) -> IIG:
         """Stage 3: interaction intensity graph, keyed on circuit content."""
         key = circuit_fingerprint(circuit)
         return self._get_or_build("iig", key, lambda: build_iig(circuit))
-
-    def zones(self, circuit: Circuit) -> PresenceZones:
-        """Stage 4: presence zones (built from the cached IIG)."""
-        key = circuit_fingerprint(circuit)
-        return self._get_or_build(
-            "zones", key, lambda: compute_zones(self.iig(circuit))
-        )
-
-    def coverage_series(
-        self,
-        num_zones: int,
-        width: int,
-        height: int,
-        area: float,
-        max_terms: int | None,
-    ) -> tuple[float, ...]:
-        """Stage 5: the ``E[S_q]`` coverage-surface series (Eq. 4).
-
-        The estimator itself reaches the series through the module-level
-        memo in :mod:`repro.core.coverage`; this stage exists for direct
-        consumers that want the series accounted in cache stats.  The
-        key normalizes ``area`` to ``float`` so it matches that memo's
-        keying (``4`` and ``4.0`` share an entry).
-        """
-        key = (num_zones, width, height, float(area), max_terms)
-        return self._get_or_build(
-            "coverage",
-            key,
-            lambda: tuple(
-                expected_coverage_surfaces(
-                    num_zones=num_zones,
-                    width=width,
-                    height=height,
-                    area=area,
-                    max_terms=max_terms,
-                )
-            ),
-        )
 
     # -- introspection ------------------------------------------------------
 

@@ -28,6 +28,7 @@ from repro.circuits.gates import (
     toffoli,
     x,
 )
+from repro.circuits.stream import estimate_stream, stream_table
 from repro.core.coverage import expected_coverage_surfaces
 from repro.core.estimator import LEQAEstimator
 from repro.core.pipeline import (
@@ -390,3 +391,152 @@ class TestCacheStageAccess:
         stats = cache.stats()
         assert stats.miss_count("ham") == 1
         assert stats.hit_count("ham") == 1
+
+
+def _stage_counts(cache: ArtifactCache, stage: str) -> tuple[int, int]:
+    stats = cache.stats()
+    return stats.miss_count(stage), stats.hit_count(stage)
+
+
+def _rewired(circuit: Circuit) -> Circuit:
+    """A circuit on ``circuit``'s register with other interactions."""
+    other = Circuit(circuit.num_qubits)
+    other.extend([cnot(0, 2), cnot(0, 2), cnot(2, 0), h(1)])
+    return other
+
+
+def _same_fields(one, two) -> None:
+    for field in dataclasses.fields(one):
+        if field.name != "elapsed_seconds":
+            assert getattr(one, field.name) == getattr(two, field.name)
+
+
+class TestModelStep:
+    """One model step behind ``run``, ``sweep`` and ``estimate_stream``."""
+
+    def test_param_change_invalidates_coverage(self, tiny_ft_circuit, adder_ft):
+        cache = ArtifactCache()
+        pipeline = StagedPipeline(cache=cache)
+        fabrics = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_fabric(20, 20)]
+        for circuit in (tiny_ft_circuit, adder_ft):
+            for params in fabrics:
+                pipeline.run(circuit, params)
+                pipeline.run(circuit, params)  # queueing hit, no lookup
+        assert _stage_counts(cache, "coverage") == (4, 0)
+        # The key is the series' own arguments, not circuit content: a
+        # different circuit with the same register and zones reuses it.
+        twin = tiny_ft_circuit.copy(name="twin")
+        twin.append(t(0))
+        pipeline.run(twin, DEFAULT_PARAMS)
+        assert _stage_counts(cache, "coverage") == (4, 1)
+        # Same register and fabric, another zone area: a miss.
+        rewired = _rewired(tiny_ft_circuit)
+        assert (
+            StagedPipeline().run(rewired, DEFAULT_PARAMS).average_zone_area
+            != StagedPipeline().run(tiny_ft_circuit, DEFAULT_PARAMS)
+            .average_zone_area
+        )
+        pipeline.run(rewired, DEFAULT_PARAMS)
+        assert _stage_counts(cache, "coverage") == (5, 1)
+        assert cache.stats().miss_count("queueing") == 6
+
+    def test_zones_stage_chains_to_iig(self, tiny_ft_circuit, adder_ft):
+        cache = ArtifactCache()
+        pipeline = StagedPipeline(cache=cache)
+        for circuit in (tiny_ft_circuit, adder_ft):
+            pipeline.run(circuit, DEFAULT_PARAMS)
+            pipeline.run(circuit, DEFAULT_PARAMS.with_fabric(20, 20))
+        assert _stage_counts(cache, "zones") == (2, 2)
+        assert _stage_counts(cache, "iig") == (2, 0)
+
+    def test_cacheless_runs_build_no_keys(self, adder_ft, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+
+        calls = []
+        fingerprint = Circuit.content_fingerprint
+
+        def counted(circuit):
+            calls.append(1)
+            return fingerprint(circuit)
+
+        monkeypatch.setattr(Circuit, "content_fingerprint", counted)
+        monkeypatch.setattr(
+            pipeline_module, "param_slice",
+            lambda *_: pytest.fail("a stage key was built without a cache"),
+        )
+        StagedPipeline(cache=None).run(adder_ft, DEFAULT_PARAMS)
+        assert calls == [1]  # the run's content hash, taken once
+        estimate_stream(stream_table(adder_ft.table(), 64), DEFAULT_PARAMS)
+        assert calls == [1]  # a chunk stream is never hashed
+
+    def test_foreign_iig_rejected(self, tiny_ft_circuit, adder_ft):
+        foreign = build_iig(adder_ft)
+        expected = (
+            f"prebuilt IIG has {adder_ft.num_qubits} qubits but the circuit "
+            f"has {tiny_ft_circuit.num_qubits}; it belongs to a different "
+            "circuit"
+        )
+        for cache in (None, ArtifactCache()):
+            pipeline = StagedPipeline(cache=cache)
+            with pytest.raises(EstimationError) as error:
+                pipeline.run(tiny_ft_circuit, DEFAULT_PARAMS, iig=foreign)
+            assert str(error.value) == expected
+            with pytest.raises(EstimationError) as error:
+                pipeline.sweep(tiny_ft_circuit, [DEFAULT_PARAMS], iig=foreign)
+            assert str(error.value) == expected
+        for vectorized in (True, False):
+            estimator = LEQAEstimator(vectorized=vectorized)
+            with pytest.raises(EstimationError) as error:
+                estimator.estimate(tiny_ft_circuit, iig=foreign)
+            assert str(error.value) == expected
+
+    def test_cache_builds_zones_from_its_own_iig(self, tiny_ft_circuit):
+        # Same register, different interactions: undetectable by size.
+        foreign = build_iig(_rewired(tiny_ft_circuit))
+        fresh = StagedPipeline().run(tiny_ft_circuit, DEFAULT_PARAMS)
+        pipeline = StagedPipeline(cache=ArtifactCache())
+        given = pipeline.run(tiny_ft_circuit, DEFAULT_PARAMS, iig=foreign)
+        later = pipeline.run(tiny_ft_circuit, DEFAULT_PARAMS)
+        _same_fields(given, fresh)
+        _same_fields(later, fresh)
+        (point,) = pipeline.sweep(
+            tiny_ft_circuit, [DEFAULT_PARAMS], iig=foreign
+        )
+        assert point.latency == fresh.latency
+
+
+class TestEarlyFtRejection:
+    """A pre-synthesis circuit fails before any model stage runs."""
+
+    @pytest.fixture
+    def tripwires(self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        import repro.engine.cache as cache_module
+        import repro.qodg.graph as graph_module
+        import repro.qodg.sweep as sweep_module
+
+        def tripped(*_args, **_kwargs):
+            raise AssertionError("a model stage ran before the FT check")
+
+        monkeypatch.setattr(ZoneArrays, "from_iig", tripped)
+        for module in (pipeline_module, cache_module):
+            monkeypatch.setattr(module, "build_iig", tripped)
+        for module in (graph_module, sweep_module):
+            monkeypatch.setattr(module, "build_qodg", tripped)
+
+    def test_every_entry_point_raises_first(self, tripwires):
+        circuit = Circuit(3)
+        circuit.extend([h(0), cnot(0, 1), toffoli(0, 1, 2), t(2)])
+        grid = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_fabric(20, 20)]
+        match = "'toffoli' is not an FT operation"
+        for cache in (None, ArtifactCache()):
+            pipeline = StagedPipeline(cache=cache)
+            with pytest.raises(EstimationError, match=match):
+                pipeline.run(circuit, DEFAULT_PARAMS)
+            with pytest.raises(EstimationError, match=match):
+                pipeline.sweep(circuit, grid)
+        for chunk_size in (1, len(circuit) + 10):
+            with pytest.raises(EstimationError, match=match):
+                estimate_stream(
+                    stream_table(circuit.table(), chunk_size), DEFAULT_PARAMS
+                )

@@ -325,14 +325,6 @@ class TestWorkloadSweepCaching:
         assert stats.miss_count("ft") == members
         assert stats.hit_count("ft") == members * (len(grid) - 1)
 
-    def test_content_keyed_ft_stage_dedupes_identical_circuits(self):
-        cache = ArtifactCache()
-        one = cache.ft_of(gf2_multiplier(5))
-        two = cache.ft_of(gf2_multiplier(5))  # same content, new object
-        assert one is two
-        assert cache.stats().miss_count("ft") == 1
-        assert cache.stats().hit_count("ft") == 1
-
     def test_workload_spec_loads_members(self):
         spec = CircuitSpec("workload:gf2/n=5", ft=True)
         circuit = spec.build()
