@@ -7,7 +7,7 @@ checking logic lives in one place.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Type
+from typing import Any, Type
 
 from .exceptions import ReproError
 
@@ -53,12 +53,3 @@ def require_non_negative_float(value: Any, name: str, exc: Type[ReproError]) -> 
     if result < 0 or result != result or result == float("inf"):
         raise exc(f"{name} must be a finite non-negative number, got {value!r}")
     return result
-
-
-def require_distinct(values: Iterable[Any], name: str, exc: Type[ReproError]) -> None:
-    """Check that ``values`` contains no duplicates."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise exc(f"{name} must be distinct, got duplicate {value!r}")
-        seen.add(value)

@@ -450,7 +450,8 @@ def estimate_stream(
     with a gate outside the FT set
     (:func:`~repro.core.pipeline.require_ft`), accumulating the IIG
     incrementally and spilling the critical-path columns
-    ``(kind, o0, o1)`` to temporary files; the model step
+    ``(kind, o0, o1)`` to temporary files (the kind column once, read by
+    both the second pass and the backtrack); the model step
     (:func:`~repro.core.pipeline.model_point`, the one
     :meth:`~repro.core.pipeline.StagedPipeline.run` takes) then runs on
     the accumulated IIG, and the second pass replays the spilled
@@ -502,7 +503,6 @@ def estimate_stream(
                     op_count += len(table)
                     accumulator.update(table)
                     o0, o1 = table.operand_pairs()
-                    np.save(ops_file, table.kind, allow_pickle=False)
                     np.save(ops_file, o0.astype(np.int64, copy=False),
                             allow_pickle=False)
                     np.save(ops_file, o1.astype(np.int64, copy=False),
@@ -519,9 +519,16 @@ def estimate_stream(
                     profile.add("ingest", len(table), sp.seconds)
         point = model_point(accumulator.finish(num_qubits), params, **options)
         lut = kind_delay_lut(point.delay.kind_table)
+        # The spilled kind column, read by both pass 2 and the
+        # backtrack.  (An empty file cannot be mapped.)
+        if op_count:
+            codes = np.memmap(kinds_path, dtype=np.int8, mode="r")
+        else:
+            codes = np.empty(0, dtype=np.int8)
         # Pass 2: the spilled columns through the critical-path
         # recurrence, one chunk at a time with one carry.
         carry = CriticalPathCarry(num_qubits)
+        start = 0
         with ops_path.open("rb") as ops_file, \
                 preds_path.open("wb") as preds_file:
             for rows in chunk_rows:
@@ -530,10 +537,10 @@ def estimate_stream(
                     metric="stream.stage.seconds",
                     stage="critical",
                 ) as sp:
-                    codes = np.load(ops_file, allow_pickle=False)
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
-                    delays = lut[codes]
+                    delays = lut[codes[start:start + rows]]
+                    start += rows
                     preds = critical_path_chunk(
                         o0.tolist(), o1.tolist(), delays.tolist(), carry
                     )
@@ -545,15 +552,14 @@ def estimate_stream(
                 if profile is not None:
                     profile.add("critical", rows, sp.seconds)
         # Backtrack through the spilled predecessor/kind columns; the
-        # memoryview hands out Python ints.  (An empty file cannot be
-        # mapped, and an empty stream has no path to walk.)
+        # memoryview hands out Python ints.  (An empty stream has no
+        # path to walk.)
         if op_count:
             preds = memoryview(
                 np.memmap(preds_path, dtype=np.int64, mode="r")
             )
-            codes = np.memmap(kinds_path, dtype=np.int8, mode="r")
         else:
-            preds, codes = [], np.empty(0, dtype=np.int8)
+            preds = []
         result = backtrack(carry, preds, codes)
         del preds, codes
     return point.estimate(result, op_count, started)

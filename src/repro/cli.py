@@ -17,8 +17,8 @@ Subcommands
 ``sweep``
     Run a batched fabric-size sweep through the execution engine
     (:mod:`repro.engine`): one circuit, a grid of square fabrics, any
-    registered backend, with the FT netlist and IIG built once for the
-    whole grid.
+    registered backend, with the FT netlist, IIG and every other
+    fabric-independent stage built once for the whole grid.
 
 ``benchmarks``
     List the registered benchmark circuits.
@@ -61,6 +61,7 @@ from .circuits.library import BENCHMARKS
 from .circuits.decompose import synthesize_ft
 from .core.estimator import LEQAEstimator
 from .engine import (
+    STAGE_NAMES,
     BatchRunner,
     CircuitSpec,
     Job,
@@ -144,9 +145,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "  leqa sweep gf2^16mult --sizes 20,40,60 --backend leqa "
             "--workers 4\n"
             "runs one benchmark over a fabric-size grid through the "
-            "execution engine;\nthe FT netlist and IIG are built once and "
-            "reused at every grid point.\nSee 'leqa sweep --help' for all "
-            "sweep options."
+            "execution engine;\nthe FT netlist, IIG and every other "
+            "fabric-independent stage are built\nonce and reused at every "
+            "grid point (the 'cache reuse' lines count them).\n"
+            "See 'leqa sweep --help' for all sweep options."
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -256,8 +258,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description=(
             "Evaluate one circuit across a grid of square fabric sizes "
             "using the repro.engine batch runner.  The staged artifact "
-            "cache builds the FT netlist and interaction graph once for "
-            "the whole grid."
+            "cache builds the FT netlist, the interaction graph and every "
+            "other fabric-independent stage once for the whole grid; the "
+            "'cache reuse' lines count builds and reuses per stage."
         ),
     )
     _add_common_options(sweep)
@@ -888,15 +891,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         return 1 if failures else 0
     stats = runner.cache.stats()
-    print(
-        "cache reuse        "
-        f"ft x{stats.miss_count('ft')} built / x{stats.hit_count('ft')} "
-        f"reused, iig x{stats.miss_count('iig')} built / "
-        f"x{stats.hit_count('iig')} reused"
-    )
+    reuse = []
+    for stage in STAGE_NAMES:
+        built, hits = stats.miss_count(stage), stats.hit_count(stage)
+        loaded = stats.store_hit_count(stage)
+        if built or hits or loaded:
+            entry = f"{stage} x{built} built / x{hits} reused"
+            if loaded:
+                entry += f" / x{loaded} from store"
+            reuse.append(entry)
+    print("cache reuse        " + ("\n" + " " * 19).join(reuse))
     if args.cache_stats:
-        from .engine.cache import STAGE_NAMES
-
         # Counts come from the unified obs registry (snapshot delta over
         # this sweep), the same stream both cache tiers increment — the
         # table cannot drift from the store-tier counters.

@@ -13,19 +13,7 @@ from .coverage import (
     zone_side,
 )
 from .estimator import LatencyEstimate, LEQAEstimator, estimate_latency
-from .pipeline import (
-    PARAM_ASPECTS,
-    STAGE_GRAPH,
-    STAGE_ORDER,
-    StagedPipeline,
-    StageSpec,
-    SweepPoint,
-    ZoneArrays,
-    param_slice,
-    stage_reads,
-    stages_invalidated_by,
-    sweep_estimates,
-)
+from .pipeline import StagedPipeline, SweepPoint, ZoneArrays
 from .presence import PresenceZones, QubitZone, compute_zones, zone_area
 from .queueing import (
     arrival_rate,

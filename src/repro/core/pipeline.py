@@ -1,4 +1,4 @@
-"""Staged analytic pipeline: LEQA as an explicit stage graph.
+"""Staged analytic pipeline: LEQA as a chain of cached stages.
 
 Algorithm 1 is a chain of analytically distinct products — interaction
 graph, presence zones, Hamiltonian-path lengths, uncongested latency,
@@ -11,9 +11,10 @@ provably could not have invalidated.
 
 This module makes the structure first-class:
 
-* :data:`STAGE_GRAPH` declares, per stage, which parameter aspects it
-  reads and which stages it consumes — machine-checkable provenance the
-  cache keys and the incremental sweeps are derived from;
+* each cached stage's key, written next to its builder in
+  :meth:`StagedPipeline._point`, is the one statement of what that
+  stage depends on: the circuit content, the options and exactly the
+  parameter values it (transitively) reads;
 * the stage implementations are numpy-vectorized: ``B_i``,
   ``E[l_ham,i]``, ``d_uncong,i`` and ``d_q`` are arrays, the coverage
   series is one 2D log-space evaluation, and a batched sweep runs the
@@ -22,9 +23,8 @@ This module makes the structure first-class:
   (:meth:`~StagedPipeline.run`, returning the familiar
   :class:`~repro.core.estimator.LatencyEstimate`) or for a whole grid
   (:meth:`~StagedPipeline.sweep`, returning light-weight
-  :class:`SweepPoint` rows), keying every stage in an
-  :class:`~repro.engine.cache.ArtifactCache` by exactly the parameter
-  slice that stage (transitively) reads.  ``run``, each ``sweep`` point
+  :class:`SweepPoint` rows), memoizing the six cached stages in an
+  :class:`~repro.engine.cache.ArtifactCache`.  ``run``, each ``sweep`` point
   and :func:`~repro.circuits.stream.estimate_stream` (through
   :func:`model_point`) take one model step to a :class:`ModelPoint`,
   after one FT check (:func:`require_ft`); without a cache no stage
@@ -45,6 +45,9 @@ Stage graph (parameter aspects in brackets)::
                         delays [gate_delays, t_move]
                                                 │
                                    critical ──▶ D
+
+``iig`` through ``queueing`` are cached; the node-delay table and the
+critical path are rebuilt at every point.
 """
 
 from __future__ import annotations
@@ -83,13 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..engine.cache import ArtifactCache
 
 __all__ = [
-    "PARAM_ASPECTS",
-    "StageSpec",
-    "STAGE_GRAPH",
-    "STAGE_ORDER",
-    "param_slice",
-    "stage_reads",
-    "stages_invalidated_by",
     "ZoneArrays",
     "SweepPoint",
     "ModelPoint",
@@ -98,162 +94,7 @@ __all__ = [
     "node_delay",
     "require_ft",
     "require_iig_of",
-    "sweep_estimates",
 ]
-
-#: The independent slices of :class:`PhysicalParams` a stage can read.
-PARAM_ASPECTS = (
-    "fabric",
-    "qubit_speed",
-    "gate_delays",
-    "channel_capacity",
-    "t_move",
-)
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One node of the pipeline's stage graph.
-
-    Attributes
-    ----------
-    name:
-        Stage id (also its counter name in
-        :meth:`repro.engine.cache.ArtifactCache.stats`).
-    reads:
-        Parameter aspects (members of :data:`PARAM_ASPECTS`) this stage
-        reads *directly*.  The cache key additionally folds in the
-        aspects of every upstream stage (see :func:`stage_reads`).
-    after:
-        Names of the stages whose products this one consumes.
-    summary:
-        One-line description (the README's stage table is generated from
-        the same vocabulary).
-    """
-
-    name: str
-    reads: tuple[str, ...]
-    after: tuple[str, ...]
-    summary: str
-
-
-#: The LEQA stage graph, in topological order.
-STAGE_ORDER: tuple[StageSpec, ...] = (
-    StageSpec("iig", (), (), "interaction intensity graph (line 1)"),
-    StageSpec("zones", (), ("iig",), "per-qubit B_i, weights (Eqs. 6-7)"),
-    StageSpec("ham", (), ("zones",), "E[l_ham,i] per qubit (Eq. 15)"),
-    StageSpec(
-        "uncong",
-        ("qubit_speed",),
-        ("ham",),
-        "d_uncong,i and weighted d_uncong (Eqs. 12, 16)",
-    ),
-    StageSpec(
-        "coverage",
-        ("fabric",),
-        ("zones",),
-        "coverage series E[S_q] (Eqs. 4-5)",
-    ),
-    StageSpec(
-        "queueing",
-        ("channel_capacity",),
-        ("uncong", "coverage"),
-        "congested d_q and L_CNOT^avg (Eqs. 2, 8)",
-    ),
-    StageSpec(
-        "delays",
-        ("gate_delays", "t_move"),
-        ("queueing",),
-        "per-kind node-delay table (Eq. 1 inputs)",
-    ),
-    StageSpec(
-        "critical",
-        (),
-        ("delays",),
-        "longest path of the routing-aware QODG (Eq. 1)",
-    ),
-)
-
-#: Stage specs by name.
-STAGE_GRAPH: dict[str, StageSpec] = {spec.name: spec for spec in STAGE_ORDER}
-
-
-def param_slice(
-    params: PhysicalParams, aspects: Iterable[str]
-) -> tuple[Hashable, ...]:
-    """The stage-relevant parameter fingerprint: a hashable tuple holding
-    exactly the values of the requested aspects.
-
-    Two parameter sets that agree on a stage's (transitive) aspects
-    produce equal slices, so the stage's cache entry is shared between
-    them — the mechanism that lets a delay-only sweep skip every stage
-    upstream of the node-delay table.
-    """
-    values: list[Hashable] = []
-    for aspect in PARAM_ASPECTS:  # canonical order, whatever the caller's
-        if aspect not in aspects:
-            continue
-        if aspect == "fabric":
-            values.append(("fabric", params.fabric.width, params.fabric.height))
-        elif aspect == "qubit_speed":
-            values.append(("qubit_speed", params.qubit_speed))
-        elif aspect == "gate_delays":
-            delays = params.delays
-            values.append(
-                ("gate_delays", delays.h, delays.t, delays.tdg, delays.x,
-                 delays.y, delays.z, delays.s, delays.sdg, delays.cnot)
-            )
-        elif aspect == "channel_capacity":
-            values.append(("channel_capacity", params.channel_capacity))
-        elif aspect == "t_move":
-            values.append(("t_move", params.t_move))
-    unknown = set(aspects) - set(PARAM_ASPECTS)
-    if unknown:
-        raise EstimationError(
-            f"unknown parameter aspect(s) {sorted(unknown)}; "
-            f"choose from {PARAM_ASPECTS}"
-        )
-    return tuple(values)
-
-
-def stage_reads(stage: str) -> frozenset[str]:
-    """All parameter aspects a stage depends on, transitively.
-
-    The union of the stage's own ``reads`` and those of every upstream
-    stage — the slice its cache key must cover.
-    """
-    try:
-        spec = STAGE_GRAPH[stage]
-    except KeyError:
-        raise EstimationError(
-            f"unknown pipeline stage {stage!r}; "
-            f"stages: {', '.join(STAGE_GRAPH)}"
-        ) from None
-    aspects = set(spec.reads)
-    for upstream in spec.after:
-        aspects |= stage_reads(upstream)
-    return frozenset(aspects)
-
-
-def stages_invalidated_by(aspects: Iterable[str]) -> frozenset[str]:
-    """Stages whose product changes when the given aspects change.
-
-    A stage is invalidated iff its transitive reads intersect the
-    changed aspects; everything else can be reused verbatim.  This is
-    the contract the parameter-aware cache keys implement, stated as a
-    set so tests (and the README table) can assert it directly.
-    """
-    changed = set(aspects)
-    unknown = changed - set(PARAM_ASPECTS)
-    if unknown:
-        raise EstimationError(
-            f"unknown parameter aspect(s) {sorted(unknown)}; "
-            f"choose from {PARAM_ASPECTS}"
-        )
-    return frozenset(
-        spec.name for spec in STAGE_ORDER if stage_reads(spec.name) & changed
-    )
-
 
 class ZoneArrays:
     """Vectorized presence zones: Eqs. 6-7 as flat per-qubit arrays.
@@ -568,14 +409,16 @@ class StagedPipeline:
 
         d_uncong = self._stage(
             "uncong",
-            lambda: (ident, strict, param_slice(params, stage_reads("uncong"))),
+            lambda: (ident, strict, (("qubit_speed", params.qubit_speed),)),
             uncong,
         )
         l_avg_cnot, surfaces = self._stage(
             "queueing",
             lambda: (ident, strict, max_terms, self._truncation_guard,
                      self._queue_model,
-                     param_slice(params, stage_reads("queueing"))),
+                     (("fabric", fabric.width, fabric.height),
+                      ("qubit_speed", params.qubit_speed),
+                      ("channel_capacity", params.channel_capacity))),
             queueing,
         )
         return ModelPoint(
@@ -682,16 +525,3 @@ def model_point(
     )
     return pipeline._point(None, zones, params)
 
-
-def sweep_estimates(
-    circuit: Circuit,
-    params_list: Iterable[PhysicalParams],
-    cache: "ArtifactCache | None" = None,
-    **options: object,
-) -> list[SweepPoint]:
-    """One-shot convenience wrapper: batched sweep over a parameter grid.
-
-    ``options`` forward to :class:`StagedPipeline` (``max_sq_terms``,
-    ``strict_small_zones``, ``truncation_guard``, ``queue_model``).
-    """
-    return StagedPipeline(cache=cache, **options).sweep(circuit, params_list)

@@ -43,7 +43,6 @@ from .cache import (
     STAGE_NAMES,
     ArtifactCache,
     CacheStats,
-    circuit_fingerprint,
     params_fingerprint,
 )
 from .runner import (
@@ -66,7 +65,6 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "STAGE_NAMES",
-    "circuit_fingerprint",
     "params_fingerprint",
     "BatchRunner",
     "Job",

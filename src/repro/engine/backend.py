@@ -184,9 +184,10 @@ class QSPRBackend:
 
     Keyword options are forwarded to the mapper (``placement``,
     ``routing``, ``seed``, ``record_trace``, ``scheduling``, ``engine``).
-    The cache, when given, is attached to the mapper itself, so compiled
-    QODG arrays, placements and schedules all become staged artifacts —
-    a fabric-size sweep compiles the op arrays exactly once.
+    The cache, when given, is attached to the mapper itself, so the IIG,
+    compiled QODG arrays, placements and schedules all become staged
+    artifacts — a fabric-size sweep builds the IIG and compiles the op
+    arrays exactly once.
     """
 
     name = "qspr"
@@ -198,7 +199,6 @@ class QSPRBackend:
         **options: object,
     ) -> None:
         self._mapper = QSPRMapper(params=params, cache=cache, **options)
-        self._cache = cache
 
     @property
     def params(self) -> PhysicalParams:
@@ -206,9 +206,9 @@ class QSPRBackend:
         return self._mapper.params
 
     def run(self, circuit: Circuit) -> BackendResult:
-        """Run the detailed mapper, reusing the cached IIG when possible."""
-        iig = self._cache.iig(circuit) if self._cache is not None else None
-        result: MappingResult = self._mapper.map(circuit, iig=iig)
+        """Run the detailed mapper; with a cache it reads the IIG from
+        the cache's ``iig`` stage itself."""
+        result: MappingResult = self._mapper.map(circuit)
         return BackendResult(
             backend=self.name,
             latency=result.latency,

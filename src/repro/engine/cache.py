@@ -39,7 +39,8 @@ The ``zones``–``queueing`` stages belong to the staged analytic pipeline
 (:mod:`repro.core.pipeline`), which keys each entry by the
 *stage-relevant parameter fingerprint* — the slice of
 :class:`~repro.fabric.params.PhysicalParams` the stage transitively
-reads (:func:`repro.core.pipeline.param_slice`).  A sweep that varies
+reads, written inline in
+:meth:`~repro.core.pipeline.StagedPipeline._point`.  A sweep that varies
 only downstream parameters (say, gate delays) therefore skips every
 upstream stage.  They, like the mapper's, are reached through the
 generic :meth:`ArtifactCache.stage` accessor; ``zones`` builds from
@@ -86,7 +87,6 @@ __all__ = [
     "ArtifactCache",
     "CacheStats",
     "STAGE_NAMES",
-    "circuit_fingerprint",
     "params_fingerprint",
 ]
 
@@ -110,19 +110,6 @@ _STAGES = (
 
 #: Public alias of the stage-name tuple (CLI stats tables and tests).
 STAGE_NAMES = _STAGES
-
-
-def circuit_fingerprint(circuit: Circuit) -> str:
-    """Content hash of a circuit: qubit count plus the exact gate list.
-
-    Two circuits with the same register size and identical gate sequences
-    share a fingerprint regardless of their names, so cache entries keyed
-    on it survive cosmetic renames.  Delegates to
-    :meth:`Circuit.content_fingerprint`, which computes the digest once
-    and caches it on the circuit — repeated engine runs over the same
-    object key their lookups in O(1).
-    """
-    return circuit.content_fingerprint()
 
 
 def params_fingerprint(params: PhysicalParams) -> str:
@@ -346,7 +333,7 @@ class ArtifactCache:
 
     def iig(self, circuit: Circuit) -> IIG:
         """Stage 3: interaction intensity graph, keyed on circuit content."""
-        key = circuit_fingerprint(circuit)
+        key = circuit.content_fingerprint()
         return self._get_or_build("iig", key, lambda: build_iig(circuit))
 
     # -- introspection ------------------------------------------------------

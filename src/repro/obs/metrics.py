@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -240,25 +240,6 @@ class MetricsRegistry:
                 count=histogram.total,
                 sum=histogram.sum,
             )
-
-    def iter_histograms(
-        self, name: str
-    ) -> Iterator[tuple[LabelKey, HistogramSnapshot]]:
-        """Yield ``(label_key, snapshot)`` for every series of ``name``."""
-        with self._lock:
-            items = [
-                (
-                    key,
-                    HistogramSnapshot(
-                        bounds=h.bounds,
-                        counts=tuple(h.counts),
-                        count=h.total,
-                        sum=h.sum,
-                    ),
-                )
-                for key, h in self._histograms.get(name, {}).items()
-            ]
-        yield from items
 
     def snapshot(self) -> dict:
         """JSON-ready dump of every series, labels rendered as strings.

@@ -168,8 +168,8 @@ class QSPRMapper:
         """Map an FT circuit onto the TQA and measure its actual latency.
 
         ``iig`` accepts a prebuilt interaction graph of the same circuit
-        (the engine's artifact cache passes one) to skip rebuilding it for
-        the initial placement.
+        to skip rebuilding it for the initial placement; with a cache
+        attached it is ignored and the cache's ``iig`` stage is read.
         """
         if not circuit.is_ft():
             raise MappingError(

@@ -152,10 +152,15 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "ham3", "--sizes", "6,8,10")
         assert code == 0
         assert "6x6" in out and "10x10" in out
-        # The engine's staged cache builds the netlist and IIG once; the
-        # IIG is read only for the one zones build the points share.
+        # The engine's staged cache builds the netlist, IIG and zones
+        # once; the IIG is read only for the one zones build the points
+        # share, and each fabric size builds its own coverage series.
         assert "ft x1 built / x2 reused" in out
         assert "iig x1 built / x0 reused" in out
+        assert "zones x1 built / x2 reused" in out
+        assert "coverage x3 built / x0 reused" in out
+        # Stages that no point looked up are not listed.
+        assert "placement x" not in out
 
     def test_backend_selection(self, capsys):
         code, out, _ = run_cli(
@@ -250,6 +255,11 @@ class TestSweep:
             p["latency_seconds"] for p in cold_doc["points"]
         ]
         assert warm_doc["store"]["hits"] > 0
+        code, text, _ = run_cli(
+            capsys, "sweep", "ham3", "--sizes", "6,8", "--store", store
+        )
+        assert code == 0
+        assert "estimate x0 built / x0 reused / x2 from store" in text
 
     def test_bad_sizes_fail_gracefully(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "ham3", "--sizes", "6,huge")

@@ -18,7 +18,6 @@ from repro.engine import (
     LEQABackend,
     QSPRBackend,
     backend_names,
-    circuit_fingerprint,
     get_backend,
     params_fingerprint,
     register_backend,
@@ -172,13 +171,13 @@ class TestFingerprints:
         one, two = Circuit(3, name="a"), Circuit(3, name="b")
         for circuit in (one, two):
             circuit.extend([h(0), cnot(0, 1), t(2)])
-        assert circuit_fingerprint(one) == circuit_fingerprint(two)
+        assert one.content_fingerprint() == two.content_fingerprint()
 
     def test_gate_change_changes_fingerprint(self):
         one, two = Circuit(2), Circuit(2)
         one.extend([h(0), cnot(0, 1)])
         two.extend([h(1), cnot(0, 1)])
-        assert circuit_fingerprint(one) != circuit_fingerprint(two)
+        assert one.content_fingerprint() != two.content_fingerprint()
 
     def test_params_fingerprint_tracks_content(self):
         assert params_fingerprint(DEFAULT_PARAMS) == params_fingerprint(
@@ -332,6 +331,9 @@ class TestBatchRunner:
         stats = runner.cache.stats()
         assert stats.miss_count("qodg") == 1
         assert stats.hit_count("qodg") == 3
+        # One IIG lookup per point, the mapper's own.
+        assert stats.miss_count("iig") == 1
+        assert stats.hit_count("iig") == 3
         assert stats.miss_count("placement") == 4
         assert stats.miss_count("schedule") == 4
 

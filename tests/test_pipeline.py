@@ -2,9 +2,8 @@
 
 The vectorized stage graph must match the scalar reference oracle
 (``LEQAEstimator(vectorized=False)``) to 1e-9 on random circuits, the
-batched sweep must match per-point runs bitwise, and the declared
-stage/parameter dependency graph must say exactly which stages a
-parameter change invalidates.
+batched sweep must match per-point runs bitwise, and each stage's
+cache key must say exactly which stages a parameter change invalidates.
 """
 
 from __future__ import annotations
@@ -28,20 +27,11 @@ from repro.circuits.gates import (
     toffoli,
     x,
 )
+from repro.circuits.library import build_ft
 from repro.circuits.stream import estimate_stream, stream_table
 from repro.core.coverage import expected_coverage_surfaces
 from repro.core.estimator import LEQAEstimator
-from repro.core.pipeline import (
-    PARAM_ASPECTS,
-    STAGE_GRAPH,
-    STAGE_ORDER,
-    StagedPipeline,
-    ZoneArrays,
-    param_slice,
-    stage_reads,
-    stages_invalidated_by,
-    sweep_estimates,
-)
+from repro.core.pipeline import StagedPipeline, ZoneArrays
 from repro.core.presence import compute_zones
 from repro.engine import ArtifactCache
 from repro.exceptions import EngineError, EstimationError, GraphError
@@ -209,7 +199,7 @@ class TestBatchedSweep:
 
     def test_sweep_without_cache_matches_estimator(self, adder_ft):
         grid = self._mixed_grid()
-        points = sweep_estimates(adder_ft, grid)
+        points = StagedPipeline().sweep(adder_ft, grid)
         for point, params in zip(points, grid):
             estimate = LEQAEstimator(params=params).estimate(adder_ft)
             assert point.latency == pytest.approx(
@@ -309,67 +299,76 @@ class TestBatchedCriticalPath:
             sweep_critical_path_lengths(table, np.ones((3, 2)))
 
 
-class TestStageGraphDeclarations:
-    def test_every_stage_reads_known_aspects(self):
-        for spec in STAGE_ORDER:
-            assert set(spec.reads) <= set(PARAM_ASPECTS)
-            for upstream in spec.after:
-                assert upstream in STAGE_GRAPH
+#: The six cached stages of the LEQA pipeline, in order.
+CACHED_STAGES = ("iig", "zones", "ham", "uncong", "coverage", "queueing")
 
-    def test_topological_order(self):
-        seen = set()
-        for spec in STAGE_ORDER:
-            assert set(spec.after) <= seen
-            seen.add(spec.name)
+class TestStageInvalidation:
+    """The README's invalidation table, read off the real cache."""
 
-    def test_transitive_reads(self):
-        assert stage_reads("iig") == frozenset()
-        assert stage_reads("uncong") == frozenset({"qubit_speed"})
-        assert stage_reads("queueing") == frozenset(
-            {"qubit_speed", "fabric", "channel_capacity"}
-        )
-        assert stage_reads("critical") == frozenset(PARAM_ASPECTS)
+    @pytest.mark.parametrize(
+        ("changed", "rebuilt"),
+        [
+            pytest.param(
+                dataclasses.replace(
+                    DEFAULT_PARAMS, delays=DEFAULT_PARAMS.delays.scaled(2.0)
+                ),
+                set(), id="gate_delays",
+            ),
+            pytest.param(
+                dataclasses.replace(DEFAULT_PARAMS, t_move=50.0),
+                set(), id="t_move",
+            ),
+            pytest.param(
+                dataclasses.replace(DEFAULT_PARAMS, channel_capacity=2),
+                {"queueing"}, id="channel_capacity",
+            ),
+            pytest.param(
+                dataclasses.replace(DEFAULT_PARAMS, qubit_speed=0.002),
+                {"uncong", "queueing"}, id="qubit_speed",
+            ),
+            pytest.param(
+                DEFAULT_PARAMS.with_fabric(20, 20),
+                {"coverage", "queueing"}, id="fabric",
+            ),
+        ],
+    )
+    def test_changed_aspect_rebuilds_exactly(self, adder_ft, changed, rebuilt):
+        cache = ArtifactCache()
+        pipeline = StagedPipeline(cache=cache)
+        pipeline.run(adder_ft, DEFAULT_PARAMS)
+        before = cache.stats()
+        pipeline.run(adder_ft, changed)
+        after = cache.stats()
+        assert {
+            stage for stage in CACHED_STAGES
+            if after.miss_count(stage) > before.miss_count(stage)
+        } == rebuilt
 
-    def test_invalidation_sets(self):
-        assert stages_invalidated_by({"gate_delays"}) == frozenset(
-            {"delays", "critical"}
-        )
-        assert stages_invalidated_by({"t_move"}) == frozenset(
-            {"delays", "critical"}
-        )
-        assert stages_invalidated_by({"fabric"}) == frozenset(
-            {"coverage", "queueing", "delays", "critical"}
-        )
-        assert stages_invalidated_by({"qubit_speed"}) == frozenset(
-            {"uncong", "queueing", "delays", "critical"}
-        )
-        assert stages_invalidated_by({"channel_capacity"}) == frozenset(
-            {"queueing", "delays", "critical"}
-        )
-        assert stages_invalidated_by(()) == frozenset()
+    def test_golden_stage_keys(self, monkeypatch):
+        # Store entries are addressed by ``repr(key)``: a key that
+        # changes shape orphans every persisted artifact of its stage.
+        keys = {}
+        stage = ArtifactCache.stage
 
-    def test_unknown_aspect_rejected(self):
-        with pytest.raises(EstimationError, match="unknown parameter"):
-            stages_invalidated_by({"voltage"})
-        with pytest.raises(EstimationError, match="unknown parameter"):
-            param_slice(DEFAULT_PARAMS, {"voltage"})
-        with pytest.raises(EstimationError, match="unknown pipeline stage"):
-            stage_reads("warp_drive")
+        def recorded(cache, name, key, build):
+            keys.setdefault(name, repr(key))
+            return stage(cache, name, key, build)
 
-    def test_param_slice_keys_sharing(self):
-        delay_change = dataclasses.replace(
-            DEFAULT_PARAMS, delays=DEFAULT_PARAMS.delays.scaled(2.0)
-        )
-        # A delay-only change leaves every non-delay slice equal ...
-        aspects = stage_reads("queueing")
-        assert param_slice(DEFAULT_PARAMS, aspects) == param_slice(
-            delay_change, aspects
-        )
-        # ... and changes the slice the delays stage reads.
-        aspects = stage_reads("critical")
-        assert param_slice(DEFAULT_PARAMS, aspects) != param_slice(
-            delay_change, aspects
-        )
+        monkeypatch.setattr(ArtifactCache, "stage", recorded)
+        circuit = build_ft("ham3")
+        StagedPipeline(cache=ArtifactCache()).run(circuit, DEFAULT_PARAMS)
+        fp = repr(circuit.content_fingerprint())
+        assert keys == {
+            "iig": fp,
+            "zones": fp,
+            "ham": f"({fp}, True)",
+            "uncong": f"({fp}, True, (('qubit_speed', 0.001),))",
+            "coverage": "(3, 60, 60, 3.0, 20)",
+            "queueing": (
+                f"({fp}, True, 20, True, 'mm1', (('fabric', 60, 60), "
+                "('qubit_speed', 0.001), ('channel_capacity', 5)))"
+            ),
+        }
 
 
 class TestCacheStageAccess:
@@ -450,8 +449,6 @@ class TestModelStep:
         assert _stage_counts(cache, "iig") == (2, 0)
 
     def test_cacheless_runs_build_no_keys(self, adder_ft, monkeypatch):
-        import repro.core.pipeline as pipeline_module
-
         calls = []
         fingerprint = Circuit.content_fingerprint
 
@@ -459,15 +456,31 @@ class TestModelStep:
             calls.append(1)
             return fingerprint(circuit)
 
+        stage = StagedPipeline._stage
+        staged = []
+
+        def keyless(pipeline, name, key, builder):
+            staged.append(name)
+            return stage(
+                pipeline, name,
+                lambda: pytest.fail(f"{name} key built without a cache"),
+                builder,
+            )
+
         monkeypatch.setattr(Circuit, "content_fingerprint", counted)
-        monkeypatch.setattr(
-            pipeline_module, "param_slice",
-            lambda *_: pytest.fail("a stage key was built without a cache"),
-        )
+        monkeypatch.setattr(StagedPipeline, "_stage", keyless)
         StagedPipeline(cache=None).run(adder_ft, DEFAULT_PARAMS)
+        assert {"zones", "uncong", "queueing"} <= set(staged)
         assert calls == [1]  # the run's content hash, taken once
         estimate_stream(stream_table(adder_ft.table(), 64), DEFAULT_PARAMS)
         assert calls == [1]  # a chunk stream is never hashed
+
+    def test_empty_stream_matches_run(self):
+        # No gates spilled: the stream maps no (empty) column file.
+        empty = Circuit(3)
+        streamed = estimate_stream(stream_table(empty.table(), 4),
+                                   DEFAULT_PARAMS)
+        _same_fields(streamed, StagedPipeline().run(empty, DEFAULT_PARAMS))
 
     def test_foreign_iig_rejected(self, tiny_ft_circuit, adder_ft):
         foreign = build_iig(adder_ft)
