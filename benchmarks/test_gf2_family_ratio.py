@@ -15,12 +15,15 @@ the ops ratio, a negative control documented in EXPERIMENTS.md.  Under
 (gf2^128mult -> gf2^256mult).
 
 Asserted shape: on the crowding pair, the mapper's runtime ratio exceeds
-LEQA's.
+LEQA's.  Each of the pair's four (circuit, tool) cells is the median of
+``REPEATS`` interleaved rounds: one wall-time sample per cell cannot
+resolve ratios that differ by well under 2x on a shared host.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.analysis.report import format_table
@@ -32,6 +35,9 @@ from repro.qspr.mapper import QSPRMapper
 
 from _common import calibrated_params
 
+#: Interleaved timing rounds per cell of the asserted pair.
+REPEATS = 3
+
 
 def _measure(circuit: Circuit, estimator, mapper):
     started = time.perf_counter()
@@ -40,7 +46,26 @@ def _measure(circuit: Circuit, estimator, mapper):
     started = time.perf_counter()
     estimator.estimate(circuit)
     leqa_elapsed = time.perf_counter() - started
-    return len(circuit), mapper_elapsed, leqa_elapsed
+    return mapper_elapsed, leqa_elapsed
+
+
+def _median_cells(circuits, estimator, mapper, repeats):
+    """``(name, ops, mapper s, LEQA s)`` per circuit, each time the median
+    over ``repeats`` rounds; every round times every circuit, so drift in
+    the host's load reaches all cells alike."""
+    samples = {name: [] for name, _ in circuits}
+    for _ in range(repeats):
+        for name, circuit in circuits:
+            samples[name].append(_measure(circuit, estimator, mapper))
+    return [
+        (
+            name,
+            len(circuit),
+            statistics.median(mapper_s for mapper_s, _ in samples[name]),
+            statistics.median(leqa_s for _, leqa_s in samples[name]),
+        )
+        for name, circuit in circuits
+    ]
 
 
 def test_family_runtime_ratio(benchmark):
@@ -62,16 +87,13 @@ def test_family_runtime_ratio(benchmark):
             ("gf2^32mult", synthesize_ft(gf2_multiplier(32))),
             ("gf2^64mult", synthesize_ft(gf2_multiplier(64))),
         ]
-    rows = []
-    measured = []
-    for name, circuit in pair + control:
-        ops, mapper_elapsed, leqa_elapsed = _measure(
-            circuit, estimator, mapper
-        )
-        measured.append((name, ops, mapper_elapsed, leqa_elapsed))
-        rows.append(
-            [name, ops, f"{mapper_elapsed:.3f}", f"{leqa_elapsed:.3f}"]
-        )
+    # The control is printed only, so one round of it suffices.
+    measured = _median_cells(pair, estimator, mapper, REPEATS)
+    measured += _median_cells(control, estimator, mapper, 1)
+    rows = [
+        [name, ops, f"{mapper_elapsed:.3f}", f"{leqa_elapsed:.3f}"]
+        for name, ops, mapper_elapsed, leqa_elapsed in measured
+    ]
     print()
     print(
         format_table(

@@ -15,7 +15,7 @@ slow.  This walkthrough runs the mapper with tracing enabled and digs in:
 Run:  python examples/trace_analysis.py
 """
 
-from repro import DEFAULT_PARAMS, QSPRMapper, build_ft
+from repro import DEFAULT_PARAMS, GateKind, QSPRMapper, build_ft
 from repro.analysis import congestion_heatmap, utilization_heatmap
 from repro.qodg import analyze_slack, build_qodg, critical_set_shift
 from repro.qspr import busiest_ulbs, qubit_travel
@@ -51,14 +51,11 @@ def main() -> None:
 
     # 3. How routing latencies reshape the critical path.
     qodg = build_qodg(circuit)
-    delays = params.delays.by_kind()
-
-    def without_routing(gate):
-        return delays[gate.kind]
-
-    def with_routing(gate):
-        extra = 800.0 if gate.is_two_qubit_ft else 200.0
-        return delays[gate.kind] + extra
+    without_routing = params.delays.by_kind()
+    with_routing = {
+        kind: delay + (800.0 if kind is GateKind.CNOT else 200.0)
+        for kind, delay in without_routing.items()
+    }
 
     shift = critical_set_shift(qodg, without_routing, with_routing)
     slack = analyze_slack(qodg, with_routing)

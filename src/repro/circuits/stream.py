@@ -518,7 +518,7 @@ def estimate_stream(
                 if profile is not None:
                     profile.add("ingest", len(table), sp.seconds)
         point = model_point(accumulator.finish(num_qubits), params, **options)
-        lut = kind_delay_lut(point.delay.kind_table)
+        lut = kind_delay_lut(point.delays)
         # The spilled kind column, read by both pass 2 and the
         # backtrack.  (An empty file cannot be mapped.)
         if op_count:

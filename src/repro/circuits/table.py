@@ -60,7 +60,6 @@ __all__ = [
     "TableBuilder",
     "table_from_gates",
     "lower_ft",
-    "expand_multi_controlled_table",
     "eliminate_swap_table",
     "eliminate_fredkin_table",
     "lower_toffoli_table",
@@ -1083,21 +1082,6 @@ class _McExpandCarry:
             qubit_names=tuple(self.names),
             name=table.name,
         )
-
-
-def expand_multi_controlled_table(
-    table: GateTable, share_ancillas: bool = False
-) -> GateTable:
-    """Lower MCT/MCF rows to 3-input Toffoli and Fredkin rows.
-
-    Mirrors :func:`repro.circuits.decompose.expand_multi_controlled`
-    gate for gate, including the ancilla naming/pooling discipline, so
-    the output register and gate stream are bitwise-identical to the
-    object pass.  Tables without multi-controlled rows pass through
-    unchanged (the common case for the gf2/adder families).
-    """
-    carry = _McExpandCarry(table.qubit_names, share_ancillas)
-    return carry.expand_chunk(table)
 
 
 def eliminate_swap_table(table: GateTable) -> GateTable:

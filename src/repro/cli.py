@@ -27,7 +27,9 @@ Subcommands
     List the workload families (named parameterized scenario ensembles,
     :mod:`repro.workloads`), enumerate one family's members, or — with
     ``--run`` — sweep every member through the engine: each member's FT
-    netlist is lowered exactly once via the cache's keyed ``ft`` stage.
+    netlist is lowered exactly once via the cache's keyed ``ft`` stage,
+    and the "cache reuse" lines count builds and reuses per stage, as
+    ``sweep``'s do.
 
 ``serve`` / ``submit`` / ``status`` / ``result``
     The estimation service (:mod:`repro.service`): ``serve`` runs a
@@ -343,7 +345,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "name, enumerate its members; add --run to sweep every "
             "member through the execution engine with the shared "
             "artifact cache (each member's FT netlist is lowered exactly "
-            "once)."
+            "once; the 'cache reuse' lines count builds and reuses per "
+            "stage)."
         ),
     )
     workloads.add_argument(
@@ -890,17 +893,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "own cache"
             )
         return 1 if failures else 0
-    stats = runner.cache.stats()
-    reuse = []
-    for stage in STAGE_NAMES:
-        built, hits = stats.miss_count(stage), stats.hit_count(stage)
-        loaded = stats.store_hit_count(stage)
-        if built or hits or loaded:
-            entry = f"{stage} x{built} built / x{hits} reused"
-            if loaded:
-                entry += f" / x{loaded} from store"
-            reuse.append(entry)
-    print("cache reuse        " + ("\n" + " " * 19).join(reuse))
+    _print_cache_reuse(runner.cache.stats())
     if args.cache_stats:
         # Counts come from the unified obs registry (snapshot delta over
         # this sweep), the same stream both cache tiers increment — the
@@ -923,6 +916,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{store_hits:>7} {evicted:>9}"
             )
     return 1 if failures else 0
+
+
+def _print_cache_reuse(stats) -> None:
+    """One ``stage xN built / xM reused [/ xK from store]`` line per
+    cached stage the run touched."""
+    reuse = []
+    for stage in STAGE_NAMES:
+        built, hits = stats.miss_count(stage), stats.hit_count(stage)
+        loaded = stats.store_hit_count(stage)
+        if built or hits or loaded:
+            entry = f"{stage} x{built} built / x{hits} reused"
+            if loaded:
+                entry += f" / x{loaded} from store"
+            reuse.append(entry)
+    print("cache reuse        " + ("\n" + " " * 19).join(reuse))
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
@@ -1026,12 +1034,8 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
             f"{format_scientific(point.result.latency_seconds):<14} "
             f"{point.result.elapsed_seconds:<10.3f}"
         )
-    stats = runner.cache.stats()
-    print(
-        f"\nsweep wall time    {wall:.3f} s; cache reuse: "
-        f"ft x{stats.miss_count('ft')} built / x{stats.hit_count('ft')} "
-        "reused"
-    )
+    print(f"\nsweep wall time    {wall:.3f} s")
+    _print_cache_reuse(runner.cache.stats())
     return 1 if failures else 0
 
 

@@ -25,7 +25,9 @@ numpy-vectorized stage graph of :mod:`repro.core.pipeline`
 (``vectorized=True``); the scalar per-qubit methods on
 :class:`LEQAEstimator` remain the paper-faithful **reference oracle**
 (``vectorized=False``), and property tests assert both paths agree to
-1e-9 on random circuits.  Passing a ``cache``
+1e-9 on random circuits.  Both hand step 6 the same kind→delay table
+(:meth:`LEQAEstimator.node_delay`): Eq. 1 sets a node's delay by its
+gate kind alone.  Passing a ``cache``
 (:class:`~repro.engine.cache.ArtifactCache`) memoizes every pipeline
 stage under parameter-aware keys, so repeated estimates across a sweep
 skip all stages whose parameter slice did not change.
@@ -35,14 +37,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate
+from ..circuits.gates import GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import DEFAULT_PARAMS, PhysicalParams
-from ..qodg.critical_path import CriticalPathResult, critical_path
-from ..qodg.graph import QODG
+from ..qodg.critical_path import CriticalPathResult
 from ..qodg.iig import IIG, build_iig
 from ..qodg.sweep import sweep_critical_path
 from .coverage import (
@@ -263,14 +263,13 @@ class LEQAEstimator:
             return 0.0, tuple(surfaces)
         return weighted / total_surface, tuple(surfaces)
 
-    def node_delay(self, l_avg_cnot: float) -> Callable[[Gate], float]:
-        """Per-gate delay callable for the routing-aware critical path.
+    def node_delay(self, l_avg_cnot: float) -> dict[GateKind, float]:
+        """Kind→delay table of the routing-aware critical path (Eq. 1).
 
         CNOT nodes cost ``d_CNOT + L_CNOT^avg``; one-qubit nodes cost
-        ``d_g + 2 T_move``.  The routing additions are folded into a
-        per-kind table once so the per-gate call is a single lookup.
-        Delegates to the pipeline's shared table builder so the scalar
-        oracle and the vectorized stage graph apply one rule.
+        ``d_g + 2 T_move``.  Delegates to the pipeline's shared table
+        builder so the scalar oracle and the vectorized stage graph apply
+        one rule.
         """
         from .pipeline import node_delay
 
@@ -284,8 +283,7 @@ class LEQAEstimator:
         """Estimate the latency of an FT circuit (Algorithm 1).
 
         Uses the single-pass critical-path sweep, which is equivalent to
-        (but faster than) materializing the QODG; use
-        :meth:`estimate_qodg` to run against an explicit graph.
+        (but faster than) materializing the QODG.
 
         ``iig`` accepts a prebuilt interaction graph of the same circuit
         (a register mismatch raises), skipping line 1 of the algorithm;
@@ -296,44 +294,28 @@ class LEQAEstimator:
             return self.pipeline().run(
                 circuit, self._params, iig=iig, started=started
             )
-        if iig is None:
-            iig = build_iig(circuit)
-        return self._run(circuit, iig, started, qodg=None)
-
-    def estimate_qodg(self, qodg: QODG, iig: IIG | None = None) -> LatencyEstimate:
-        """Estimate from a prebuilt QODG (and optionally a prebuilt IIG)."""
-        started = time.perf_counter()
-        if self._vectorized:
-            return self.pipeline().run(
-                qodg.circuit, self._params, iig=iig, qodg=qodg, started=started
-            )
-        if iig is None:
-            iig = build_iig(qodg.circuit)
-        return self._run(qodg.circuit, iig, started, qodg=qodg)
+        return self._run(circuit, iig, started)
 
     def _run(
-        self,
-        circuit: Circuit,
-        iig: IIG,
-        started: float,
-        qodg: QODG | None,
+        self, circuit: Circuit, iig: IIG | None, started: float
     ) -> LatencyEstimate:
         # Scalar reference path (vectorized=False): the paper's Algorithm 1
         # with per-qubit Python loops, kept as the oracle the vectorized
-        # stage graph is property-tested against.
-        from .pipeline import require_iig_of
+        # stage graph is property-tested against.  It rejects what the
+        # pipeline rejects, with the same errors.
+        from .pipeline import require_ft, require_iig_of
 
+        require_ft(circuit.table().kind)
         require_iig_of(circuit, iig)
+        if iig is None:
+            iig = build_iig(circuit)
         zones = compute_zones(iig)                       # lines 1-3
         d_uncong = self.uncongested_latency(zones)       # lines 4-8
         l_avg_cnot, surfaces = self.average_cnot_latency(  # lines 9-18
             circuit.num_qubits, zones, d_uncong
         )
-        delay = self.node_delay(l_avg_cnot)              # lines 19-20
-        if qodg is None:
-            result = sweep_critical_path(circuit, delay)
-        else:
-            result = critical_path(qodg, delay)
+        delays = self.node_delay(l_avg_cnot)             # lines 19-20
+        result = sweep_critical_path(circuit, delays)
         elapsed = time.perf_counter() - started
         return LatencyEstimate(
             latency=result.length,

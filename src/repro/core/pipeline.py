@@ -60,17 +60,15 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import FT_KINDS, Gate, GateKind
+from ..circuits.gates import FT_KINDS, GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
 from ..obs import span as obs_span
 from ..qodg.critical_path import (
     CriticalPathResult,
-    critical_path,
     first_missing_kind,
     kind_delay_lut,
 )
-from ..qodg.graph import QODG
 from ..qodg.iig import IIG, build_iig
 from ..qodg.sweep import sweep_critical_path, sweep_critical_path_lengths
 from .coverage import (
@@ -186,28 +184,15 @@ def _not_ft_error(kind: GateKind) -> EstimationError:
 
 def node_delay(
     params: PhysicalParams, l_avg_cnot: float
-) -> Callable[[Gate], float]:
-    """Per-gate node delays of Eq. 1: ``d_CNOT + L_CNOT^avg`` for CNOTs,
-    ``d_g + 2 T_move`` for one-qubit kinds; any other kind raises.
-
-    The callable carries its per-kind ``kind_table``, so the critical
-    path resolves every node delay with one gather over the kind column.
-    """
+) -> dict[GateKind, float]:
+    """Node delays of Eq. 1, per FT kind: ``d_CNOT + L_CNOT^avg`` for
+    CNOTs, ``d_g + 2 T_move`` for one-qubit kinds."""
     one_qubit_routing = params.one_qubit_routing_latency
-    table = {
+    return {
         kind: base + (l_avg_cnot if kind is GateKind.CNOT
                       else one_qubit_routing)
         for kind, base in params.delays.by_kind().items()
     }
-
-    def delay(gate: Gate) -> float:
-        try:
-            return table[gate.kind]
-        except KeyError:
-            raise _not_ft_error(gate.kind) from None
-
-    delay.kind_table = table
-    return delay
 
 
 #: Zero at every FT kind's code, NaN elsewhere (see :func:`require_ft`).
@@ -235,14 +220,15 @@ def require_iig_of(circuit: Circuit, iig: IIG | None) -> None:
 class ModelPoint:
     """Algorithm 1 up to the critical path, at one parameter point:
     zones, ``d_uncong``, ``L_CNOT^avg``, ``L_g^avg``, the ``E[S_q]``
-    series and the node-delay callable of Eq. 1."""
+    series and Eq. 1's node delays as one kind→delay table (a node's
+    delay depends on its gate kind alone)."""
 
     zones: ZoneArrays
     d_uncong: float
     l_avg_cnot: float
     l_avg_one_qubit: float
     surfaces: tuple[float, ...]
-    delay: Callable[[Gate], float]
+    delays: dict[GateKind, float]
 
     def estimate(
         self, critical: CriticalPathResult, op_count: int, started: float
@@ -433,7 +419,6 @@ class StagedPipeline:
         circuit: Circuit,
         params: PhysicalParams,
         iig: IIG | None = None,
-        qodg: QODG | None = None,
         started: float | None = None,
     ) -> LatencyEstimate:
         """Evaluate one parameter point, with the full critical path.
@@ -460,10 +445,7 @@ class StagedPipeline:
             metric="pipeline.stage.seconds",
             stage="critical",
         ):
-            if qodg is not None:
-                result = critical_path(qodg, point.delay)
-            else:
-                result = sweep_critical_path(circuit, point.delay)
+            result = sweep_critical_path(circuit, point.delays)
         return point.estimate(result, len(circuit), started)
 
     def sweep(
@@ -499,7 +481,7 @@ class StagedPipeline:
         zones = self._zones(circuit, ident, iig)
         points = [self._point(ident, zones, params) for params in grid]
         delays = np.stack(
-            [kind_delay_lut(point.delay.kind_table) for point in points],
+            [kind_delay_lut(point.delays) for point in points],
             axis=1,
         )
         lengths = sweep_critical_path_lengths(gates, delays)

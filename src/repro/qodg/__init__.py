@@ -1,6 +1,6 @@
 """Dependency-graph layer: QODG, critical path, and the IIG."""
 
-from .critical_path import CriticalPathResult, critical_path, delays_from_mapping
+from .critical_path import CriticalPathResult, critical_path
 from .graph import QODG, QODGArrays, build_qodg
 from .iig import IIG, IIGArrays, build_iig
 from .slack import SlackAnalysis, analyze_slack, critical_set_shift
@@ -19,7 +19,6 @@ __all__ = [
     "build_qodg",
     "CriticalPathResult",
     "critical_path",
-    "delays_from_mapping",
     "IIG",
     "IIGArrays",
     "build_iig",

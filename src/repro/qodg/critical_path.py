@@ -4,6 +4,9 @@ The latency model of the paper's Equation (1) needs, for the *mapped*
 QODG (operation delays augmented with average routing latencies), the
 longest start-to-end path and the per-gate-kind operation counts along it:
 ``N_CNOT^critical`` and ``N_g^critical`` for each one-qubit FT kind ``g``.
+A node's delay depends on its gate kind alone, so node delays enter as one
+kind→delay table, resolved for every node by one gather over the circuit's
+kind column.
 
 Because QODG node ids are already a topological order, the longest path is
 a single O(V + E) sweep (the DAG algorithm the paper's supplement cites
@@ -13,19 +16,18 @@ from Cormen et al., chapter 24).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import KIND_CODES, KINDS_BY_CODE, Gate, GateKind
+from ..circuits.gates import KIND_CODES, KINDS_BY_CODE, GateKind
 from ..exceptions import GraphError
 from .graph import QODG
 
 __all__ = [
     "CriticalPathResult",
     "critical_path",
-    "delays_from_mapping",
     "first_missing_kind",
     "kind_delay_lut",
     "path_result",
@@ -110,82 +112,48 @@ def first_missing_kind(lut: np.ndarray, codes: np.ndarray) -> GateKind | None:
 
 
 def resolve_node_delays(
-    circuit: Circuit, delay: Callable[[Gate], float]
+    circuit: Circuit, delays: Mapping[GateKind, float]
 ) -> list[float]:
-    """Every gate's node delay, in program order.
-
-    A per-kind delay callable (it carries a ``kind_table``, as
-    :func:`delays_from_mapping` and the pipeline's node-delay callables
-    do) resolves through one gather over the circuit's kind column, with
-    no Gate objects.  Any other callable — or a kind table that lacks a
-    kind, so that the callable raises its own error at the first
-    offending gate — is called once per gate.
+    """Every gate's node delay, in program order: one gather of the
+    kind→delay table over the circuit's kind column, with no Gate
+    objects.
 
     Raises
     ------
     GraphError
-        At the first gate, in program order, whose delay is negative.
+        If a kind the circuit uses has no delay, or at the first gate, in
+        program order, whose delay is negative.
     """
-    kind_table = getattr(delay, "kind_table", None)
-    if kind_table is not None:
-        table = circuit.table()
-        resolved = kind_delay_lut(kind_table)[table.kind]
-        if not np.isnan(resolved).any():
-            if resolved.size and float(resolved.min()) < 0:
-                offender = int(np.argmax(resolved < 0))
-                raise GraphError(
-                    f"negative delay {resolved[offender]} for gate "
-                    f"{table.gate(offender)}"
-                )
-            return resolved.tolist()
-    delays: list[float] = []
-    for gate in circuit.gates:
-        gate_delay = delay(gate)
-        if gate_delay < 0:
-            raise GraphError(f"negative delay {gate_delay} for gate {gate}")
-        delays.append(gate_delay)
-    return delays
-
-
-def delays_from_mapping(
-    delay_by_kind: Mapping[GateKind, float],
-) -> Callable[[Gate], float]:
-    """Adapt a kind→delay mapping into the per-gate callable
-    :func:`critical_path` expects.
-
-    Raises
-    ------
-    GraphError
-        At lookup time, if a gate kind is missing from the mapping.
-    """
-
-    def delay(gate: Gate) -> float:
-        try:
-            return float(delay_by_kind[gate.kind])
-        except KeyError:
-            raise GraphError(
-                f"no delay registered for gate kind {gate.kind.value!r}"
-            ) from None
-
-    # Expose the mapping so resolve_node_delays can gather every node
-    # delay from the circuit's kind column.
-    delay.kind_table = dict(delay_by_kind)
-    return delay
+    table = circuit.table()
+    lut = kind_delay_lut(delays)
+    missing = first_missing_kind(lut, table.kind)
+    if missing is not None:
+        raise GraphError(
+            f"no delay registered for gate kind {missing.value!r}"
+        )
+    resolved = lut[table.kind]
+    if resolved.size and float(resolved.min()) < 0:
+        offender = int(np.argmax(resolved < 0))
+        raise GraphError(
+            f"negative delay {resolved[offender]} for gate "
+            f"{table.gate(offender)}"
+        )
+    return resolved.tolist()
 
 
 def critical_path(
-    qodg: QODG, delay: Callable[[Gate], float]
+    qodg: QODG, delays: Mapping[GateKind, float]
 ) -> CriticalPathResult:
-    """Longest start-to-end path of the QODG under per-gate delays.
+    """Longest start-to-end path of the QODG under per-kind node delays.
 
     Parameters
     ----------
     qodg:
         The dependency graph.
-    delay:
-        Callable mapping each :class:`Gate` to its node delay (operation
-        delay plus, in LEQA's usage, the average routing latency of its
-        kind).  Start and end nodes have zero delay.
+    delays:
+        Node delay of each :class:`GateKind` the circuit uses (operation
+        delay plus, in LEQA's usage, the average routing latency of the
+        kind, as Eq. 1 has it).  Start and end nodes have zero delay.
 
     Returns
     -------
@@ -203,7 +171,7 @@ def critical_path(
     # dist[node] = longest path length ending at (and including) node.
     dist = [0.0] * (num_ops + 2)
     best_pred = [-1] * (num_ops + 2)
-    node_delays = resolve_node_delays(qodg.circuit, delay)
+    node_delays = resolve_node_delays(qodg.circuit, delays)
     # Hot path: read the adjacency lists directly rather than through the
     # bounds-checked accessor (this loop dominates LEQA's runtime).
     all_preds, _ = qodg._lists()

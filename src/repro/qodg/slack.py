@@ -6,7 +6,9 @@ LEQA adds `L^avg` terms to node delays *before* taking the critical path.
 This module quantifies that effect: ASAP/ALAP times and per-node slack
 under a given delay assignment, plus a helper that reports which
 operations join or leave the zero-slack (critical) set when routing
-latencies are added.
+latencies are added.  As for the critical path, node delays are one
+kind→delay table, resolved over the circuit's kind column without
+materializing a Gate.
 
 All passes are O(V + E) sweeps over the topologically ordered QODG.
 """
@@ -14,10 +16,10 @@ All passes are O(V + E) sweeps over the topologically ordered QODG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
-from ..circuits.gates import Gate
-from ..exceptions import GraphError
+from ..circuits.gates import GateKind
+from .critical_path import resolve_node_delays
 from .graph import QODG
 
 __all__ = ["SlackAnalysis", "analyze_slack", "critical_set_shift"]
@@ -55,7 +57,7 @@ class SlackAnalysis:
 
 
 def analyze_slack(
-    qodg: QODG, delay: Callable[[Gate], float]
+    qodg: QODG, delays: Mapping[GateKind, float]
 ) -> SlackAnalysis:
     """Compute ASAP/ALAP times and slack for every operation node.
 
@@ -63,18 +65,12 @@ def analyze_slack(
     ----------
     qodg:
         The dependency graph.
-    delay:
-        Per-gate delay callable (same contract as
+    delays:
+        Node delay of each gate kind (same contract as
         :func:`repro.qodg.critical_path.critical_path`).
     """
     num_ops = qodg.num_ops
-    gates = qodg.circuit.gates
-    durations = [float(delay(gates[node])) for node in range(num_ops)]
-    for node, duration in enumerate(durations):
-        if duration < 0:
-            raise GraphError(
-                f"negative delay {duration} for gate {gates[node]}"
-            )
+    durations = resolve_node_delays(qodg.circuit, delays)
     # Both sweeps read the CSR (structure-of-arrays) core: flat index
     # ranges instead of per-node tuple-allocating accessors.
     csr = qodg.csr()
@@ -121,20 +117,23 @@ def analyze_slack(
 
 def critical_set_shift(
     qodg: QODG,
-    delay_without_routing: Callable[[Gate], float],
-    delay_with_routing: Callable[[Gate], float],
+    before: Mapping[GateKind, float],
+    after: Mapping[GateKind, float],
 ) -> dict[str, tuple[int, ...]]:
     """How the zero-slack set changes when routing latencies are added.
+
+    ``before`` and ``after`` are kind→delay tables: the operation delays
+    alone, and with each kind's routing latency added.
 
     Returns a dict with three node tuples: ``"joined"`` (critical only
     with routing), ``"left"`` (critical only without) and ``"stable"``
     (critical in both) — a direct illustration of the paper's remark that
     the mapped QODG's critical path may differ from the original's.
     """
-    before = set(analyze_slack(qodg, delay_without_routing).critical_nodes())
-    after = set(analyze_slack(qodg, delay_with_routing).critical_nodes())
+    unrouted = set(analyze_slack(qodg, before).critical_nodes())
+    routed = set(analyze_slack(qodg, after).critical_nodes())
     return {
-        "joined": tuple(sorted(after - before)),
-        "left": tuple(sorted(before - after)),
-        "stable": tuple(sorted(before & after)),
+        "joined": tuple(sorted(routed - unrouted)),
+        "left": tuple(sorted(unrouted - routed)),
+        "stable": tuple(sorted(unrouted & routed)),
     }

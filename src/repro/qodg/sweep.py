@@ -21,7 +21,9 @@ predecessors into a :class:`CriticalPathResult`.
 circuit; :func:`repro.circuits.stream.estimate_stream` feeds it one
 spilled chunk at a time.  Both return the same result as
 :func:`repro.qodg.critical_path.critical_path`; only tie-breaking between
-equally long paths may differ.
+equally long paths may differ.  Node delays enter as one kind→delay table
+(Eq. 1 sets a node's delay by its gate kind alone), gathered over the kind
+column, and only one- and two-qubit gates are accepted — the FT gate set.
 
 Parameter sweeps add a second shape of demand: the *same* circuit under
 *many* per-kind delay tables (a Table-1 sensitivity grid, a fabric-size
@@ -38,22 +40,20 @@ equal to it (same IEEE operations in the same order).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import KINDS_BY_CODE, Gate
+from ..circuits.gates import KINDS_BY_CODE, GateKind
 from ..circuits.table import GateTable
 from ..exceptions import GraphError
 from .critical_path import (
     CriticalPathResult,
-    critical_path,
     first_missing_kind,
     path_result,
     resolve_node_delays,
 )
-from .graph import build_qodg
 
 __all__ = [
     "CriticalPathCarry",
@@ -62,6 +62,20 @@ __all__ = [
     "sweep_critical_path",
     "sweep_critical_path_lengths",
 ]
+
+
+def _require_two_operands(table: GateTable) -> None:
+    """Reject a gate over more than two qubits: the recurrence reads
+    operand pairs (the FT gate set, the only one the estimator accepts,
+    is all one- and two-qubit gates)."""
+    arities = table.arities()
+    if len(arities) and int(arities.max()) > 2:
+        offender = int(np.argmax(arities > 2))
+        raise GraphError(
+            f"the critical-path sweep supports one- and two-qubit gates "
+            f"only; gate kind {table.gate_kind(offender).value!r} touches "
+            f"{int(arities[offender])} qubits (run FT synthesis first)"
+        )
 
 
 def sweep_critical_path_lengths(
@@ -84,16 +98,15 @@ def sweep_critical_path_lengths(
     -------
     numpy.ndarray
         ``points`` lengths; entry ``p`` is bitwise equal to
-        ``sweep_critical_path(circuit, delay_p).length`` for the delay
-        callable described by column ``p``.
+        ``sweep_critical_path(circuit, delays_p).length`` for the
+        kind→delay table described by column ``p``.
 
     Raises
     ------
     GraphError
         If ``delays`` has the wrong shape or a negative entry, a kind the
         table uses has no delay, or a gate touches more than two qubits
-        (the FT gate set — the only one the estimator accepts — is all
-        one- and two-qubit gates; decompose first).
+        (decompose first).
     """
     matrix = np.ascontiguousarray(delays, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != len(KINDS_BY_CODE):
@@ -103,14 +116,7 @@ def sweep_critical_path_lengths(
         )
     if (matrix < 0).any():
         raise GraphError("negative delay in batched critical-path tables")
-    arities = table.arities()
-    if len(arities) and int(arities.max()) > 2:
-        offender = int(np.argmax(arities > 2))
-        raise GraphError(
-            f"sweep_critical_path_lengths supports one- and two-qubit gates "
-            f"only; gate kind {table.gate_kind(offender).value!r} touches "
-            f"{int(arities[offender])} qubits (run FT synthesis first)"
-        )
+    _require_two_operands(table)
     missing = first_missing_kind(matrix, table.kind)
     if missing is not None:
         raise GraphError(f"no delay for gate kind {missing.value!r}")
@@ -237,26 +243,30 @@ def backtrack(
 
 
 def sweep_critical_path(
-    circuit: Circuit, delay: Callable[[Gate], float]
+    circuit: Circuit, delays: Mapping[GateKind, float]
 ) -> CriticalPathResult:
     """Longest dependency-chain latency of a circuit in one pass.
 
     Equivalent to building the QODG and running
-    :func:`repro.qodg.critical_path.critical_path`, without constructing
-    the graph.  See that function for the result contract.
+    :func:`repro.qodg.critical_path.critical_path` under the same
+    kind→delay table, without constructing the graph.  See that function
+    for the result contract.
 
-    Node delays resolve once (a gather over the kind column for per-kind
-    delay callables, see
+    Node delays resolve in one gather over the kind column (see
     :func:`~repro.qodg.critical_path.resolve_node_delays`), then the
     whole circuit runs through :func:`critical_path_chunk` as one chunk.
-    Circuits with gates over more than two qubits (pre-synthesis
-    netlists) go through the graph pass itself.
+
+    Raises
+    ------
+    GraphError
+        As :func:`sweep_critical_path_lengths` does, for a gate over more
+        than two qubits, and as ``resolve_node_delays`` does for a
+        missing or negative delay.
     """
     table = circuit.table()
-    if table.max_operands() > 2:
-        return critical_path(build_qodg(circuit), delay)
-    delays = resolve_node_delays(circuit, delay)
+    _require_two_operands(table)
+    node_delays = resolve_node_delays(circuit, delays)
     o0, o1 = table.operand_pairs()
     carry = CriticalPathCarry(circuit.num_qubits)
-    preds = critical_path_chunk(o0.tolist(), o1.tolist(), delays, carry)
+    preds = critical_path_chunk(o0.tolist(), o1.tolist(), node_delays, carry)
     return backtrack(carry, preds, table.kind)

@@ -241,7 +241,7 @@ def _alap_order(circuit: Circuit, delays: dict) -> list[int]:
     from ..qodg.slack import analyze_slack
 
     qodg = build_qodg(circuit)
-    analysis = analyze_slack(qodg, lambda g: delays[g.kind])
+    analysis = analyze_slack(qodg, delays)
     indegree = qodg.csr().op_indegrees().tolist()
     alap_start = analysis.alap_start
     heap = [

@@ -399,6 +399,20 @@ class TestStatsAndTraceVerbs:
         assert all("seconds" in span and "name" in span for span in spans)
 
 
+class TestWorkloads:
+    def test_run_reports_reuse_per_stage(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "workloads", "gf2", "--run", "--set", "n_max=8"
+        )
+        assert code == 0
+        assert "gf2(n=4)" in out and "gf2(n=8)" in out
+        # Every cached stage the members touched gets its own line, not
+        # just the FT netlist: two distinct members build two of each.
+        assert "ft x2 built / x0 reused" in out
+        assert "zones x2 built / x0 reused" in out
+        assert "queueing x2 built / x0 reused" in out
+
+
 class TestBenchmarks:
     def test_lists_registry(self, capsys):
         code, out, _ = run_cli(capsys, "benchmarks")

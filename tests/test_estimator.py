@@ -180,15 +180,17 @@ class TestValidation:
         with pytest.raises(EstimationError, match="not an FT operation"):
             LEQAEstimator(params=unit_delay_params).estimate(circuit)
 
-    def test_estimate_qodg_entry_point(self, unit_delay_params):
+    def test_graph_oracle_matches_estimate(self, unit_delay_params):
+        from repro.qodg.critical_path import critical_path
         from repro.qodg.graph import build_qodg
 
         circuit = ham3()
-        direct = LEQAEstimator(params=unit_delay_params).estimate(circuit)
-        via_qodg = LEQAEstimator(params=unit_delay_params).estimate_qodg(
-            build_qodg(circuit)
+        estimator = LEQAEstimator(params=unit_delay_params)
+        direct = estimator.estimate(circuit)
+        via_qodg = critical_path(
+            build_qodg(circuit), estimator.node_delay(direct.l_avg_cnot)
         )
-        assert via_qodg.latency == pytest.approx(direct.latency)
+        assert via_qodg.length == pytest.approx(direct.latency)
 
     def test_convenience_wrapper_matches_class(self, unit_delay_params):
         circuit = ham3()

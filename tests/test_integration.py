@@ -87,9 +87,7 @@ class TestModelConsistency:
         delays = DEFAULT_PARAMS.delays.by_kind()
         for name, (_, estimate) in paired_results.items():
             circuit = build_ft(name)
-            floor = critical_path(
-                build_qodg(circuit), lambda g: delays[g.kind]
-            ).length
+            floor = critical_path(build_qodg(circuit), delays).length
             assert estimate.latency > floor
 
     def test_mapper_latency_also_above_floor(self, paired_results):
@@ -99,9 +97,7 @@ class TestModelConsistency:
         delays = DEFAULT_PARAMS.delays.by_kind()
         for name, (actual, _) in paired_results.items():
             circuit = build_ft(name)
-            floor = critical_path(
-                build_qodg(circuit), lambda g: delays[g.kind]
-            ).length
+            floor = critical_path(build_qodg(circuit), delays).length
             assert actual.latency >= floor
 
     def test_shared_parser_invariant(self):

@@ -69,9 +69,7 @@ class TestMapping:
         from repro.qodg.graph import build_qodg
 
         delays = params.delays.by_kind()
-        floor = critical_path(
-            build_qodg(adder_ft), lambda g: delays[g.kind]
-        ).length
+        floor = critical_path(build_qodg(adder_ft), delays).length
         result = QSPRMapper(params=params).map(adder_ft)
         assert result.latency >= floor
 

@@ -258,7 +258,9 @@ class TestBatchedCriticalPath:
         assert lengths.shape == (num_tables,)
         for column in range(num_tables):
             scalar = sweep_critical_path(
-                circuit, lambda g: delays[KIND_CODES[g.kind], column]
+                circuit,
+                {kind: delays[code, column]
+                 for kind, code in KIND_CODES.items()},
             )
             assert scalar.length == lengths[column]
 
@@ -523,19 +525,18 @@ class TestEarlyFtRejection:
 
     @pytest.fixture
     def tripwires(self, monkeypatch):
+        import repro.core.estimator as estimator_module
         import repro.core.pipeline as pipeline_module
         import repro.engine.cache as cache_module
         import repro.qodg.graph as graph_module
-        import repro.qodg.sweep as sweep_module
 
         def tripped(*_args, **_kwargs):
             raise AssertionError("a model stage ran before the FT check")
 
         monkeypatch.setattr(ZoneArrays, "from_iig", tripped)
-        for module in (pipeline_module, cache_module):
+        for module in (pipeline_module, cache_module, estimator_module):
             monkeypatch.setattr(module, "build_iig", tripped)
-        for module in (graph_module, sweep_module):
-            monkeypatch.setattr(module, "build_qodg", tripped)
+        monkeypatch.setattr(graph_module, "build_qodg", tripped)
 
     def test_every_entry_point_raises_first(self, tripwires):
         circuit = Circuit(3)
@@ -548,6 +549,8 @@ class TestEarlyFtRejection:
                 pipeline.run(circuit, DEFAULT_PARAMS)
             with pytest.raises(EstimationError, match=match):
                 pipeline.sweep(circuit, grid)
+        with pytest.raises(EstimationError, match=match):
+            LEQAEstimator(vectorized=False).estimate(circuit)
         for chunk_size in (1, len(circuit) + 10):
             with pytest.raises(EstimationError, match=match):
                 estimate_stream(

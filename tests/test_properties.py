@@ -7,6 +7,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.gates import GateKind
 from repro.circuits.generators import random_reversible
 from repro.circuits.simulate import simulate_basis
 from repro.core.coverage import (
@@ -150,7 +151,7 @@ def test_qodg_is_acyclic_and_consistent(num_qubits, gate_count, seed):
 def test_critical_path_bounded_by_total_and_max(num_qubits, gate_count, seed):
     circuit = random_reversible(num_qubits, gate_count, seed)
     qodg = build_qodg(circuit)
-    result = critical_path(qodg, lambda g: 1.0)
+    result = critical_path(qodg, dict.fromkeys(GateKind, 1.0))
     # The longest path is at least the deepest single-qubit chain and at
     # most the total gate count.
     assert 1.0 <= result.length <= gate_count

@@ -40,7 +40,9 @@ class TestParallelismProfile:
         for circuit in (ham3(), cnot_ladder(5, layers=2)):
             qodg = build_qodg(circuit)
             depth = len(parallelism_profile(qodg))
-            unit_length = critical_path(qodg, lambda g: 1.0).length
+            unit_length = critical_path(
+                qodg, dict.fromkeys(GateKind, 1.0)
+            ).length
             assert depth == int(unit_length)
 
 

@@ -6,21 +6,25 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import GateKind, cnot, h, t, x
+from repro.circuits.library import build_ft
 from repro.exceptions import GraphError
+from repro.fabric.params import DEFAULT_PARAMS
+from repro.fabric.tqa import TQA
 from repro.qodg.critical_path import critical_path
 from repro.qodg.graph import build_qodg
 from repro.qodg.slack import analyze_slack, critical_set_shift
+from repro.qspr.placement import row_major_placement
+from repro.qspr.scheduling import schedule_circuit
 
-
-def unit_delay(_gate):
-    return 1.0
+#: Every gate kind at delay 1.
+UNIT = dict.fromkeys(GateKind, 1.0)
 
 
 class TestAnalyzeSlack:
     def test_serial_chain_all_critical(self):
         circuit = Circuit(1)
         circuit.extend([h(0), t(0), x(0)])
-        analysis = analyze_slack(build_qodg(circuit), unit_delay)
+        analysis = analyze_slack(build_qodg(circuit), UNIT)
         assert analysis.makespan == 3.0
         assert analysis.slack == (0.0, 0.0, 0.0)
         assert analysis.asap_start == (0.0, 1.0, 2.0)
@@ -30,7 +34,7 @@ class TestAnalyzeSlack:
         # q0: h (1 op); q1: h,t,x (3 ops); join cnot(0,1).
         circuit = Circuit(2)
         circuit.extend([h(0), h(1), t(1), x(1), cnot(0, 1)])
-        analysis = analyze_slack(build_qodg(circuit), unit_delay)
+        analysis = analyze_slack(build_qodg(circuit), UNIT)
         assert analysis.makespan == 4.0
         # The lone h(0) can slide 2 time units.
         assert analysis.slack[0] == pytest.approx(2.0)
@@ -39,35 +43,46 @@ class TestAnalyzeSlack:
     def test_makespan_matches_critical_path(self, adder_ft):
         qodg = build_qodg(adder_ft)
 
-        def delay(gate):
-            return 5.0 if gate.kind is GateKind.CNOT else 2.0
+        delays = {**dict.fromkeys(GateKind, 2.0), GateKind.CNOT: 5.0}
 
-        analysis = analyze_slack(qodg, delay)
-        result = critical_path(qodg, delay)
+        analysis = analyze_slack(qodg, delays)
+        result = critical_path(qodg, delays)
         assert analysis.makespan == pytest.approx(result.length)
 
     def test_critical_path_nodes_have_zero_slack(self, adder_ft):
         qodg = build_qodg(adder_ft)
-        analysis = analyze_slack(qodg, unit_delay)
-        result = critical_path(qodg, unit_delay)
+        analysis = analyze_slack(qodg, UNIT)
+        result = critical_path(qodg, UNIT)
         critical = set(analysis.critical_nodes())
         for node in result.node_ids:
             assert node in critical
 
     def test_slack_non_negative(self, adder_ft):
-        analysis = analyze_slack(build_qodg(adder_ft), unit_delay)
+        analysis = analyze_slack(build_qodg(adder_ft), UNIT)
         assert all(s >= -1e-9 for s in analysis.slack)
 
     def test_empty_circuit(self):
-        analysis = analyze_slack(build_qodg(Circuit(2)), unit_delay)
+        analysis = analyze_slack(build_qodg(Circuit(2)), UNIT)
         assert analysis.makespan == 0.0
         assert analysis.slack == ()
 
     def test_negative_delay_rejected(self):
         circuit = Circuit(1)
         circuit.append(h(0))
-        with pytest.raises(GraphError):
-            analyze_slack(build_qodg(circuit), lambda g: -1.0)
+        with pytest.raises(GraphError, match="negative delay -1.0"):
+            analyze_slack(build_qodg(circuit), {GateKind.H: -1.0})
+
+    def test_table_backed_circuit_builds_no_gate_objects(self):
+        # Node delays gather over the kind column: neither the slack
+        # pass nor the ALAP visit order built on it materializes Gates.
+        circuit = build_ft("ham3")
+        assert circuit._gate_list is None
+        analyze_slack(build_qodg(circuit), DEFAULT_PARAMS.delays.by_kind())
+        placement = row_major_placement(
+            circuit.num_qubits, TQA(DEFAULT_PARAMS.fabric)
+        )
+        schedule_circuit(circuit, placement, DEFAULT_PARAMS, order="alap")
+        assert circuit._gate_list is None
 
 
 class TestCriticalSetShift:
@@ -81,11 +96,8 @@ class TestCriticalSetShift:
         circuit.extend([h(0), t(0), x(0), cnot(1, 2), cnot(2, 1)])
         qodg = build_qodg(circuit)
 
-        def without_routing(gate):
-            return 1.0
-
-        def with_routing(gate):
-            return 5.0 if gate.kind is GateKind.CNOT else 1.0
+        without_routing = UNIT
+        with_routing = {**UNIT, GateKind.CNOT: 5.0}
 
         shift = critical_set_shift(qodg, without_routing, with_routing)
         assert 3 in shift["joined"] and 4 in shift["joined"]
@@ -94,7 +106,7 @@ class TestCriticalSetShift:
 
     def test_no_shift_for_identical_delays(self, adder_ft):
         qodg = build_qodg(adder_ft)
-        shift = critical_set_shift(qodg, unit_delay, unit_delay)
+        shift = critical_set_shift(qodg, UNIT, UNIT)
         assert shift["joined"] == ()
         assert shift["left"] == ()
         assert len(shift["stable"]) > 0

@@ -8,22 +8,29 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import synthesize_ft
-from repro.circuits.gates import FT_KINDS, GateKind, cnot, h, swap, t, x
+from repro.circuits.gates import (
+    FT_KINDS,
+    GateKind,
+    cnot,
+    h,
+    swap,
+    t,
+    toffoli,
+    x,
+)
 from repro.circuits.generators import ham3, random_ft, random_reversible
 from repro.circuits.table import table_from_gates
 from repro.core.estimator import LEQAEstimator
-from repro.exceptions import EstimationError, GraphError
-from repro.qodg.critical_path import (
-    critical_path,
-    delays_from_mapping,
-    kind_delay_lut,
-)
+from repro.exceptions import GraphError
+from repro.qodg.critical_path import critical_path, kind_delay_lut
 from repro.qodg.graph import build_qodg
+from repro.qodg.slack import analyze_slack
 from repro.qodg.sweep import (
     CriticalPathCarry,
     backtrack,
     critical_path_chunk,
     sweep_critical_path,
+    sweep_critical_path_lengths,
 )
 
 #: Distinct per-kind delays so ties are rare.
@@ -36,93 +43,90 @@ RANDOM_DELAYS = {
     GateKind.TDG: 0.875,
 }
 
-
-def unit_delay(_gate):
-    return 1.0
+#: Every gate kind at delay 1.
+UNIT = dict.fromkeys(GateKind, 1.0)
 
 
 class TestSweepMatchesGraphPass:
     def test_empty_circuit(self):
-        result = sweep_critical_path(Circuit(3), unit_delay)
+        result = sweep_critical_path(Circuit(3), UNIT)
         assert result.length == 0.0
         assert result.node_ids == ()
 
     def test_serial_chain(self):
         circuit = Circuit(1)
         circuit.extend([h(0), t(0), x(0)])
-        result = sweep_critical_path(circuit, unit_delay)
+        result = sweep_critical_path(circuit, UNIT)
         assert result.length == 3.0
         assert result.node_ids == (0, 1, 2)
 
     def test_ham3_same_length_and_counts(self):
         circuit = ham3()
 
-        def delay(gate):
-            return 3.0 if gate.kind is GateKind.CNOT else 1.0
+        delays = {**UNIT, GateKind.CNOT: 3.0}
 
-        graph_result = critical_path(build_qodg(circuit), delay)
-        sweep_result = sweep_critical_path(circuit, delay)
+        graph_result = critical_path(build_qodg(circuit), delays)
+        sweep_result = sweep_critical_path(circuit, delays)
         assert sweep_result.length == pytest.approx(graph_result.length)
         assert sweep_result.cnot_count == graph_result.cnot_count
 
     def test_path_is_a_dependency_chain(self, adder_ft):
-        result = sweep_critical_path(adder_ft, unit_delay)
+        result = sweep_critical_path(adder_ft, UNIT)
         qodg = build_qodg(adder_ft)
         for earlier, later in zip(result.node_ids, result.node_ids[1:]):
             assert earlier in qodg.predecessors(later)
 
-    @pytest.mark.parametrize(
-        "delay",
-        [lambda g: -1.0, delays_from_mapping({GateKind.H: -1.0})],
-        ids=["per-gate", "per-kind"],
-    )
-    def test_negative_delay_rejected(self, delay):
+    def test_negative_delay_rejected(self):
         circuit = Circuit(1)
         circuit.append(h(0))
         with pytest.raises(GraphError, match="negative delay -1.0"):
-            sweep_critical_path(circuit, delay)
+            sweep_critical_path(circuit, {GateKind.H: -1.0})
 
     @given(
         num_qubits=st.integers(3, 8),
         gate_count=st.integers(0, 80),
         seed=st.integers(0, 10_000),
-        lowered=st.booleans(),
-        per_kind=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_equals_graph_longest_path_on_random_circuits(
-        self, num_qubits, gate_count, seed, lowered, per_kind
+        self, num_qubits, gate_count, seed
     ):
-        circuit = random_reversible(num_qubits, gate_count, seed)
-        if lowered:
-            # Raw netlists with Toffolis take the graph pass itself; the
-            # FT lowering keeps the recurrence under comparison.
-            circuit = synthesize_ft(circuit)
-        if per_kind:
-            delay = delays_from_mapping(RANDOM_DELAYS)
-        else:
-            def delay(gate):
-                return RANDOM_DELAYS[gate.kind]
-
-        graph_result = critical_path(build_qodg(circuit), delay)
-        sweep_result = sweep_critical_path(circuit, delay)
+        # FT lowering: the sweep takes one- and two-qubit gates only.
+        circuit = synthesize_ft(
+            random_reversible(num_qubits, gate_count, seed)
+        )
+        graph_result = critical_path(build_qodg(circuit), RANDOM_DELAYS)
+        sweep_result = sweep_critical_path(circuit, RANDOM_DELAYS)
         assert sweep_result.length == pytest.approx(graph_result.length)
         # Path delays must sum to the length in both representations.
         assert sum(
-            delay(circuit[n]) for n in sweep_result.node_ids
+            RANDOM_DELAYS[circuit[n].kind] for n in sweep_result.node_ids
         ) == pytest.approx(sweep_result.length)
 
     def test_estimator_fast_path_matches_qodg_path(self, adder_ft):
-        from repro.core.estimator import LEQAEstimator
         from repro.fabric.params import PhysicalParams, FabricSpec
 
         estimator = LEQAEstimator(
             params=PhysicalParams(fabric=FabricSpec(10, 10))
         )
         fast = estimator.estimate(adder_ft)
-        explicit = estimator.estimate_qodg(build_qodg(adder_ft))
-        assert fast.latency == pytest.approx(explicit.latency)
-        assert fast.l_avg_cnot == pytest.approx(explicit.l_avg_cnot)
+        explicit = critical_path(
+            build_qodg(adder_ft), estimator.node_delay(fast.l_avg_cnot)
+        )
+        assert fast.latency == pytest.approx(explicit.length)
+        assert fast.critical.cnot_count == explicit.cnot_count
+
+    def test_multi_qubit_gate_rejected_alike_by_both_sweeps(self):
+        circuit = Circuit(3)
+        circuit.extend([h(0), toffoli(0, 1, 2), cnot(0, 1)])
+        with pytest.raises(GraphError) as one:
+            sweep_critical_path(circuit, RANDOM_DELAYS)
+        with pytest.raises(GraphError) as batched:
+            sweep_critical_path_lengths(
+                circuit.table(), kind_delay_lut(RANDOM_DELAYS)[:, None]
+            )
+        assert str(one.value) == str(batched.value)
+        assert "'toffoli' touches 3 qubits" in str(one.value)
 
 
 class TestCriticalPathChunk:
@@ -166,7 +170,8 @@ class TestCriticalPathChunk:
 
 
 class TestErrorParity:
-    """Per-kind callables raise their own errors on table-backed circuits."""
+    """A kind table that lacks a kind the circuit uses raises one
+    ``GraphError``, naming that kind, from every critical-path entry."""
 
     @staticmethod
     def _table_backed_with_swap() -> Circuit:
@@ -176,12 +181,22 @@ class TestErrorParity:
         assert circuit.table_if_ready() is not None
         return circuit
 
-    def test_mapping_without_kind_raises_graph_error(self):
-        delay = delays_from_mapping({GateKind.H: 1.0, GateKind.CNOT: 2.0})
-        with pytest.raises(GraphError, match="no delay registered.*swap"):
-            sweep_critical_path(self._table_backed_with_swap(), delay)
-
-    def test_pipeline_callable_raises_estimation_error(self):
-        delay = LEQAEstimator().node_delay(0.0)
-        with pytest.raises(EstimationError, match="not an FT operation"):
-            sweep_critical_path(self._table_backed_with_swap(), delay)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            sweep_critical_path,
+            lambda circuit, delays: critical_path(build_qodg(circuit), delays),
+            lambda circuit, delays: analyze_slack(build_qodg(circuit), delays),
+        ],
+        ids=["sweep", "graph", "slack"],
+    )
+    @pytest.mark.parametrize(
+        "delays",
+        [{GateKind.H: 1.0, GateKind.CNOT: 2.0}, LEQAEstimator().node_delay(0.0)],
+        ids=["mapping", "pipeline-table"],
+    )
+    def test_missing_kind_raises_graph_error(self, entry, delays):
+        with pytest.raises(
+            GraphError, match="^no delay registered for gate kind 'swap'$"
+        ):
+            entry(self._table_backed_with_swap(), delays)

@@ -231,6 +231,7 @@ class TestNonFtErrorParity:
     def test_estimators_raise_one_error(self, make, kind):
         circuit = make()
         pipeline = StagedPipeline()
+        oracle = LEQAEstimator(vectorized=False)
         grid = [DEFAULT_PARAMS, DEFAULT_PARAMS.with_fabric(20, 20)]
         messages = []
         for backing in (circuit, _object_backed(circuit)):
@@ -238,7 +239,13 @@ class TestNonFtErrorParity:
                 pipeline.run(backing, DEFAULT_PARAMS)
             with pytest.raises(EstimationError) as sweep_error:
                 pipeline.sweep(backing, grid)
-            messages += [str(run_error.value), str(sweep_error.value)]
+            with pytest.raises(EstimationError) as oracle_error:
+                oracle.estimate(backing)
+            messages += [
+                str(run_error.value),
+                str(sweep_error.value),
+                str(oracle_error.value),
+            ]
         for chunk_size in (1, len(circuit) + 10):
             with pytest.raises(EstimationError) as stream_error:
                 estimate_stream(
@@ -249,7 +256,7 @@ class TestNonFtErrorParity:
             f"gate kind {kind!r} is not an FT operation; "
             "run synthesize_ft() before estimating"
         )
-        assert messages == [expected] * 6
+        assert messages == [expected] * 8
 
     def test_compile_qodg_raises_one_error(self, make, kind):
         circuit = make()
