@@ -24,9 +24,8 @@ from ..core.estimator import LEQAEstimator
 from ..core.presence import compute_zones
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
-from ..qodg.critical_path import critical_path
-from ..qodg.graph import build_qodg
 from ..qodg.iig import build_iig
+from ..qodg.sweep import sweep_critical_path
 
 __all__ = ["calibrate_qubit_speed"]
 
@@ -70,7 +69,6 @@ def calibrate_qubit_speed(
         raise EstimationError(
             f"target latency must be positive, got {target_latency}"
         )
-    qodg = build_qodg(circuit)
     iig = build_iig(circuit)
     zones = compute_zones(iig)
     # K: L_CNOT^avg at unit speed; scales as 1/v.
@@ -87,7 +85,7 @@ def calibrate_qubit_speed(
         )
 
     def latency_at(l_cnot: float) -> float:
-        return critical_path(qodg, probe.node_delay(l_cnot)).length
+        return sweep_critical_path(circuit, probe.node_delay(l_cnot)).length
 
     floor = latency_at(0.0)
     if target_latency <= floor:

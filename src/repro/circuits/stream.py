@@ -40,7 +40,7 @@ the materialized entry point is its one-chunk case:
   :class:`~repro.qodg.iig.IIGAccumulator` that
   :func:`~repro.qodg.iig.build_iig` runs on one chunk, takes the model
   step :meth:`~repro.core.pipeline.StagedPipeline.run` takes, and
-  shares :func:`~repro.qodg.sweep.critical_path_chunk` with
+  shares the chunk entry of :func:`~repro.qodg.sweep.recurrence` with
   :func:`~repro.qodg.sweep.sweep_critical_path`.
 
 This module holds the pieces only the out-of-core path needs
@@ -455,11 +455,12 @@ def estimate_stream(
     (:func:`~repro.core.pipeline.model_point`, the one
     :meth:`~repro.core.pipeline.StagedPipeline.run` takes) then runs on
     the accumulated IIG, and the second pass replays the spilled
-    columns chunk by chunk through
-    :func:`~repro.qodg.sweep.critical_path_chunk` with one carry — the
-    recurrence :func:`~repro.qodg.sweep.sweep_critical_path` runs as a
-    single chunk — then :func:`~repro.qodg.sweep.backtrack` walks the
-    spilled predecessors.  Every field of the returned
+    columns chunk by chunk through the chunk entry of
+    :func:`~repro.qodg.sweep.recurrence` (compiled, or its Python
+    fallback) with one carry — the recurrence
+    :func:`~repro.qodg.sweep.sweep_critical_path` runs as a single chunk
+    — spilling each chunk's predecessors, and its walk entry backtracks
+    through them.  Every field of the returned
     :class:`~repro.core.estimator.LatencyEstimate` except
     ``elapsed_seconds`` is bitwise-identical to
     ``StagedPipeline(**options).run(Circuit.from_table(assemble(chunks)),
@@ -477,8 +478,8 @@ def estimate_stream(
         any model stage runs (same message as the materialized path).
     """
     from ..core.pipeline import model_point, require_ft
-    from ..qodg.critical_path import kind_delay_lut
-    from ..qodg.sweep import CriticalPathCarry, backtrack, critical_path_chunk
+    from ..qodg.critical_path import kind_delay_lut, path_result
+    from ..qodg.sweep import CriticalPathCarry, recurrence
 
     started = time.perf_counter()
     accumulator = IIGAccumulator()
@@ -519,6 +520,7 @@ def estimate_stream(
                     profile.add("ingest", len(table), sp.seconds)
         point = model_point(accumulator.finish(num_qubits), params, **options)
         lut = kind_delay_lut(point.delays)
+        entries = recurrence()
         # The spilled kind column, read by both pass 2 and the
         # backtrack.  (An empty file cannot be mapped.)
         if op_count:
@@ -539,27 +541,23 @@ def estimate_stream(
                 ) as sp:
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
-                    delays = lut[codes[start:start + rows]]
+                    preds = entries.chunk(
+                        codes[start:start + rows], o0, o1, lut, carry
+                    )
                     start += rows
-                    preds = critical_path_chunk(
-                        o0.tolist(), o1.tolist(), delays.tolist(), carry
-                    )
-                    preds_file.write(
-                        np.asarray(preds, dtype=np.int64).tobytes()
-                    )
+                    preds_file.write(preds)
                     sp.annotate(rows=rows)
                 _obs_registry().inc("stream.rows", rows, stage="critical")
                 if profile is not None:
                     profile.add("critical", rows, sp.seconds)
-        # Backtrack through the spilled predecessor/kind columns; the
-        # memoryview hands out Python ints.  (An empty stream has no
-        # path to walk.)
+        # Backtrack through the spilled predecessor/kind columns.  (An
+        # empty stream has no path to walk.)
         if op_count:
-            preds = memoryview(
-                np.memmap(preds_path, dtype=np.int64, mode="r")
-            )
+            preds = np.memmap(preds_path, dtype=np.int64, mode="r")
         else:
-            preds = []
-        result = backtrack(carry, preds, codes)
+            preds = np.empty(0, dtype=np.int64)
+        result = path_result(
+            carry.best, entries.walk(carry.best_node, preds), codes
+        )
         del preds, codes
     return point.estimate(result, op_count, started)

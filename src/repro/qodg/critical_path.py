@@ -22,11 +22,13 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import KIND_CODES, KINDS_BY_CODE, GateKind
+from ..circuits.table import GateTable
 from ..exceptions import GraphError
 from .graph import QODG
 
 __all__ = [
     "CriticalPathResult",
+    "checked_delay_lut",
     "critical_path",
     "first_missing_kind",
     "kind_delay_lut",
@@ -60,14 +62,12 @@ class CriticalPathResult:
 
 
 def path_result(
-    length: float, node_ids: tuple[int, ...], codes: np.ndarray
+    length: float, path: np.ndarray, codes: np.ndarray
 ) -> CriticalPathResult:
-    """Wrap a path (node ids in execution order) into a result, counting
-    it by kind; ``codes`` is the circuit's kind-code column."""
-    counts = np.bincount(
-        codes[np.asarray(node_ids, dtype=np.int64)],
-        minlength=len(KINDS_BY_CODE),
-    )
+    """Wrap a path (a contiguous int64 array of node ids in execution
+    order) into a result, counting it by kind; ``codes`` is the
+    circuit's kind-code column."""
+    counts = np.bincount(codes[path], minlength=len(KINDS_BY_CODE))
     by_kind = {
         KINDS_BY_CODE[code]: count
         for code, count in enumerate(counts.tolist())
@@ -75,7 +75,9 @@ def path_result(
     }
     return CriticalPathResult(
         length=length,
-        node_ids=node_ids,
+        # Straight from the buffer: no intermediate list beside the
+        # array (8 B/node less peak on a million-gate streamed path).
+        node_ids=tuple(memoryview(path)),
         counts_by_kind=by_kind,
         cnot_count=by_kind.get(GateKind.CNOT, 0),
     )
@@ -111,34 +113,44 @@ def first_missing_kind(lut: np.ndarray, codes: np.ndarray) -> GateKind | None:
     return KINDS_BY_CODE[int(codes[int(np.argmax(hits))])]
 
 
-def resolve_node_delays(
-    circuit: Circuit, delays: Mapping[GateKind, float]
-) -> list[float]:
-    """Every gate's node delay, in program order: one gather of the
-    kind→delay table over the circuit's kind column, with no Gate
-    objects.
+def checked_delay_lut(
+    table: GateTable, delays: Mapping[GateKind, float]
+) -> np.ndarray:
+    """The kind→delay table as a :func:`kind_delay_lut`, checked against
+    the kinds ``table`` uses.
 
     Raises
     ------
     GraphError
-        If a kind the circuit uses has no delay, or at the first gate, in
+        If a kind the table uses has no delay, or at the first gate, in
         program order, whose delay is negative.
     """
-    table = circuit.table()
     lut = kind_delay_lut(delays)
     missing = first_missing_kind(lut, table.kind)
     if missing is not None:
         raise GraphError(
             f"no delay registered for gate kind {missing.value!r}"
         )
-    resolved = lut[table.kind]
-    if resolved.size and float(resolved.min()) < 0:
-        offender = int(np.argmax(resolved < 0))
-        raise GraphError(
-            f"negative delay {resolved[offender]} for gate "
-            f"{table.gate(offender)}"
-        )
-    return resolved.tolist()
+    if (lut < 0).any():
+        resolved = lut[table.kind]
+        if resolved.size and float(resolved.min()) < 0:
+            offender = int(np.argmax(resolved < 0))
+            raise GraphError(
+                f"negative delay {resolved[offender]} for gate "
+                f"{table.gate(offender)}"
+            )
+    return lut
+
+
+def resolve_node_delays(
+    circuit: Circuit, delays: Mapping[GateKind, float]
+) -> list[float]:
+    """Every gate's node delay, in program order: one gather of the
+    checked kind→delay table (:func:`checked_delay_lut`, which raises the
+    :class:`GraphError`) over the circuit's kind column, with no Gate
+    objects."""
+    table = circuit.table()
+    return checked_delay_lut(table, delays)[table.kind].tolist()
 
 
 def critical_path(
@@ -201,4 +213,6 @@ def critical_path(
         path.append(node)
         node = best_pred[node]
     path.reverse()
-    return path_result(dist[end], tuple(path), qodg.circuit.table().kind)
+    return path_result(
+        dist[end], np.array(path, dtype=np.int64), qodg.circuit.table().kind
+    )

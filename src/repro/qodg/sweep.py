@@ -12,35 +12,43 @@ This costs O(gates) with a small constant and no per-node allocation,
 which matters for the paper's Table 3: LEQA's runtime should stay linear
 in operation count with a constant far below the detailed mapper's.
 
-The recurrence exists once, as :func:`critical_path_chunk`: it consumes
-one chunk of operand/delay columns and threads a
-:class:`CriticalPathCarry` (per-qubit chain state, best node so far, next
-node id) into the next chunk, and :func:`backtrack` walks the returned
-predecessors into a :class:`CriticalPathResult`.
-:func:`sweep_critical_path` is the one-chunk case over a materialized
-circuit; :func:`repro.circuits.stream.estimate_stream` feeds it one
-spilled chunk at a time.  Both return the same result as
-:func:`repro.qodg.critical_path.critical_path`; only tie-breaking between
-equally long paths may differ.  Node delays enter as one kind→delay table
-(Eq. 1 sets a node's delay by its gate kind alone), gathered over the kind
-column, and only one- and two-qubit gates are accepted — the FT gate set.
+The recurrence has three entries, gathered in a :class:`Recurrence`:
 
-Parameter sweeps add a second shape of demand: the *same* circuit under
-*many* per-kind delay tables (a Table-1 sensitivity grid, a fabric-size
-sweep — every point changes only the node delays reaching the critical
-path).  :func:`sweep_critical_path_lengths` runs the same recurrence over
-the same columns — the table's kind codes and
-:meth:`~repro.circuits.table.GateTable.operand_pairs` — with a
-``(kinds, points)`` delay matrix: the per-qubit chain state becomes a
-``(num_qubits, points)`` array and each gate is one ``maximum`` plus one
-add over the point axis.  Per point this is several times cheaper than
-repeating the scalar sweep, and the per-point lengths are *bitwise*
-equal to it (same IEEE operations in the same order).
+* ``chunk`` consumes one chunk of kind/operand columns with a kind→delay
+  lookup table and threads a :class:`CriticalPathCarry` (per-qubit chain
+  state, best node so far, next node id) into the next chunk, returning
+  each gate's predecessor;
+* ``walk`` follows the predecessors back from the best node into the
+  path;
+* ``lengths`` runs the recurrence under many delay tables at once (a
+  Table-1 sensitivity grid, a fabric-size sweep — every point changes
+  only the node delays reaching the critical path): a ``(kinds, points)``
+  delay matrix in, one length per point out, each *bitwise* equal to the
+  one-chunk ``best`` under that point's column.
+
+Each entry is written twice: in C, in the shared object of
+:mod:`repro.qspr._kernel` (built with FP contraction off, so every
+float is bitwise the Python one), and in Python —
+:func:`critical_path_chunk`, :func:`walk_path` and
+:func:`column_lengths` — as the fallback :func:`recurrence` returns, with
+a :class:`RuntimeWarning`, when that object cannot be built or loaded.
+
+:func:`sweep_critical_path` is the one-chunk case over a materialized
+circuit; :func:`repro.circuits.stream.estimate_stream` feeds the chunk
+entry one spilled chunk at a time; :func:`sweep_critical_path_lengths`
+is the batched entry behind :meth:`StagedPipeline.sweep
+<repro.core.pipeline.StagedPipeline.sweep>`.  The first two return the
+same result as :func:`repro.qodg.critical_path.critical_path`; only
+tie-breaking between equally long paths may differ.  Node delays enter
+as one kind→delay table (Eq. 1 sets a node's delay by its gate kind
+alone), and only one- and two-qubit gates are accepted — the FT gate
+set.  Every check runs before the recurrence does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import warnings
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,20 +56,186 @@ from ..circuits.circuit import Circuit
 from ..circuits.gates import KINDS_BY_CODE, GateKind
 from ..circuits.table import GateTable
 from ..exceptions import GraphError
+from ..obs import default_registry
 from .critical_path import (
     CriticalPathResult,
+    checked_delay_lut,
     first_missing_kind,
     path_result,
-    resolve_node_delays,
 )
 
 __all__ = [
     "CriticalPathCarry",
-    "backtrack",
+    "Recurrence",
+    "column_lengths",
     "critical_path_chunk",
+    "recurrence",
     "sweep_critical_path",
     "sweep_critical_path_lengths",
+    "walk_path",
 ]
+
+
+class CriticalPathCarry:
+    """Chain state of the critical-path recurrence between chunks.
+
+    Per qubit, the length of the longest chain ending at its last gate
+    (``qubit_dist``) and that gate's node id (``qubit_last``; ``-1`` =
+    the virtual start node); the longest chain so far (``best_length``,
+    one float) and ``nodes`` = (its end node, the id the next chunk's
+    first gate gets).  All four are numpy arrays a chunk updates in
+    place.
+    """
+
+    __slots__ = ("qubit_dist", "qubit_last", "best_length", "nodes")
+
+    def __init__(self, num_qubits: int) -> None:
+        self.qubit_dist = np.zeros(num_qubits)
+        self.qubit_last = np.full(num_qubits, -1, dtype=np.int64)
+        self.best_length = np.zeros(1)
+        self.nodes = np.array([-1, 0], dtype=np.int64)
+
+    @property
+    def best(self) -> float:
+        """Length of the longest chain so far."""
+        return float(self.best_length[0])
+
+    @property
+    def best_node(self) -> int:
+        """End node of the longest chain so far (``-1`` = none yet)."""
+        return int(self.nodes[0])
+
+    @property
+    def next_node(self) -> int:
+        """Node id of the next gate fed in."""
+        return int(self.nodes[1])
+
+
+def critical_path_chunk(
+    kinds: np.ndarray,
+    o0: np.ndarray,
+    o1: np.ndarray,
+    lut: np.ndarray,
+    carry: CriticalPathCarry,
+) -> np.ndarray:
+    """Run the longest-chain recurrence over one chunk of gates.
+
+    ``kinds`` is the chunk's kind-code column, ``o0``/``o1`` its operand
+    columns (``o1 = -1`` for one-qubit gates, as
+    :meth:`~repro.circuits.table.GateTable.operand_pairs` returns them)
+    and ``lut`` the non-negative node delay of every kind code (a
+    :func:`~repro.qodg.critical_path.kind_delay_lut`).  Updates ``carry``
+    in place and returns each gate's predecessor on its longest chain
+    (``-1`` = the start node) as an int64 array, so feeding a circuit
+    through in any number of chunks with one carry gives the same floats
+    and the same predecessors as one chunk.  A zero-length chain hangs
+    off the start node; ties keep the first operand's chain.
+    """
+    qubit_dist = carry.qubit_dist.tolist()
+    qubit_last = carry.qubit_last.tolist()
+    overall_best = carry.best
+    overall_last, node = carry.nodes.tolist()
+    preds: list[int] = []
+    append = preds.append
+    for qubit_a, qubit_b, gate_delay in zip(
+        o0.tolist(), o1.tolist(), lut[kinds].tolist()
+    ):
+        best = qubit_dist[qubit_a]
+        if best > 0.0:
+            pred = qubit_last[qubit_a]
+        else:
+            best = 0.0
+            pred = -1
+        if qubit_b >= 0:
+            chain = qubit_dist[qubit_b]
+            if chain > best:
+                best = chain
+                pred = qubit_last[qubit_b]
+        total = best + gate_delay
+        append(pred)
+        qubit_dist[qubit_a] = total
+        qubit_last[qubit_a] = node
+        if qubit_b >= 0:
+            qubit_dist[qubit_b] = total
+            qubit_last[qubit_b] = node
+        if total > overall_best:
+            overall_best = total
+            overall_last = node
+        node += 1
+    carry.qubit_dist[:] = qubit_dist
+    carry.qubit_last[:] = qubit_last
+    carry.best_length[0] = overall_best
+    carry.nodes[:] = (overall_last, node)
+    return np.array(preds, dtype=np.int64)
+
+
+def walk_path(node: int, preds: np.ndarray) -> np.ndarray:
+    """The chain ending at ``node`` (``-1`` = none), in execution order,
+    through the int64 predecessor column ``preds`` of every node so far
+    (an array, or a memory map of a spilled one)."""
+    view = memoryview(np.ascontiguousarray(preds, dtype=np.int64))
+    path: list[int] = []
+    while node != -1:
+        path.append(node)
+        node = view[node]
+    path.reverse()
+    return np.array(path, dtype=np.int64)
+
+
+def column_lengths(
+    kinds: np.ndarray,
+    o0: np.ndarray,
+    o1: np.ndarray,
+    matrix: np.ndarray,
+    num_qubits: int,
+) -> np.ndarray:
+    """The longest-chain length under every column of the ``(kinds,
+    points)`` delay ``matrix``: :func:`critical_path_chunk` once per
+    column."""
+    lengths = np.zeros(matrix.shape[1])
+    for point in range(matrix.shape[1]):
+        carry = CriticalPathCarry(num_qubits)
+        critical_path_chunk(kinds, o0, o1, matrix[:, point], carry)
+        lengths[point] = carry.best
+    return lengths
+
+
+class Recurrence(NamedTuple):
+    """One implementation of the recurrence's entries (see the module
+    docstring): ``chunk(kinds, o0, o1, lut, carry) -> preds``,
+    ``walk(node, preds) -> path`` and ``lengths(kinds, o0, o1, matrix,
+    num_qubits) -> lengths``."""
+
+    chunk: Callable[..., np.ndarray]
+    walk: Callable[[int, np.ndarray], np.ndarray]
+    lengths: Callable[..., np.ndarray]
+
+
+_PYTHON_RECURRENCE = Recurrence(critical_path_chunk, walk_path, column_lengths)
+
+
+def recurrence() -> Recurrence:
+    """The compiled recurrence, or the Python one when the kernel's
+    shared object cannot be built or loaded — with a
+    :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=critical}``
+    count."""
+    try:
+        # Imported here: repro.qspr imports repro.qodg.
+        from ..qspr import _kernel
+
+        _kernel.load()
+    except (ImportError, AttributeError, OSError, RuntimeError) as error:
+        warnings.warn(
+            f"compiled critical-path kernel unavailable ({error}); falling "
+            "back to the Python recurrence",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        default_registry().inc("kernel.fallbacks", entry="critical")
+        return _PYTHON_RECURRENCE
+    return Recurrence(
+        _kernel.critical_chunk, _kernel.critical_walk, _kernel.critical_lengths
+    )
 
 
 def _require_two_operands(table: GateTable) -> None:
@@ -120,126 +294,8 @@ def sweep_critical_path_lengths(
     missing = first_missing_kind(matrix, table.kind)
     if missing is not None:
         raise GraphError(f"no delay for gate kind {missing.value!r}")
-    points = matrix.shape[1]
-    if not len(table):
-        return np.zeros(points)
-    # Chain state per qubit, batched over the point axis.  Kept as a
-    # list of row arrays so a gate's update *rebinds* its operand rows
-    # to the freshly allocated chain vector instead of copying into a
-    # 2D array — every row is written whole, never mutated, so sharing
-    # (including the single initial zero row) is safe.  Entries are
-    # non-decreasing, so the final elementwise maximum over rows is the
-    # overall longest-path length at every point.
-    zero = np.zeros(points)
-    dist: list[np.ndarray] = [zero] * table.num_qubits
-    rows = list(matrix)
-    maximum = np.maximum
     o0, o1 = table.operand_pairs()
-    for code, qubit_a, qubit_b in zip(
-        table.kind.tolist(), o0.tolist(), o1.tolist()
-    ):
-        if qubit_b >= 0:
-            total = maximum(dist[qubit_a], dist[qubit_b])
-            total += rows[code]
-            dist[qubit_a] = total
-            dist[qubit_b] = total
-        else:
-            dist[qubit_a] = dist[qubit_a] + rows[code]
-    return np.max(np.vstack(dist), axis=0)
-
-
-class CriticalPathCarry:
-    """Chain state of the critical-path recurrence between chunks.
-
-    Per qubit, the length of the longest chain ending at its last gate
-    and that gate's node id (``-1`` = the virtual start node); the
-    longest chain so far and its end node; and the id the next chunk's
-    first gate gets.
-    """
-
-    __slots__ = ("qubit_dist", "qubit_last", "best", "best_node", "next_node")
-
-    def __init__(self, num_qubits: int) -> None:
-        self.qubit_dist = [0.0] * num_qubits
-        self.qubit_last = [-1] * num_qubits
-        self.best = 0.0
-        self.best_node = -1
-        self.next_node = 0
-
-
-def critical_path_chunk(
-    o0: Iterable[int],
-    o1: Iterable[int],
-    delays: Iterable[float],
-    carry: CriticalPathCarry,
-) -> list[int]:
-    """Run the longest-chain recurrence over one chunk of gates.
-
-    ``o0``/``o1`` are the gates' operand columns (``o1 = -1`` for
-    one-qubit gates, as :meth:`~repro.circuits.table.GateTable.operand_pairs`
-    returns them) and ``delays`` their non-negative node delays.  Updates
-    ``carry`` in place and returns each gate's predecessor on its longest
-    chain (``-1`` = the start node), so feeding a circuit through in any
-    number of chunks with one carry gives the same floats and the same
-    predecessors as one chunk.  Ties keep the first operand's chain.
-    """
-    qubit_dist = carry.qubit_dist
-    qubit_last = carry.qubit_last
-    overall_best = carry.best
-    overall_last = carry.best_node
-    node = carry.next_node
-    preds: list[int] = []
-    append = preds.append
-    for qubit_a, qubit_b, gate_delay in zip(o0, o1, delays):
-        best = qubit_dist[qubit_a]
-        if best > 0.0:
-            pred = qubit_last[qubit_a]
-        else:
-            # A zero-length chain hangs off the virtual start node.
-            best = 0.0
-            pred = -1
-        if qubit_b >= 0:
-            chain = qubit_dist[qubit_b]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit_b]
-        total = best + gate_delay
-        append(pred)
-        qubit_dist[qubit_a] = total
-        qubit_last[qubit_a] = node
-        if qubit_b >= 0:
-            qubit_dist[qubit_b] = total
-            qubit_last[qubit_b] = node
-        if total > overall_best:
-            overall_best = total
-            overall_last = node
-        node += 1
-    carry.best = overall_best
-    carry.best_node = overall_last
-    carry.next_node = node
-    return preds
-
-
-def backtrack(
-    carry: CriticalPathCarry, preds: Sequence[int], codes: np.ndarray
-) -> CriticalPathResult:
-    """The longest chain, walked back from ``carry``'s best node.
-
-    ``preds`` and ``codes`` are the predecessor and kind-code columns of
-    every node so far; ``preds`` must yield Python ints (a list, or a
-    memoryview over a spilled int64 column).
-    """
-    path: list[int] = []
-    node = carry.best_node
-    while node != -1:
-        path.append(node)
-        node = preds[node]
-    path.reverse()
-    node_ids = tuple(path)
-    # The tuple shares the int objects; dropping the list now frees its
-    # slot array (8 B/node) before the path is counted.
-    del path
-    return path_result(carry.best, node_ids, codes)
+    return recurrence().lengths(table.kind, o0, o1, matrix, table.num_qubits)
 
 
 def sweep_critical_path(
@@ -252,21 +308,23 @@ def sweep_critical_path(
     kind→delay table, without constructing the graph.  See that function
     for the result contract.
 
-    Node delays resolve in one gather over the kind column (see
-    :func:`~repro.qodg.critical_path.resolve_node_delays`), then the
-    whole circuit runs through :func:`critical_path_chunk` as one chunk.
+    The table is checked against the circuit's kinds (see
+    :func:`~repro.qodg.critical_path.checked_delay_lut`), then the whole
+    circuit runs through the :func:`recurrence`'s chunk entry as one
+    chunk and its walk entry backtracks the path.
 
     Raises
     ------
     GraphError
         As :func:`sweep_critical_path_lengths` does, for a gate over more
-        than two qubits, and as ``resolve_node_delays`` does for a
-        missing or negative delay.
+        than two qubits, and as ``checked_delay_lut`` does for a missing
+        or negative delay.
     """
     table = circuit.table()
     _require_two_operands(table)
-    node_delays = resolve_node_delays(circuit, delays)
-    o0, o1 = table.operand_pairs()
+    lut = checked_delay_lut(table, delays)
+    entries = recurrence()
     carry = CriticalPathCarry(circuit.num_qubits)
-    preds = critical_path_chunk(o0.tolist(), o1.tolist(), node_delays, carry)
-    return backtrack(carry, preds, table.kind)
+    preds = entries.chunk(table.kind, *table.operand_pairs(), lut, carry)
+    path = entries.walk(carry.best_node, preds)
+    return path_result(carry.best, path, table.kind)

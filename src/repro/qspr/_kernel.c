@@ -1,18 +1,25 @@
-/* Compiled inner loop of the array scheduler (engine="kernel").
+/* The repository's compiled inner loops, built as one shared object by
+ * _kernel.py at first use.  Two entry families live here:
  *
- * A statement-for-statement translation of _schedule_array
- * (scheduling.py) plus SlotRouter (routing.py) into C, built as a
- * shared object by _kernel.py at first use.  Bitwise identity with the
- * Python engines is a hard contract: every floating-point expression
- * below performs the same IEEE binary64 operations in the same order as
- * its Python counterpart (the build disables FP contraction so no FMA
- * changes a rounding), heap tie-breaks compare (reach, node) exactly
- * like the Python (reach, node, box) tuples, and the channel-slot
- * reservation discipline mirrors ChannelNetwork's min-heaps.
+ *  - the scheduler (engine="kernel"): leqa_schedule(), a
+ *    statement-for-statement translation of _schedule_array
+ *    (scheduling.py) plus SlotRouter (routing.py), taking the compiled
+ *    op arrays and returning finish times, final locations and the
+ *    aggregate statistics; the trace-recording path stays in Python;
+ *  - the critical-path recurrence of Eq. 1 (qodg/sweep.py):
+ *    leqa_critical_chunk() runs critical_path_chunk over one chunk and
+ *    updates its carry in place, leqa_critical_backtrack() walks the
+ *    predecessors into the path, and leqa_critical_lengths() runs the
+ *    recurrence under many delay tables at once.
  *
- * The interface is one function, leqa_schedule(), taking the compiled
- * op arrays and returning finish times, final locations and the
- * aggregate statistics; the trace-recording path stays in Python.
+ * Bitwise identity with the Python code is a hard contract: every
+ * floating-point expression below performs the same IEEE binary64
+ * operations in the same order as its Python counterpart (the build
+ * disables FP contraction so no FMA changes a rounding), heap
+ * tie-breaks compare (reach, node) exactly like the Python (reach,
+ * node, box) tuples, the channel-slot reservation discipline mirrors
+ * ChannelNetwork's min-heaps, and the recurrence keeps
+ * critical_path_chunk's tie rules.
  */
 
 #include <math.h>
@@ -735,4 +742,135 @@ done:
     free(qready);
     free(ulb_free);
     return status;
+}
+
+/* ---- critical-path recurrence (qodg/sweep.py) ---------------------- */
+
+/* Operand and kind-code bounds of one chunk, checked before any state
+ * is touched so a bad column leaves the carry as it was. */
+static int critical_check(i64 n, i64 num_qubits, i64 num_kinds,
+                          const signed char *kinds, const i64 *o0,
+                          const i64 *o1) {
+    for (i64 i = 0; i < n; i++) {
+        if (kinds[i] < 0 || kinds[i] >= num_kinds)
+            return 1;
+        if (o0[i] < 0 || o0[i] >= num_qubits)
+            return 2;
+        if (o1[i] < -1 || o1[i] >= num_qubits)
+            return 2;
+    }
+    return 0;
+}
+
+/* critical_path_chunk over n gates.  dist/last are the carry's
+ * per-qubit chain lengths and end nodes, best[0] the longest chain so
+ * far and nodes[] its end node and the next node id; all are updated in
+ * place.  preds[i] receives gate i's predecessor (-1 = start node). */
+int leqa_critical_chunk(i64 n, i64 num_qubits, i64 num_kinds,
+                        const signed char *kinds, const i64 *o0,
+                        const i64 *o1, const double *lut, double *dist,
+                        i64 *last, double *best, i64 *nodes, i64 *preds) {
+    int status = critical_check(n, num_qubits, num_kinds, kinds, o0, o1);
+    if (status)
+        return status;
+    double overall_best = best[0];
+    i64 overall_last = nodes[0];
+    i64 node = nodes[1];
+    for (i64 i = 0; i < n; i++) {
+        i64 a = o0[i];
+        i64 b = o1[i];
+        double chain = dist[a];
+        i64 pred;
+        if (chain > 0.0) {
+            pred = last[a];
+        } else {
+            /* A zero-length chain hangs off the virtual start node. */
+            chain = 0.0;
+            pred = -1;
+        }
+        if (b >= 0 && dist[b] > chain) {
+            chain = dist[b];
+            pred = last[b];
+        }
+        double total = chain + lut[kinds[i]];
+        preds[i] = pred;
+        dist[a] = total;
+        last[a] = node;
+        if (b >= 0) {
+            dist[b] = total;
+            last[b] = node;
+        }
+        if (total > overall_best) {
+            overall_best = total;
+            overall_last = node;
+        }
+        node += 1;
+    }
+    best[0] = overall_best;
+    nodes[0] = overall_last;
+    nodes[1] = node;
+    return 0;
+}
+
+/* The chain ending at node, in execution order.  With path == NULL only
+ * its length is returned; otherwise the caller passes that length and
+ * the nodes are written into path[0..length).  -1 reports a predecessor
+ * outside preds[0..num_nodes) or a chain longer than num_nodes. */
+i64 leqa_critical_backtrack(i64 node, const i64 *preds, i64 num_nodes,
+                            i64 *path, i64 length) {
+    if (path == NULL) {
+        i64 count = 0;
+        while (node != -1) {
+            if (node < 0 || node >= num_nodes || count == num_nodes)
+                return -1;
+            count += 1;
+            node = preds[node];
+        }
+        return count;
+    }
+    for (i64 i = length - 1; i >= 0; i--) {
+        path[i] = node;
+        node = preds[node];
+    }
+    return length;
+}
+
+/* The recurrence under `points` delay tables at once: matrix is
+ * (num_kinds x points) row-major, column p one table.  out[p] is
+ * bitwise the `best` a one-chunk leqa_critical_chunk reaches under
+ * column p: each point runs the same operations in the same order. */
+int leqa_critical_lengths(i64 n, i64 num_qubits, i64 num_kinds, i64 points,
+                          const signed char *kinds, const i64 *o0,
+                          const i64 *o1, const double *matrix,
+                          double *out) {
+    int status = critical_check(n, num_qubits, num_kinds, kinds, o0, o1);
+    if (status)
+        return status;
+    for (i64 p = 0; p < points; p++)
+        out[p] = 0.0;
+    if (n == 0 || points == 0)
+        return 0;
+    double *dist = calloc((size_t)(num_qubits * points), sizeof(double));
+    if (dist == NULL)
+        return 3;
+    for (i64 i = 0; i < n; i++) {
+        const double *row = matrix + kinds[i] * points;
+        double *da = dist + o0[i] * points;
+        double *db = o1[i] >= 0 ? dist + o1[i] * points : NULL;
+        for (i64 p = 0; p < points; p++) {
+            double chain = da[p];
+            if (!(chain > 0.0))
+                chain = 0.0;
+            if (db != NULL && db[p] > chain)
+                chain = db[p];
+            double total = chain + row[p];
+            da[p] = total;
+            if (db != NULL)
+                db[p] = total;
+            if (total > out[p])
+                out[p] = total;
+        }
+    }
+    free(dist);
+    return 0;
 }

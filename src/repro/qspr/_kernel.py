@@ -1,18 +1,21 @@
-"""Loader for the compiled scheduler kernel (``engine="kernel"``).
+"""Loader for the repository's compiled kernels.
 
-``_kernel.c`` is a statement-for-statement C translation of the array
-scheduling loop.  This module builds it into a shared object with the
-system C compiler the first time the kernel engine is requested, caches
-the ``.so`` keyed by a hash of the source (so a source change or a repo
-move never loads a stale binary), and exposes the result through
-:func:`schedule_arrays`.
+``_kernel.c`` holds two families of entry points in one shared object:
+the scheduler (``engine="kernel"``), a statement-for-statement C
+translation of the array scheduling loop, exposed through
+:func:`schedule_arrays`; and the critical-path recurrence of Eq. 1
+(:mod:`repro.qodg.sweep`), exposed through :func:`critical_chunk`,
+:func:`critical_walk` and :func:`critical_lengths`.  This module builds
+the source into that shared object with the system C compiler on first
+use and caches the ``.so`` keyed by a hash of the source (so a source
+change or a repo move never loads a stale binary).
 
 No third-party build machinery: a single ``cc -O2 -shared`` invocation,
 with ``-ffp-contract=off`` so no fused-multiply-add changes a rounding —
-the kernel's contract is *bitwise* identity with the Python engines.
-Everything degrades loudly but gracefully: when no compiler exists (or
-the compile fails), :func:`load` raises and the scheduler falls back to
-``engine="array"`` with a warning.
+each entry's contract is *bitwise* identity with its Python
+counterpart.  Everything degrades loudly but gracefully: when no
+compiler exists (or the compile fails), :func:`load` raises and each
+caller falls back to its Python loop with a :class:`RuntimeWarning`.
 
 The cache directory is ``$REPRO_KERNEL_CACHE`` when set, else
 ``~/.cache/leqa-kernel``.
@@ -30,7 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["available", "load", "schedule_arrays", "kernel_cache_dir"]
+__all__ = [
+    "available",
+    "critical_chunk",
+    "critical_lengths",
+    "critical_walk",
+    "kernel_cache_dir",
+    "load",
+    "schedule_arrays",
+]
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -129,6 +140,19 @@ def load() -> ctypes.CDLL:
             ctypes.POINTER(ctypes.c_longlong),  # stats_i (out, 5)
             ctypes.POINTER(ctypes.c_double),  # stats_d (out, 1)
         ]
+        i64, ptr = ctypes.c_longlong, ctypes.c_void_p
+        fn = lib.leqa_critical_chunk
+        fn.restype = ctypes.c_int
+        # n, num_qubits, num_kinds, kinds, o0, o1, lut, then the carry
+        # (dist, last, best, nodes; in/out) and preds (out).
+        fn.argtypes = [i64, i64, i64] + [ptr] * 9
+        fn = lib.leqa_critical_backtrack
+        fn.restype = i64
+        fn.argtypes = [i64, ptr, i64, ptr, i64]  # node, preds, n, path, len
+        fn = lib.leqa_critical_lengths
+        fn.restype = ctypes.c_int
+        # n, num_qubits, num_kinds, points, kinds, o0, o1, matrix, out.
+        fn.argtypes = [i64, i64, i64, i64] + [ptr] * 5
     except Exception as error:
         _load_error = (
             error
@@ -219,3 +243,136 @@ def schedule_arrays(
         (moves, hops, relocations, cnots, one_qubit),
         float(stats_d[0]),
     )
+
+
+def _columns(kinds, o0, o1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gate columns as the C entries read them; value bounds are
+    checked in C, before any state is written."""
+    kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+    o0 = np.ascontiguousarray(o0, dtype=np.int64)
+    o1 = np.ascontiguousarray(o1, dtype=np.int64)
+    if {kinds.ndim, o0.ndim, o1.ndim} != {1} or not (
+        len(kinds) == len(o0) == len(o1)
+    ):
+        raise ValueError("kind and operand columns differ in shape")
+    return kinds, o0, o1
+
+
+def _require_carry(carry) -> None:
+    """The carry's arrays are written in place, so they are checked, not
+    converted."""
+    fields = (
+        (carry.qubit_dist, np.float64, len(carry.qubit_dist)),
+        (carry.qubit_last, np.int64, len(carry.qubit_dist)),
+        (carry.best_length, np.float64, 1),
+        (carry.nodes, np.int64, 2),
+    )
+    for array, dtype, size in fields:
+        if not (
+            isinstance(array, np.ndarray)
+            and array.dtype == dtype
+            and array.shape == (size,)
+            and array.flags.c_contiguous
+            and array.flags.writeable
+        ):
+            raise ValueError("malformed critical-path carry")
+
+
+def _check(status: int, entry: str) -> None:
+    if status == 1:
+        raise ValueError(f"{entry}: kind code outside the delay table")
+    if status == 2:
+        raise ValueError(f"{entry}: operand outside the carry's qubits")
+    if status:
+        raise RuntimeError(f"{entry} kernel failed with status {status}")
+
+
+def critical_chunk(kinds, o0, o1, lut: np.ndarray, carry) -> np.ndarray:
+    """:func:`repro.qodg.sweep.critical_path_chunk`, compiled.
+
+    Same arguments, same in-place carry update and the same
+    predecessors (an int64 array), bitwise.
+
+    Raises
+    ------
+    RuntimeError
+        If the kernel is unavailable.
+    ValueError
+        If the columns differ in length, ``lut`` is not 1-D, the carry
+        is malformed, or a kind code or operand is out of range (the
+        carry is left untouched).
+    """
+    lib = load()
+    kinds, o0, o1 = _columns(kinds, o0, o1)
+    lut = np.ascontiguousarray(lut, dtype=np.float64)
+    if lut.ndim != 1:
+        raise ValueError(f"delay table must be 1-D, got {lut.shape}")
+    _require_carry(carry)
+    preds = np.empty(len(kinds), dtype=np.int64)
+    _check(
+        lib.leqa_critical_chunk(
+            len(kinds), len(carry.qubit_dist), len(lut),
+            kinds.ctypes.data, o0.ctypes.data, o1.ctypes.data,
+            lut.ctypes.data, carry.qubit_dist.ctypes.data,
+            carry.qubit_last.ctypes.data, carry.best_length.ctypes.data,
+            carry.nodes.ctypes.data, preds.ctypes.data,
+        ),
+        "critical-path chunk",
+    )
+    return preds
+
+
+def critical_walk(node: int, preds: np.ndarray) -> np.ndarray:
+    """:func:`repro.qodg.sweep.walk_path`, compiled: the chain ending at
+    ``node``, in execution order, through the int64 predecessor column
+    ``preds`` (an array or a memory map of a spilled one).
+
+    Raises
+    ------
+    RuntimeError
+        If the kernel is unavailable or ``preds`` is not a chain.
+    """
+    lib = load()
+    preds = np.ascontiguousarray(preds, dtype=np.int64)
+    length = lib.leqa_critical_backtrack(
+        node, preds.ctypes.data, len(preds), None, 0
+    )
+    if length < 0:
+        raise RuntimeError("critical-path backtrack left the predecessors")
+    path = np.empty(length, dtype=np.int64)
+    lib.leqa_critical_backtrack(
+        node, preds.ctypes.data, len(preds), path.ctypes.data, length
+    )
+    return path
+
+
+def critical_lengths(
+    kinds, o0, o1, matrix: np.ndarray, num_qubits: int
+) -> np.ndarray:
+    """Critical-path lengths under every column of the ``(kinds,
+    points)`` delay ``matrix``; entry ``p`` is bitwise the ``best`` of a
+    one-chunk :func:`critical_chunk` under column ``p``.
+
+    Raises
+    ------
+    RuntimeError
+        If the kernel is unavailable.
+    ValueError
+        If the columns differ in length, ``matrix`` is not 2-D, or a
+        kind code or operand is out of range.
+    """
+    lib = load()
+    kinds, o0, o1 = _columns(kinds, o0, o1)
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"delay matrix must be 2-D, got {matrix.shape}")
+    out = np.empty(matrix.shape[1], dtype=np.float64)
+    _check(
+        lib.leqa_critical_lengths(
+            len(kinds), num_qubits, matrix.shape[0], matrix.shape[1],
+            kinds.ctypes.data, o0.ctypes.data, o1.ctypes.data,
+            matrix.ctypes.data, out.ctypes.data,
+        ),
+        "batched critical-path",
+    )
+    return out

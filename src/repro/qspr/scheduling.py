@@ -67,6 +67,7 @@ from ..circuits.table import FT_CODE_MASK
 from ..exceptions import MappingError
 from ..fabric.params import PhysicalParams
 from ..fabric.tqa import Position, TQA
+from ..obs import default_registry
 from ..qodg.critical_path import first_missing_kind, kind_delay_lut
 from .routing import Router, SlotRouter
 from .trace import ScheduleTrace, TraceEvent
@@ -414,6 +415,7 @@ def _schedule_kernel(
             RuntimeWarning,
             stacklevel=3,
         )
+        default_registry().inc("kernel.fallbacks", entry="schedule")
         return None
     moves, hops, relocations, cnot_count, one_qubit_count = stats_ints
     finish_list = finish_times.tolist()

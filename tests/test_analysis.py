@@ -15,9 +15,12 @@ from repro.analysis.scaling import extrapolate, fit_power_law
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import h
 from repro.circuits.generators import ham3
+from repro.circuits.library import build_ft
 from repro.core.estimator import LEQAEstimator
 from repro.exceptions import EstimationError, ReproError
 from repro.fabric.params import FabricSpec, PhysicalParams
+from repro.qodg.critical_path import critical_path
+from repro.qodg.graph import build_qodg
 
 
 class TestErrors:
@@ -124,6 +127,27 @@ class TestCalibration:
         )
         replay = LEQAEstimator(params=recalibrated).estimate(circuit).latency
         assert replay == pytest.approx(target, rel=1e-4)
+
+    @pytest.mark.parametrize("name", ["ham3", "8bitadder"])
+    def test_speed_bitwise_equals_graph_oracle(self, monkeypatch, name):
+        """The bisection reads critical-path lengths only, and those do
+        not depend on tie-breaking: the one-pass sweep and the graph
+        oracle calibrate to the same float."""
+        import repro.analysis.calibration as calibration
+
+        params = PhysicalParams(fabric=FabricSpec(12, 12))
+        circuit = build_ft(name)
+        target = 1.7 * LEQAEstimator(params=params).estimate(circuit).latency
+        swept = calibrate_qubit_speed(circuit, params, target)
+        qodg = build_qodg(circuit)
+        monkeypatch.setattr(
+            calibration,
+            "sweep_critical_path",
+            lambda _, delays: critical_path(qodg, delays),
+        )
+        assert swept.hex() == calibrate_qubit_speed(
+            circuit, params, target
+        ).hex()
 
     def test_larger_target_gives_slower_speed(self):
         params = PhysicalParams(fabric=FabricSpec(12, 12))

@@ -32,6 +32,7 @@ from repro.circuits.library import BENCHMARKS, build
 from repro.circuits.decompose import synthesize_ft
 from repro.fabric.params import FabricSpec, PhysicalParams
 from repro.fabric.tqa import TQA
+from repro.obs import default_registry
 from repro.qodg.iig import build_iig
 from repro.qspr.placement import make_placement
 from repro.qspr.routing import Router, SlotRouter
@@ -216,6 +217,9 @@ class TestKernelFallback:
             raise RuntimeError("no C compiler found (test stub)")
 
         monkeypatch.setattr(_kernel, "load", broken_load)
+        before = default_registry().counter(
+            "kernel.fallbacks", entry="schedule"
+        )
         with pytest.warns(
             RuntimeWarning, match="falling back to engine='array'"
         ):
@@ -223,6 +227,9 @@ class TestKernelFallback:
                 circuit, placement, params, engine="kernel"
             )
         assert_identical(array, fallen_back)
+        assert default_registry().counter(
+            "kernel.fallbacks", entry="schedule"
+        ) == before + 1
 
     def test_mapping_result_reports_requested_engine(self, ft_library):
         from repro.qspr.mapper import map_circuit

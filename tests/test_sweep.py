@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,15 +23,15 @@ from repro.circuits.generators import ham3, random_ft, random_reversible
 from repro.circuits.table import table_from_gates
 from repro.core.estimator import LEQAEstimator
 from repro.exceptions import GraphError
-from repro.qodg.critical_path import critical_path, kind_delay_lut
+from repro.qodg.critical_path import critical_path, kind_delay_lut, path_result
 from repro.qodg.graph import build_qodg
 from repro.qodg.slack import analyze_slack
 from repro.qodg.sweep import (
     CriticalPathCarry,
-    backtrack,
     critical_path_chunk,
     sweep_critical_path,
     sweep_critical_path_lengths,
+    walk_path,
 )
 
 #: Distinct per-kind delays so ties are rare.
@@ -147,26 +148,35 @@ class TestCriticalPathChunk:
             kind: data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
             for kind in FT_KINDS
         }
-        delays = kind_delay_lut(kind_delays)[table.kind].tolist()
-        cuts = sorted(
-            data.draw(st.lists(st.integers(0, len(delays)), max_size=6))
-        )
-        o0, o1 = (column.tolist() for column in table.operand_pairs())
+        lut = kind_delay_lut(kind_delays)
+        rows = len(table)
+        cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=6)))
+        kinds = table.kind
+        o0, o1 = table.operand_pairs()
         carry = CriticalPathCarry(num_qubits)
-        preds: list[int] = []
-        for lo, hi in zip([0, *cuts], [*cuts, len(delays)]):
-            preds.extend(
-                critical_path_chunk(o0[lo:hi], o1[lo:hi], delays[lo:hi], carry)
-            )
-        chunked = backtrack(carry, preds, table.kind)
+        preds = np.concatenate(
+            [
+                np.empty(0, dtype=np.int64),
+                *(
+                    critical_path_chunk(
+                        kinds[lo:hi], o0[lo:hi], o1[lo:hi], lut, carry
+                    )
+                    for lo, hi in zip([0, *cuts], [*cuts, rows])
+                ),
+            ]
+        )
+        chunked = path_result(
+            carry.best, walk_path(carry.best_node, preds), kinds
+        )
         one = CriticalPathCarry(num_qubits)
-        whole = backtrack(
-            one, critical_path_chunk(o0, o1, delays, one), table.kind
+        whole_preds = critical_path_chunk(kinds, o0, o1, lut, one)
+        whole = path_result(
+            one.best, walk_path(one.best_node, whole_preds), kinds
         )
         assert chunked.length.hex() == whole.length.hex()
         assert chunked.node_ids == whole.node_ids
         assert chunked.counts_by_kind == whole.counts_by_kind
-        assert carry.next_node == len(delays)
+        assert carry.next_node == rows
 
 
 class TestErrorParity:
