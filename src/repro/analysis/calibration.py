@@ -24,8 +24,9 @@ from ..core.estimator import LEQAEstimator
 from ..core.presence import compute_zones
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
+from ..qodg.critical_path import kind_delay_lut
 from ..qodg.iig import build_iig
-from ..qodg.sweep import sweep_critical_path
+from ..qodg.sweep import sweep_critical_path_lengths
 
 __all__ = ["calibrate_qubit_speed"]
 
@@ -84,8 +85,11 @@ def calibrate_qubit_speed(
             "calibrated on it"
         )
 
+    table = circuit.table()
+
     def latency_at(l_cnot: float) -> float:
-        return sweep_critical_path(circuit, probe.node_delay(l_cnot)).length
+        lut = kind_delay_lut(probe.node_delay(l_cnot))
+        return float(sweep_critical_path_lengths(table, lut[:, None])[0])
 
     floor = latency_at(0.0)
     if target_latency <= floor:

@@ -36,11 +36,14 @@ the materialized entry point is its one-chunk case:
 * :func:`optimize_stream` and :func:`~repro.circuits.table.optimize_table`
   run the same peephole scan to a fixed point, spilling each pass to
   disk here and holding it in a list there;
-* :func:`estimate_stream` folds chunks into the
+* :func:`estimate_stream` counts chunks into the
   :class:`~repro.qodg.iig.IIGAccumulator` that
-  :func:`~repro.qodg.iig.build_iig` runs on one chunk, takes the model
-  step :meth:`~repro.core.pipeline.StagedPipeline.run` takes, and
-  shares the chunk entry of :func:`~repro.qodg.sweep.recurrence` with
+  :func:`~repro.qodg.iig.build_iig` runs on one chunk (directed pair
+  keys, folded with one ``np.unique`` whenever the pending keys
+  outnumber the folded ones, then packed into the IIG's CSR arrays),
+  takes the model step :meth:`~repro.core.pipeline.StagedPipeline.run`
+  takes, and shares the chunk entry of
+  :func:`~repro.qodg.sweep.recurrence` with
   :func:`~repro.qodg.sweep.sweep_critical_path`.
 
 This module holds the pieces only the out-of-core path needs

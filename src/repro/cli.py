@@ -58,9 +58,7 @@ import time
 
 from .analysis.errors import absolute_error_percent
 from .analysis.report import format_scientific
-from .circuits.circuit import Circuit
 from .circuits.library import BENCHMARKS
-from .circuits.decompose import synthesize_ft
 from .core.estimator import LEQAEstimator
 from .engine import (
     STAGE_NAMES,
@@ -75,18 +73,6 @@ from .fabric.params import FabricSpec, PhysicalParams
 from .qspr.mapper import QSPRMapper
 
 __all__ = ["main", "build_arg_parser"]
-
-
-def _load_circuit(source: str) -> Circuit:
-    """Load a circuit from a benchmark name or a netlist path."""
-    return CircuitSpec(source, ft=False).load()
-
-
-def _prepare_ft(circuit: Circuit) -> Circuit:
-    """FT-synthesize the circuit unless it already is fault-tolerant."""
-    if circuit.is_ft():
-        return circuit
-    return synthesize_ft(circuit)
 
 
 def _params_from_args(args: argparse.Namespace) -> PhysicalParams:
@@ -565,7 +551,7 @@ def _estimate_streaming(args: argparse.Namespace) -> int:
             chunks = stream_read_qasm_lite(path, chunk_size=chunk_size)
         chunks = lower_ft_stream(chunks, profile=profile)
     else:
-        circuit = _load_circuit(args.circuit)
+        circuit = CircuitSpec(args.circuit).load()
         if circuit.is_ft():
             chunks = stream_table(circuit.table(), chunk_size=chunk_size)
         else:
@@ -609,7 +595,7 @@ def _estimate_streaming(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.stream:
         return _estimate_streaming(args)
-    circuit = _prepare_ft(_load_circuit(args.circuit))
+    circuit = CircuitSpec(args.circuit).build()
     if args.optimize:
         from .circuits.optimize import optimize_ft
 
@@ -639,7 +625,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    circuit = _prepare_ft(_load_circuit(args.circuit))
+    circuit = CircuitSpec(args.circuit).build()
     mapper = QSPRMapper(
         params=_params_from_args(args),
         placement=args.placement,
@@ -671,7 +657,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         Job(spec=spec, backend="qspr", params=params, tag="qspr"),
         Job(spec=spec, backend="leqa", params=params, tag="leqa"),
     ]
-    obs_before = _registry_snapshot()
     outcomes = runner.run(jobs)
     for point in outcomes:
         if not point.ok:
@@ -706,20 +691,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.profile:
         from .qspr.mapper import MAPPER_STAGES
 
-        # Stage walls come from the unified obs registry (snapshot
-        # delta over this run), the same spans that populate
-        # MappingResult.stage_seconds — one source of truth.
-        obs_after = _registry_snapshot()
         print()
         print(f"scheduler engine   {getattr(mapped, 'engine', 'array')}")
         print(f"{'stage':<12} {'wall (s)':>10}")
         print("-" * 23)
         for stage in MAPPER_STAGES:
-            wall = _histogram_sum_delta(
-                obs_before, obs_after, "mapper.stage.seconds", stage
-            )
-            if not wall:
-                wall = mapped.stage_seconds.get(stage, 0.0)
+            wall = mapped.stage_seconds.get(stage, 0.0)
             print(f"{stage:<12} {wall:>10.3f}")
         print(f"{'estimate':<12} {estimated.elapsed_seconds:>10.3f}")
     return 0
@@ -741,42 +718,6 @@ def _store_stats_payload(store: "object | None") -> dict | None:
     return {"root": str(store.root), **store.stats().as_dict()}
 
 
-def _registry_snapshot() -> dict:
-    """Snapshot of the process-wide obs registry (delta bookend)."""
-    from . import obs
-
-    return obs.default_registry().snapshot()
-
-
-def _counter_delta(before: dict, after: dict, name: str, **labels) -> int:
-    """Counter growth of one series between two registry snapshots.
-
-    The unified-registry read used by ``sweep --cache-stats`` and
-    ``compare --profile``: both tiers of the cache count into the same
-    registry, so a delta over the command's run can never drift from
-    what actually happened during it.
-    """
-    key = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return int(
-        after.get("counters", {}).get(name, {}).get(key, 0.0)
-        - before.get("counters", {}).get(name, {}).get(key, 0.0)
-    )
-
-
-def _histogram_sum_delta(
-    before: dict, after: dict, name: str, stage: str
-) -> float:
-    """Wall seconds added to every ``stage=...`` series of a histogram."""
-    a = after.get("histograms", {}).get(name, {})
-    b = before.get("histograms", {}).get(name, {})
-    wanted = f"stage={stage}"
-    total = 0.0
-    for key, hist in a.items():
-        if wanted in key.split(","):
-            total += hist.get("sum", 0.0) - b.get(key, {}).get("sum", 0.0)
-    return total
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         sizes = [int(token) for token in args.sizes.split(",") if token]
@@ -791,7 +732,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor=args.executor,
         store=_store_from_args(args),
     )
-    obs_before = _registry_snapshot()
     started = time.perf_counter()
     results = sweep_fabric_sizes(
         args.circuit,
@@ -893,27 +833,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "own cache"
             )
         return 1 if failures else 0
-    _print_cache_reuse(runner.cache.stats())
+    stats = runner.cache.stats()
+    _print_cache_reuse(stats)
     if args.cache_stats:
-        # Counts come from the unified obs registry (snapshot delta over
-        # this sweep), the same stream both cache tiers increment — the
-        # table cannot drift from the store-tier counters.
-        obs_after = _registry_snapshot()
         print(
             f"\n{'stage':<10} {'hits':>6} {'misses':>8} "
             f"{'store':>7} {'evicted':>9}"
         )
         print("-" * 44)
         for stage in STAGE_NAMES:
-            hits, misses, store_hits, evicted = (
-                _counter_delta(
-                    obs_before, obs_after, f"cache.{kind}", stage=stage
-                )
-                for kind in ("hit", "miss", "store_hit", "eviction")
-            )
             print(
-                f"{stage:<10} {hits:>6} {misses:>8} "
-                f"{store_hits:>7} {evicted:>9}"
+                f"{stage:<10} {stats.hit_count(stage):>6} "
+                f"{stats.miss_count(stage):>8} "
+                f"{stats.store_hit_count(stage):>7} "
+                f"{stats.eviction_count(stage):>9}"
             )
     return 1 if failures else 0
 
@@ -942,7 +875,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     from .core.presence import compute_zones
     from .qodg.iig import build_iig
 
-    circuit = _prepare_ft(_load_circuit(args.circuit))
+    circuit = CircuitSpec(args.circuit).build()
     params = _params_from_args(args)
     width, height = params.fabric.width, params.fabric.height
     if args.kind == "coverage":

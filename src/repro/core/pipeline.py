@@ -122,8 +122,7 @@ class ZoneArrays:
     @classmethod
     def from_iig(cls, iig: IIG) -> "ZoneArrays":
         """Build from an interaction graph in one pass."""
-        degrees, weights = iig.interaction_arrays()
-        return cls(degrees, weights)
+        return cls(iig.degrees, iig.weight_sums)
 
     @property
     def num_qubits(self) -> int:

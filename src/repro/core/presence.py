@@ -104,13 +104,10 @@ class PresenceZones:
 def compute_zones(iig: IIG) -> PresenceZones:
     """Build :class:`PresenceZones` from an interaction intensity graph.
 
-    Reads the per-qubit ``M_i``/weight-sum vectors off the IIG's cached
-    structure-of-arrays core instead of walking the adjacency dicts
-    qubit by qubit.
+    Reads the per-qubit ``M_i``/weight-sum vectors off the IIG's arrays.
     """
-    view = iig.arrays()
-    degrees = view.degrees.tolist()
-    weights = view.weight_sums.tolist()
+    degrees = iig.degrees.tolist()
+    weights = iig.weight_sums.tolist()
     zones = [
         QubitZone(
             qubit=q,

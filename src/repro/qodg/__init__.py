@@ -2,7 +2,7 @@
 
 from .critical_path import CriticalPathResult, critical_path
 from .graph import QODG, QODGArrays, build_qodg
-from .iig import IIG, IIGArrays, build_iig
+from .iig import IIG, build_iig
 from .slack import SlackAnalysis, analyze_slack, critical_set_shift
 from .stats import QODGStats, compute_stats, parallelism_profile
 from .sweep import sweep_critical_path
@@ -20,7 +20,6 @@ __all__ = [
     "CriticalPathResult",
     "critical_path",
     "IIG",
-    "IIGArrays",
     "build_iig",
     "sweep_critical_path",
 ]

@@ -9,183 +9,97 @@ self-loops).  From the IIG the estimator reads, for each qubit ``n_i``:
   (Eq. 6), and
 * ``sum_j w(e_ij)`` — the adjacent weight sum used to weight zone areas and
   uncongested latencies in Eqs. (7) and (12).
+
+The graph is its CSR arrays.  Each edge is stored in both endpoints'
+rows, and every row lists its neighbours in **first-interaction order**,
+so array consumers (weighted centroids, zone sums) accumulate in one
+fixed sequence whichever way the graph was built: by the object walk, by
+the :class:`IIGAccumulator` over any chunking of a gate stream, or by
+decoding a stored graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
+
+import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..exceptions import GraphError
 
-__all__ = ["IIG", "IIGAccumulator", "IIGArrays", "build_iig"]
+__all__ = ["IIG", "IIGAccumulator", "build_iig"]
 
 
-@dataclass(frozen=True)
-class IIGArrays:
-    """Structure-of-arrays (CSR) core of an :class:`IIG`.
+@dataclass(frozen=True, eq=False)
+class IIG:
+    """Weighted undirected interaction graph over logical qubits, as CSR.
 
-    The neighbours of qubit ``q`` are
-    ``indices[indptr[q]:indptr[q + 1]]`` with matching edge weights in
-    ``weights`` — stored in first-interaction order, exactly the order
-    the object API's :meth:`IIG.neighbors` reports, so array consumers
-    reproduce dict-walking results bit for bit (weighted centroids sum in
-    the same sequence).  ``degrees``/``weight_sums`` are the per-qubit
-    ``M_i`` and ``sum_j w(e_ij)`` the estimator stages read.
+    The neighbours of qubit ``q`` are ``indices[indptr[q]:indptr[q + 1]]``
+    with matching edge weights in ``weights``, in first-interaction
+    order.  ``degrees`` and ``weight_sums`` — the per-qubit ``M_i`` and
+    ``sum_j w(e_ij)`` the estimator stages read — are derived from the
+    rows at construction.  All five arrays are int64.
     """
 
-    indptr: "object"
-    indices: "object"
-    weights: "object"
-    degrees: "object"
-    weight_sums: "object"
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    degrees: np.ndarray = field(init=False)
+    weight_sums: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        running = np.concatenate(([0], np.cumsum(self.weights)))
+        object.__setattr__(self, "degrees", np.diff(self.indptr))
+        object.__setattr__(
+            self,
+            "weight_sums",
+            running[self.indptr[1:]] - running[self.indptr[:-1]],
+        )
 
     @property
     def num_qubits(self) -> int:
         """Number of logical qubits (graph nodes)."""
         return len(self.degrees)
 
-    def neighbors_of(self, qubit: int):
-        """CSR row view of one qubit's interaction partners."""
-        return self.indices[self.indptr[qubit] : self.indptr[qubit + 1]]
-
-    def weights_of(self, qubit: int):
-        """Edge weights aligned with :meth:`neighbors_of`."""
-        return self.weights[self.indptr[qubit] : self.indptr[qubit + 1]]
-
-
-class IIG:
-    """Weighted undirected interaction graph over logical qubits.
-
-    Built incrementally with :meth:`add_interaction`; typically constructed
-    by :func:`build_iig` from a circuit in one pass over its gates.
-    """
-
-    def __init__(self, num_qubits: int) -> None:
-        if num_qubits < 0:
-            raise GraphError("num_qubits must be non-negative")
-        self._num_qubits = num_qubits
-        # adjacency[i][j] = w(e_ij); symmetric, no self loops.
-        self._adjacency: list[dict[int, int]] = [dict() for _ in range(num_qubits)]
-        self._total_weight = 0
-        # (version, IIGArrays) — rebuilt when mutations bump the version.
-        self._version = 0
-        self._arrays: tuple[int, IIGArrays] | None = None
-
-    @property
-    def num_qubits(self) -> int:
-        """Number of logical qubits (graph nodes)."""
-        return self._num_qubits
-
     @property
     def num_edges(self) -> int:
         """Number of distinct interacting pairs."""
-        return sum(len(adj) for adj in self._adjacency) // 2
+        return len(self.indices) // 2
 
     @property
     def total_weight(self) -> int:
         """Sum of all edge weights (= number of two-qubit operations)."""
-        return self._total_weight
-
-    def add_interaction(self, qubit_a: int, qubit_b: int, weight: int = 1) -> None:
-        """Record ``weight`` two-qubit operations between the two qubits."""
-        if qubit_a == qubit_b:
-            raise GraphError("IIG has no self-loops (one-qubit ops excluded)")
-        for qubit in (qubit_a, qubit_b):
-            if not 0 <= qubit < self._num_qubits:
-                raise GraphError(f"qubit index {qubit} out of range")
-        if weight <= 0:
-            raise GraphError(f"interaction weight must be positive, got {weight}")
-        self._adjacency[qubit_a][qubit_b] = (
-            self._adjacency[qubit_a].get(qubit_b, 0) + weight
-        )
-        self._adjacency[qubit_b][qubit_a] = (
-            self._adjacency[qubit_b].get(qubit_a, 0) + weight
-        )
-        self._total_weight += weight
-        self._version += 1
-
-    def degree(self, qubit: int) -> int:
-        """``M_i``: number of distinct interaction partners of the qubit."""
-        self._check(qubit)
-        return len(self._adjacency[qubit])
+        return int(self.weights.sum()) // 2
 
     def weight(self, qubit_a: int, qubit_b: int) -> int:
         """``w(e_ij)``; zero when the qubits never interact."""
-        self._check(qubit_a)
         self._check(qubit_b)
-        return self._adjacency[qubit_a].get(qubit_b, 0)
-
-    def adjacent_weight_sum(self, qubit: int) -> int:
-        """``sum_j w(e_ij)`` over the qubit's IIG neighbours."""
-        self._check(qubit)
-        return sum(self._adjacency[qubit].values())
-
-    def arrays(self) -> IIGArrays:
-        """The CSR (structure-of-arrays) view, built lazily and cached.
-
-        Neighbour rows preserve first-interaction (dict insertion) order;
-        the cached view is invalidated by :meth:`add_interaction`.
-        """
-        if self._arrays is not None and self._arrays[0] == self._version:
-            return self._arrays[1]
-        import numpy as np
-
-        count = self._num_qubits
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        for i, row in enumerate(self._adjacency):
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = np.fromiter(
-            (j for row in self._adjacency for j in row),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        weights = np.fromiter(
-            (w for row in self._adjacency for w in row.values()),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        degrees = indptr[1:] - indptr[:-1]
-        weight_sums = np.fromiter(
-            (sum(row.values()) for row in self._adjacency),
-            dtype=np.int64,
-            count=count,
-        )
-        view = IIGArrays(
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            degrees=degrees,
-            weight_sums=weight_sums,
-        )
-        self._arrays = (self._version, view)
-        return view
-
-    def interaction_arrays(self):
-        """``(degrees, weights)`` over all qubits as numpy int64 arrays.
-
-        ``degrees[i] = M_i`` and ``weights[i] = sum_j w(e_ij)`` — the two
-        per-qubit quantities the vectorized estimator stages consume,
-        read straight off the cached CSR core.
-        """
-        view = self.arrays()
-        return view.degrees, view.weight_sums
+        partners = self._row(qubit_a, self.indices)
+        if qubit_b not in partners:
+            return 0
+        return self._row(qubit_a, self.weights)[partners.index(qubit_b)]
 
     def neighbors(self, qubit: int) -> tuple[int, ...]:
         """Interaction partners of the qubit."""
-        self._check(qubit)
-        return tuple(self._adjacency[qubit])
+        return tuple(self._row(qubit, self.indices))
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Iterate ``(i, j, weight)`` with ``i < j`` once per edge."""
-        for i, adj in enumerate(self._adjacency):
-            for j, weight in adj.items():
-                if i < j:
-                    yield (i, j, weight)
+        indptr = self.indptr.tolist()
+        indices = self.indices.tolist()
+        weights = self.weights.tolist()
+        for i in range(self.num_qubits):
+            for at in range(indptr[i], indptr[i + 1]):
+                if i < indices[at]:
+                    yield (i, indices[at], weights[at])
+
+    def _row(self, qubit: int, column: np.ndarray) -> list[int]:
+        self._check(qubit)
+        return column[self.indptr[qubit] : self.indptr[qubit + 1]].tolist()
 
     def _check(self, qubit: int) -> None:
-        if not 0 <= qubit < self._num_qubits:
+        if not 0 <= qubit < self.num_qubits:
             raise GraphError(f"qubit index {qubit} out of range")
 
     def to_networkx(self):
@@ -193,82 +107,93 @@ class IIG:
         import networkx as nx
 
         graph = nx.Graph()
-        graph.add_nodes_from(range(self._num_qubits))
+        graph.add_nodes_from(range(self.num_qubits))
         graph.add_weighted_edges_from(self.edges())
         return graph
 
     def __repr__(self) -> str:
         return (
-            f"IIG(qubits={self._num_qubits}, edges={self.num_edges}, "
-            f"total_weight={self._total_weight})"
+            f"IIG(qubits={self.num_qubits}, edges={self.num_edges}, "
+            f"total_weight={self.total_weight})"
         )
 
 
 class IIGAccumulator:
     """Chunk-wise interaction pair counting.
 
-    Per chunk, two-qubit rows are pair-counted with one ``np.unique``
-    over encoded directed pairs, and the adjacency dicts are updated
-    edge by edge in **first-interaction order** (recovered from the
-    first-occurrence indices with a ``lexsort``).  Each chunk appends its
-    *new* neighbours in that order, so the finished graph — including
-    the CSR view's row ordering the estimator's weighted sums depend on
-    — is the same for any chunking, and :func:`build_iig` on a
-    table-backed circuit is the one-chunk case.
+    Every two-qubit row adds the directed keys ``a << 32 | b`` and
+    ``b << 32 | a``, numbered in stream order (packing by shifting, not
+    by register size, because a stream's register can grow).  New keys
+    wait as pending until they outnumber the folded ones; a fold runs one
+    ``np.unique`` over the folded keys followed by the pending ones, so
+    each key's first index is its first interaction, and sums the counts.
+    :meth:`finish` orders each source's neighbours by that first
+    interaction, so the graph is the same for any chunking, and
+    :func:`build_iig` on a table-backed circuit is the one-chunk case.
     """
 
     def __init__(self) -> None:
-        self._adjacency: list[dict[int, int]] = []
-        self._total_weight = 0
+        self._num_qubits = 0
+        #: Folded keys (unique, ascending), each one's first stream
+        #: number and its count.
+        self._keys = np.empty(0, dtype=np.int64)
+        self._first = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+        #: Keys folded so far, duplicates included: the stream number of
+        #: the first pending key.
+        self._numbered = 0
+        self._pending: list[np.ndarray] = []
+        self._pending_count = 0
 
     def update(self, table) -> None:
-        """Fold one :class:`~repro.circuits.table.GateTable` chunk's
-        two-qubit interactions into the counts."""
-        import numpy as np
-
-        num_qubits = table.num_qubits
-        while len(self._adjacency) < num_qubits:
-            self._adjacency.append({})
+        """Add one :class:`~repro.circuits.table.GateTable` chunk's
+        two-qubit interactions to the counts."""
+        self._num_qubits = max(self._num_qubits, table.num_qubits)
         mask = table.arities() == 2
-        total = int(mask.sum())
-        if not total:
+        if not mask.any():
             return
         # Operands in controls-then-targets order, as the object walk reads.
-        ctrl = table.ctrl[mask]
-        target = table.target[mask]
-        has_ctrl = ctrl >= 0
-        qa = np.where(has_ctrl, ctrl, target)
-        qb = np.where(has_ctrl, target, table.target2[mask])
-        # Directed pairs in chronological order: (a->b, b->a) per gate.
-        keys = np.stack(
-            (qa * num_qubits + qb, qb * num_qubits + qa), axis=1
-        ).ravel()
-        unique_keys, first_idx, counts = np.unique(
-            keys, return_index=True, return_counts=True
+        o0, o1 = table.operand_pairs()
+        qa = o0[mask].astype(np.int64)
+        qb = o1[mask].astype(np.int64)
+        keys = np.stack((qa << 32 | qb, qb << 32 | qa), axis=1).ravel()
+        self._pending.append(keys)
+        self._pending_count += len(keys)
+        if self._pending_count > len(self._keys):
+            self._fold()
+
+    def _fold(self) -> None:
+        folded = len(self._keys)
+        pending = np.concatenate(self._pending)
+        numbers = np.concatenate((
+            self._first,
+            np.arange(self._numbered, self._numbered + len(pending)),
+        ))
+        self._keys, first_at, inverse = np.unique(
+            np.concatenate((self._keys, pending)),
+            return_index=True,
+            return_inverse=True,
         )
-        sources, dests = np.divmod(unique_keys, num_qubits)
-        # Per source qubit, neighbours in first-interaction order.
-        order = np.lexsort((first_idx, sources))
-        adjacency = self._adjacency
-        for src, dst, weight in zip(
-            sources[order].tolist(),
-            dests[order].tolist(),
-            counts[order].tolist(),
-        ):
-            row = adjacency[src]
-            row[dst] = row.get(dst, 0) + weight
-        self._total_weight += total
+        self._first = numbers[first_at]
+        counts = np.bincount(inverse[folded:], minlength=len(self._keys))
+        counts[inverse[:folded]] += self._counts
+        self._counts = counts
+        self._numbered += len(pending)
+        self._pending = []
+        self._pending_count = 0
 
     def finish(self, num_qubits: int | None = None) -> IIG:
         """The accumulated graph as an :class:`IIG`."""
-        count = max(len(self._adjacency), num_qubits or 0)
-        iig = IIG(count)
-        while len(self._adjacency) < count:
-            self._adjacency.append({})
-        iig._adjacency = self._adjacency
-        iig._total_weight = self._total_weight
-        iig._version += 1
-        return iig
+        if self._pending:
+            self._fold()
+        count = max(self._num_qubits, num_qubits or 0)
+        sources = self._keys >> 32
+        order = np.lexsort((self._first, sources))
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=count), out=indptr[1:])
+        return IIG(
+            indptr, self._keys[order] & 0xFFFFFFFF, self._counts[order]
+        )
 
 
 def build_iig(circuit: Circuit) -> IIG:
@@ -281,21 +206,16 @@ def build_iig(circuit: Circuit) -> IIG:
     interactions unspecified — pass FT circuits for paper-faithful use).
 
     Table-backed circuits are pair-counted vectorized as one
-    :class:`IIGAccumulator` chunk (one ``np.unique`` over the flat operand
-    columns — edges, not gates, cost Python work); object-built circuits
-    walk their gates as before.
+    :class:`IIGAccumulator` chunk; object-built circuits walk their gates
+    into per-qubit dicts (insertion order is first-interaction order) and
+    pack those rows into the same CSR arrays.
     """
     table = circuit.table_if_ready()
     if table is not None:
         accumulator = IIGAccumulator()
         accumulator.update(table)
         return accumulator.finish(circuit.num_qubits)
-    iig = IIG(circuit.num_qubits)
-    # Hot loop: inlined adjacency update (same effect as add_interaction
-    # with weight 1, minus per-call validation — operands were validated
-    # at circuit construction).
-    adjacency = iig._adjacency
-    total = 0
+    adjacency: list[dict[int, int]] = [{} for _ in range(circuit.num_qubits)]
     for gate in circuit:
         if len(gate.controls) + len(gate.targets) == 2:
             qubit_a, qubit_b = gate.controls + gate.targets
@@ -303,7 +223,14 @@ def build_iig(circuit: Circuit) -> IIG:
             row_a[qubit_b] = row_a.get(qubit_b, 0) + 1
             row_b = adjacency[qubit_b]
             row_b[qubit_a] = row_b.get(qubit_a, 0) + 1
-            total += 1
-    iig._total_weight += total
-    iig._version += 1
-    return iig
+    indptr = np.concatenate(
+        ([0], np.cumsum([len(row) for row in adjacency], dtype=np.int64))
+    )
+    size = int(indptr[-1])
+    return IIG(
+        indptr,
+        np.fromiter((j for row in adjacency for j in row), np.int64, size),
+        np.fromiter(
+            (w for row in adjacency for w in row.values()), np.int64, size
+        ),
+    )

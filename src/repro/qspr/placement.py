@@ -99,17 +99,16 @@ def iig_greedy_placement(iig: IIG, tqa: TQA) -> list[Position]:
     hold a qubit, placement continues in storage-overflow mode (several
     qubits per ULB) using the centroid ULB directly.
 
-    Works off the IIG's structure-of-arrays core: visit order comes from
-    the weight-sum vector and centroids accumulate along CSR neighbour
-    rows (stored in first-interaction order, so results match the
-    adjacency-dict walk exactly).
+    Works off the IIG's CSR arrays: visit order comes from the weight-sum
+    vector and centroids accumulate along neighbour rows (stored in
+    first-interaction order, so every way of building the graph places
+    alike).
     """
     num_qubits = iig.num_qubits
-    view = iig.arrays()
-    weight_sums = view.weight_sums.tolist()
-    indptr = view.indptr.tolist()
-    indices = view.indices.tolist()
-    weights = view.weights.tolist()
+    weight_sums = iig.weight_sums.tolist()
+    indptr = iig.indptr.tolist()
+    indices = iig.indices.tolist()
+    weights = iig.weights.tolist()
     order = sorted(
         range(num_qubits),
         key=lambda q: (-weight_sums[q], q),

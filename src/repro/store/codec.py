@@ -147,35 +147,19 @@ def _decode_circuit(meta: dict, data) -> Circuit:
 
 
 def _encode_iig(iig: IIG) -> bytes:
-    view = iig.arrays()
     return _pack(
         "iig",
         {"num_qubits": iig.num_qubits},
         {
-            "indptr": view.indptr,
-            "indices": view.indices,
-            "weights": view.weights,
+            "indptr": iig.indptr,
+            "indices": iig.indices,
+            "weights": iig.weights,
         },
     )
 
 
 def _decode_iig(meta: dict, data) -> IIG:
-    iig = IIG(int(meta["num_qubits"]))
-    indptr = data["indptr"]
-    indices = data["indices"].tolist()
-    weights = data["weights"].tolist()
-    # Refill the adjacency dicts in CSR row order — exactly the
-    # first-interaction order the arrays were emitted in, so the decoded
-    # graph's own CSR view is bitwise-identical to the original's.
-    adjacency = iig._adjacency
-    for qubit in range(iig.num_qubits):
-        lo, hi = int(indptr[qubit]), int(indptr[qubit + 1])
-        row = adjacency[qubit]
-        for at in range(lo, hi):
-            row[indices[at]] = weights[at]
-    iig._total_weight = sum(weights) // 2
-    iig._version += 1
-    return iig
+    return IIG(data["indptr"], data["indices"], data["weights"])
 
 
 def _encode_zone_arrays(zones: ZoneArrays) -> bytes:

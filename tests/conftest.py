@@ -9,6 +9,7 @@ from repro.circuits.decompose import synthesize_ft
 from repro.circuits.gates import cnot, h, t, tdg, x
 from repro.circuits.generators import ripple_adder
 from repro.fabric.params import FabricSpec, GateDelays, PhysicalParams
+from repro.qodg.iig import IIG, build_iig
 
 
 @pytest.fixture
@@ -24,6 +25,18 @@ def unit_delay_params() -> PhysicalParams:
         h=1.0, t=1.0, tdg=1.0, x=1.0, y=1.0, z=1.0, s=1.0, sdg=1.0, cnot=1.0
     )
     return PhysicalParams(delays=ones, fabric=FabricSpec(8, 8))
+
+
+@pytest.fixture
+def cnot_iig():
+    """Builds the IIG of a circuit holding one CNOT per listed pair."""
+
+    def build(num_qubits: int, pairs) -> IIG:
+        circuit = Circuit(num_qubits)
+        circuit.extend(cnot(a, b) for a, b in pairs)
+        return build_iig(circuit)
+
+    return build
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.calibration import calibrate_qubit_speed
@@ -13,7 +14,7 @@ from repro.analysis.errors import (
 from repro.analysis.report import format_scientific, format_table
 from repro.analysis.scaling import extrapolate, fit_power_law
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import h
+from repro.circuits.gates import KINDS_BY_CODE, h
 from repro.circuits.generators import ham3
 from repro.circuits.library import build_ft
 from repro.core.estimator import LEQAEstimator
@@ -131,7 +132,7 @@ class TestCalibration:
     @pytest.mark.parametrize("name", ["ham3", "8bitadder"])
     def test_speed_bitwise_equals_graph_oracle(self, monkeypatch, name):
         """The bisection reads critical-path lengths only, and those do
-        not depend on tie-breaking: the one-pass sweep and the graph
+        not depend on tie-breaking: the batched lengths and the graph
         oracle calibrate to the same float."""
         import repro.analysis.calibration as calibration
 
@@ -140,14 +141,30 @@ class TestCalibration:
         target = 1.7 * LEQAEstimator(params=params).estimate(circuit).latency
         swept = calibrate_qubit_speed(circuit, params, target)
         qodg = build_qodg(circuit)
+
+        def oracle_lengths(_, lut):
+            delays = {
+                kind: float(lut[code, 0])
+                for code, kind in enumerate(KINDS_BY_CODE)
+                if not np.isnan(lut[code, 0])
+            }
+            return np.array([critical_path(qodg, delays).length])
+
         monkeypatch.setattr(
-            calibration,
-            "sweep_critical_path",
-            lambda _, delays: critical_path(qodg, delays),
+            calibration, "sweep_critical_path_lengths", oracle_lengths
         )
         assert swept.hex() == calibrate_qubit_speed(
             circuit, params, target
         ).hex()
+
+    def test_gf2_16mult_speed_pinned(self):
+        # The bisection may change how it probes (lengths only, no path
+        # walk) but not the float it lands on.
+        params = PhysicalParams()
+        circuit = build_ft("gf2^16mult")
+        target = 1.3 * LEQAEstimator(params=params).estimate(circuit).latency
+        speed = calibrate_qubit_speed(circuit, params, target)
+        assert speed.hex() == "0x1.6c6975fe5f3afp-13"
 
     def test_larger_target_gives_slower_speed(self):
         params = PhysicalParams(fabric=FabricSpec(12, 12))

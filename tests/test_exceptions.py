@@ -61,10 +61,11 @@ class TestErrorVocabularyPerSubsystem:
             FabricSpec(-1, 5)
 
     def test_graph_layer_raises_graph_error(self):
-        from repro.qodg.iig import IIG
+        from repro.circuits.circuit import Circuit
+        from repro.qodg.iig import build_iig
 
         with pytest.raises(GraphError):
-            IIG(2).add_interaction(0, 0)
+            build_iig(Circuit(2)).neighbors(2)
 
     def test_estimator_raises_estimation_error(self):
         from repro.core.queueing import congested_latency
@@ -73,10 +74,11 @@ class TestErrorVocabularyPerSubsystem:
             congested_latency(-1, 1.0, 1)
 
     def test_mapper_raises_mapping_error(self):
+        from repro.circuits.circuit import Circuit
         from repro.qspr.placement import make_placement
-        from repro.qodg.iig import IIG
+        from repro.qodg.iig import build_iig
         from repro.fabric.params import FabricSpec
         from repro.fabric.tqa import TQA
 
         with pytest.raises(MappingError):
-            make_placement("nope", IIG(1), TQA(FabricSpec(2, 2)))
+            make_placement("nope", build_iig(Circuit(1)), TQA(FabricSpec(2, 2)))

@@ -8,7 +8,7 @@ from repro.circuits.generators import ham3
 from repro.exceptions import MappingError
 from repro.fabric.params import FabricSpec
 from repro.fabric.tqa import TQA
-from repro.qodg.iig import IIG, build_iig
+from repro.qodg.iig import build_iig
 from repro.qspr.placement import (
     PLACEMENT_STRATEGIES,
     iig_greedy_placement,
@@ -72,21 +72,17 @@ class TestIIGGreedy:
         for position in placement:
             assert tqa.contains(position)
 
-    def test_interacting_qubits_placed_adjacent(self, tqa):
+    def test_interacting_qubits_placed_adjacent(self, tqa, cnot_iig):
         # A heavy pair should end up next to each other.
-        iig = IIG(2)
-        iig.add_interaction(0, 1, weight=100)
+        iig = cnot_iig(2, [(0, 1)] * 100)
         placement = iig_greedy_placement(iig, tqa)
         assert TQA.manhattan(placement[0], placement[1]) == 1
 
-    def test_heavy_cluster_is_compact(self, tqa):
+    def test_heavy_cluster_is_compact(self, tqa, cnot_iig):
         # 5 mutually-interacting qubits vs an unrelated pair: the clique
         # spans a small neighbourhood.
-        iig = IIG(7)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                iig.add_interaction(i, j, weight=10)
-        iig.add_interaction(5, 6, weight=1)
+        clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        iig = cnot_iig(7, clique * 10 + [(5, 6)])
         placement = iig_greedy_placement(iig, tqa)
         clique = placement[:5]
         spread = max(
@@ -94,16 +90,14 @@ class TestIIGGreedy:
         )
         assert spread <= 4
 
-    def test_isolated_qubits_still_placed(self, tqa):
-        iig = IIG(4)  # no interactions at all
+    def test_isolated_qubits_still_placed(self, tqa, cnot_iig):
+        iig = cnot_iig(4, [])  # no interactions at all
         placement = iig_greedy_placement(iig, tqa)
         assert len(set(placement)) == 4
 
-    def test_overflow_beyond_fabric(self):
+    def test_overflow_beyond_fabric(self, cnot_iig):
         small = TQA(FabricSpec(2, 2))
-        iig = IIG(7)
-        for i in range(6):
-            iig.add_interaction(i, i + 1)
+        iig = cnot_iig(7, [(i, i + 1) for i in range(6)])
         placement = iig_greedy_placement(iig, small)
         assert len(placement) == 7
         for position in placement:
@@ -121,6 +115,6 @@ class TestMakePlacement:
         placement = make_placement(strategy, iig, tqa, seed=1)
         assert len(placement) == 3
 
-    def test_unknown_strategy_rejected(self, tqa):
+    def test_unknown_strategy_rejected(self, tqa, cnot_iig):
         with pytest.raises(MappingError, match="unknown placement"):
-            make_placement("simulated_annealing", IIG(2), tqa)
+            make_placement("simulated_annealing", cnot_iig(2, []), tqa)

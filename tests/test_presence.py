@@ -7,7 +7,7 @@ import pytest
 from repro.circuits.generators import ham3
 from repro.core.presence import compute_zones, zone_area
 from repro.exceptions import EstimationError
-from repro.qodg.iig import IIG, build_iig
+from repro.qodg.iig import build_iig
 
 
 class TestZoneArea:
@@ -22,10 +22,8 @@ class TestZoneArea:
 
 
 class TestComputeZones:
-    def test_per_qubit_records(self):
-        iig = IIG(3)
-        iig.add_interaction(0, 1, weight=4)
-        iig.add_interaction(0, 2, weight=2)
+    def test_per_qubit_records(self, cnot_iig):
+        iig = cnot_iig(3, [(0, 1)] * 4 + [(0, 2)] * 2)
         zones = compute_zones(iig)
         assert zones[0].degree == 2
         assert zones[0].weight == 6
@@ -33,28 +31,24 @@ class TestComputeZones:
         assert zones[1].degree == 1
         assert zones[1].area == 2.0
 
-    def test_eq7_weighted_average_hand_computed(self):
+    def test_eq7_weighted_average_hand_computed(self, cnot_iig):
         # Qubit 0: w=6, B=3; qubit 1: w=4, B=2; qubit 2: w=2, B=2.
-        iig = IIG(3)
-        iig.add_interaction(0, 1, weight=4)
-        iig.add_interaction(0, 2, weight=2)
+        iig = cnot_iig(3, [(0, 1)] * 4 + [(0, 2)] * 2)
         zones = compute_zones(iig)
         expected = (6 * 3 + 4 * 2 + 2 * 2) / (6 + 4 + 2)
         assert zones.average_area == pytest.approx(expected)
 
-    def test_no_interactions_degenerates_to_unit_zone(self):
-        zones = compute_zones(IIG(4))
+    def test_no_interactions_degenerates_to_unit_zone(self, cnot_iig):
+        zones = compute_zones(cnot_iig(4, []))
         assert zones.average_area == 1.0
         assert zones.total_weight == 0
 
-    def test_total_weight_is_twice_two_qubit_ops(self):
-        iig = IIG(2)
-        iig.add_interaction(0, 1, weight=7)
+    def test_total_weight_is_twice_two_qubit_ops(self, cnot_iig):
+        iig = cnot_iig(2, [(0, 1)] * 7)
         assert compute_zones(iig).total_weight == 14
 
-    def test_isolated_qubits_have_zero_weight(self):
-        iig = IIG(3)
-        iig.add_interaction(0, 1)
+    def test_isolated_qubits_have_zero_weight(self, cnot_iig):
+        iig = cnot_iig(3, [(0, 1)])
         zones = compute_zones(iig)
         assert zones[2].weight == 0
         assert zones[2].area == 1.0
@@ -65,8 +59,8 @@ class TestComputeZones:
         # hence B = 3 regardless of weights.
         assert zones.average_area == pytest.approx(3.0)
 
-    def test_len_and_iteration(self):
-        zones = compute_zones(IIG(5))
+    def test_len_and_iteration(self, cnot_iig):
+        zones = compute_zones(cnot_iig(5, []))
         assert len(zones) == 5
         assert zones.num_qubits == 5
         assert len(zones.zones) == 5

@@ -116,14 +116,13 @@ class TestAccessors:
         assert out_edges == in_edges == qodg.num_edges
 
     def test_to_networkx_roundtrip(self):
+        nx = pytest.importorskip("networkx")
         circuit = Circuit(2)
         circuit.extend([h(0), cnot(0, 1)])
         qodg = build_qodg(circuit)
         graph = qodg.to_networkx()
         assert graph.number_of_nodes() == qodg.num_nodes
         assert graph.number_of_edges() == qodg.num_edges
-        import networkx as nx
-
         assert nx.is_directed_acyclic_graph(graph)
 
 

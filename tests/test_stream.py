@@ -104,12 +104,11 @@ def assert_tables_equal(streamed, expected) -> None:
 
 
 def assert_iig_equal(streamed, expected) -> None:
-    got, want = streamed.arrays(), expected.arrays()
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.degrees, want.degrees)
-    assert np.array_equal(got.weight_sums, want.weight_sums)
+    assert np.array_equal(streamed.indptr, expected.indptr)
+    assert np.array_equal(streamed.indices, expected.indices)
+    assert np.array_equal(streamed.weights, expected.weights)
+    assert np.array_equal(streamed.degrees, expected.degrees)
+    assert np.array_equal(streamed.weight_sums, expected.weight_sums)
     assert streamed.total_weight == expected.total_weight
 
 
