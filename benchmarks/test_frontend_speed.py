@@ -60,12 +60,11 @@ def _object_backed(circuit: Circuit) -> Circuit:
 
 
 def _legacy_cold(text: str):
-    """Object path: object parse -> object FT synthesis -> list threading."""
+    """Object path: object parse -> object FT synthesis -> object threading."""
     started = time.perf_counter()
     circuit = _object_backed(reads_real(text))
     ft = _object_backed(synthesize_ft(circuit, engine="legacy"))
     qodg = build_qodg(ft)
-    qodg.csr()
     iig = build_iig(ft)
     return time.perf_counter() - started, ft, qodg, iig
 
@@ -76,7 +75,6 @@ def _table_cold(text: str):
     circuit = reads_real(text)
     ft = synthesize_ft(circuit, engine="table")
     qodg = build_qodg(ft)
-    qodg.csr()
     iig = build_iig(ft)
     return time.perf_counter() - started, ft, qodg, iig
 
@@ -94,11 +92,10 @@ def test_frontend_speed_and_equivalence(benchmark):
     assert len(table_ft) == len(legacy_ft)
     assert table_ft.qubit_names == legacy_ft.qubit_names
     assert table_ft.content_fingerprint() == legacy_ft.content_fingerprint()
-    fast_csr, slow_csr = table_qodg.csr(), legacy_qodg.csr()
     for field in ("pred_indptr", "pred_indices", "succ_indptr",
                   "succ_indices", "qubit_indptr", "qubit_ops"):
         assert np.array_equal(
-            getattr(fast_csr, field), getattr(slow_csr, field)
+            getattr(table_qodg, field), getattr(legacy_qodg, field)
         ), field
     for field in ("indptr", "indices", "weights", "degrees", "weight_sums"):
         assert np.array_equal(

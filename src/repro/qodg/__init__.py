@@ -1,7 +1,7 @@
 """Dependency-graph layer: QODG, critical path, and the IIG."""
 
 from .critical_path import CriticalPathResult, critical_path
-from .graph import QODG, QODGArrays, build_qodg
+from .graph import QODG, build_qodg
 from .iig import IIG, build_iig
 from .slack import SlackAnalysis, analyze_slack, critical_set_shift
 from .stats import QODGStats, compute_stats, parallelism_profile
@@ -15,7 +15,6 @@ __all__ = [
     "compute_stats",
     "parallelism_profile",
     "QODG",
-    "QODGArrays",
     "build_qodg",
     "CriticalPathResult",
     "critical_path",

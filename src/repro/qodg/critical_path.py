@@ -175,8 +175,8 @@ def critical_path(
     Notes
     -----
     An empty circuit yields length 0 and an empty path.  Ties between
-    equally-long predecessor paths are broken toward the smaller node id,
-    making results deterministic.
+    equally-long predecessor paths keep the first predecessor in operand
+    order (controls first), making results deterministic.
     """
     num_ops = qodg.num_ops
     start, end = qodg.start, qodg.end
@@ -184,13 +184,14 @@ def critical_path(
     dist = [0.0] * (num_ops + 2)
     best_pred = [-1] * (num_ops + 2)
     node_delays = resolve_node_delays(qodg.circuit, delays)
-    # Hot path: read the adjacency lists directly rather than through the
-    # bounds-checked accessor (this loop dominates LEQA's runtime).
-    all_preds, _ = qodg._lists()
+    # Hot path: walk flat CSR lists rather than the bounds-checked
+    # accessor, one predecessor slice per node.
+    pred_indptr = qodg.pred_indptr.tolist()
+    pred_indices = qodg.pred_indices.tolist()
     for node in range(num_ops):
         best = 0.0
         pred_choice = start
-        for pred in all_preds[node]:
+        for pred in pred_indices[pred_indptr[node] : pred_indptr[node + 1]]:
             pred_dist = dist[pred]
             if pred_dist > best:
                 best = pred_dist
@@ -199,7 +200,7 @@ def critical_path(
         best_pred[node] = pred_choice
     best = 0.0
     pred_choice = start
-    for pred in all_preds[end]:
+    for pred in pred_indices[pred_indptr[end] :]:
         if dist[pred] > best:
             best = dist[pred]
             pred_choice = pred

@@ -7,24 +7,25 @@ one edge in and one out; a two-qubit operation two in and two out.  Edges
 between the same node pair are merged, a *start* node feeds the first
 operation on every qubit and an *end* node collects the last.
 
-The graph is stored as flat predecessor/successor adjacency in
-compressed-sparse-row form; because gates are threaded in program order
-the node numbering is already a topological order (start first, end
-last), which the critical-path pass exploits.  For table-backed circuits
-(the array-native front-end) the CSR core is built **straight from the
-flat :class:`~repro.circuits.table.GateTable`** in one vectorized
-per-qubit threading pass — no Gate objects, no per-node Python lists;
-object-built circuits fall back to the historical list threading, and
-both constructions produce bitwise-identical arrays (asserted by
-``tests/test_table_equivalence.py``).  Python adjacency lists are
-materialized lazily for the object API, and a :meth:`QODG.to_networkx`
-export exists for interoperability and visual debugging.
+The graph is its CSR arrays: flat predecessor and successor adjacency in
+compressed-sparse-row form, plus each qubit's operations in program
+order.  Because gates are threaded in program order the node numbering is
+already a topological order (start and end follow the operations), which
+every sweep over the graph exploits.  For table-backed circuits of one-
+and two-qubit gates (the array-native front-end) the arrays are built
+**straight from the flat :class:`~repro.circuits.table.GateTable`** in
+one vectorized per-qubit threading pass, with no Gate objects; every
+other circuit threads its Gate objects into per-node rows and packs them
+into the same arrays.  Both builders produce bitwise-identical arrays
+(asserted by ``tests/test_table_equivalence.py``).  A
+:meth:`QODG.to_networkx` export exists for interoperability and visual
+debugging.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -32,102 +33,152 @@ from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
 from ..exceptions import GraphError
 
-__all__ = ["QODG", "QODGArrays", "build_qodg"]
+__all__ = ["QODG", "build_qodg"]
 
 
-@dataclass(frozen=True)
-class QODGArrays:
-    """Structure-of-arrays (CSR) core of a :class:`QODG`.
+@dataclass(frozen=True, eq=False)
+class QODG:
+    """The dependency DAG of a circuit's operations, as CSR arrays.
 
-    Both adjacency directions are stored in compressed-sparse-row form:
-    the predecessors of node ``n`` are
-    ``pred_indices[pred_indptr[n]:pred_indptr[n + 1]]`` (and likewise for
-    successors).  Node ids follow the QODG convention — operations
-    ``0..num_ops-1`` in program order (already topological), then start,
-    then end — so consumers can sweep the arrays front to back without a
-    separate ordering pass.  ``qubit_indptr``/``qubit_ops`` give, per
-    logical qubit, the ops touching it in program order.
+    Node ids: operations are ``0 .. num_ops - 1`` in program order;
+    :attr:`start` is ``num_ops`` and :attr:`end` is ``num_ops + 1``.
+    Listing the operations in increasing id order, after start and before
+    end, is a valid topological order, so consumers sweep the arrays
+    front to back without a separate ordering pass.
 
-    Degree views are O(1) ``indptr`` differences, not re-walks of the
-    adjacency.
+    The predecessors of node ``n`` are
+    ``pred_indices[pred_indptr[n]:pred_indptr[n + 1]]``, in operand order
+    (controls first); its successors are the matching ``succ_*`` row, in
+    increasing id order.  ``qubit_indptr``/``qubit_ops`` give, per
+    logical qubit, the operations touching it in program order.  All six
+    arrays are int64.
     """
 
-    pred_indptr: "object"
-    pred_indices: "object"
-    succ_indptr: "object"
-    succ_indices: "object"
-    qubit_indptr: "object"
-    qubit_ops: "object"
-    num_ops: int
-    start: int
-    end: int
+    circuit: Circuit
+    pred_indptr: np.ndarray
+    pred_indices: np.ndarray
+    succ_indptr: np.ndarray
+    succ_indices: np.ndarray
+    qubit_indptr: np.ndarray
+    qubit_ops: np.ndarray
 
-    def in_degrees(self):
+    @property
+    def num_nodes(self) -> int:
+        """Total node count including start and end."""
+        return len(self.pred_indptr) - 1
+
+    @property
+    def num_ops(self) -> int:
+        """Number of operation nodes (excludes start/end)."""
+        return self.num_nodes - 2
+
+    @property
+    def start(self) -> int:
+        """The start node's id."""
+        return self.num_nodes - 2
+
+    @property
+    def end(self) -> int:
+        """The end node's id."""
+        return self.num_nodes - 1
+
+    @property
+    def num_edges(self) -> int:
+        """Total merged edge count."""
+        return len(self.succ_indices)
+
+    def gate(self, node: int) -> Gate:
+        """The gate at an operation node.
+
+        Raises
+        ------
+        GraphError
+            For the start/end nodes or out-of-range ids.
+        """
+        if not 0 <= node < self.num_ops:
+            raise GraphError(f"node {node} is not an operation node")
+        table = self.circuit.table_if_ready()
+        if table is not None:
+            return table.gate(node)
+        return self.circuit.gates[node]
+
+    def predecessors(self, node: int) -> tuple[int, ...]:
+        """Predecessor node ids."""
+        return self._row(node, self.pred_indptr, self.pred_indices)
+
+    def successors(self, node: int) -> tuple[int, ...]:
+        """Successor node ids."""
+        return self._row(node, self.succ_indptr, self.succ_indices)
+
+    def _row(
+        self, node: int, indptr: np.ndarray, indices: np.ndarray
+    ) -> tuple[int, ...]:
+        if not 0 <= node < self.num_nodes:
+            raise GraphError(f"node id {node} out of range")
+        return tuple(indices[indptr[node] : indptr[node + 1]].tolist())
+
+    def in_degrees(self) -> np.ndarray:
         """Merged in-degree of every node (ops, then start, then end)."""
-        return self.pred_indptr[1:] - self.pred_indptr[:-1]
+        return np.diff(self.pred_indptr)
 
-    def out_degrees(self):
+    def out_degrees(self) -> np.ndarray:
         """Merged out-degree of every node (ops, then start, then end)."""
-        return self.succ_indptr[1:] - self.succ_indptr[:-1]
+        return np.diff(self.succ_indptr)
 
-    def op_indegrees(self):
+    def op_indegrees(self) -> np.ndarray:
         """In-degree of each operation node *excluding* start edges.
 
         The ready-set seed for list scheduling: an op with zero remaining
         operation predecessors may run immediately.
         """
-        counts = self.in_degrees()[: self.num_ops].copy()
+        counts = self.in_degrees()[: self.num_ops]
         # Start-edge targets are exactly the first op on each qubit.
-        start_row = self.succ_indices[
-            self.succ_indptr[self.start] : self.succ_indptr[self.start + 1]
+        start = self.start
+        heads = self.succ_indices[
+            self.succ_indptr[start] : self.succ_indptr[start + 1]
         ]
-        heads = start_row[start_row != self.end]
-        np.subtract.at(counts, heads, 1)
+        np.subtract.at(counts, heads[heads != self.end], 1)
         return counts
 
-    def predecessors_of(self, node: int):
-        """CSR row view of one node's predecessors."""
-        return self.pred_indices[
-            self.pred_indptr[node] : self.pred_indptr[node + 1]
-        ]
-
-    def successors_of(self, node: int):
-        """CSR row view of one node's successors."""
-        return self.succ_indices[
-            self.succ_indptr[node] : self.succ_indptr[node + 1]
-        ]
-
-    def ops_of_qubit(self, qubit: int):
+    def ops_of_qubit(self, qubit: int) -> np.ndarray:
         """Program-order op indices touching one logical qubit."""
         return self.qubit_ops[
             self.qubit_indptr[qubit] : self.qubit_indptr[qubit + 1]
         ]
 
+    def to_networkx(self):
+        """Export as a ``networkx.DiGraph`` with ``gate`` node attributes."""
+        import networkx as nx
 
-def _csr_from_table(table, start: int, end: int) -> QODGArrays:
+        graph = nx.DiGraph()
+        graph.add_node(self.start, role="start")
+        graph.add_node(self.end, role="end")
+        for node in range(self.num_ops):
+            graph.add_node(node, gate=self.gate(node))
+        sources = np.repeat(np.arange(self.num_nodes), self.out_degrees())
+        graph.add_edges_from(
+            zip(sources.tolist(), self.succ_indices.tolist())
+        )
+        return graph
+
+    def __repr__(self) -> str:
+        return (
+            f"QODG(ops={self.num_ops}, edges={self.num_edges}, "
+            f"circuit={self.circuit.name!r})"
+        )
+
+
+def _csr_from_table(table, start: int, end: int) -> tuple[np.ndarray, ...]:
     """One vectorized per-qubit threading pass over a flat gate table.
 
-    Reproduces the list-threading construction bit for bit: successor
-    rows hold increasing targets (with ``end`` last), predecessor rows
-    hold sources in operand order (controls first) with in-gate
-    duplicates merged, and ``preds[end]`` lists distinct last-touchers in
-    qubit order.
+    Reproduces the object threading bit for bit: successor rows hold
+    increasing targets (with ``end`` last), predecessor rows hold sources
+    in operand order (controls first) with in-gate duplicates merged, and
+    ``preds[end]`` lists distinct last-touchers in qubit order.  Returns
+    the six arrays in :class:`QODG` field order.
     """
     num_ops = len(table)
     num_qubits = table.num_qubits
-    if num_ops == 0 or num_qubits == 0:
-        zeros3 = np.zeros(3, dtype=np.int64)
-        return QODGArrays(
-            pred_indptr=zeros3.copy(),
-            pred_indices=np.empty(0, dtype=np.int64),
-            succ_indptr=zeros3.copy(),
-            succ_indices=np.empty(0, dtype=np.int64),
-            qubit_indptr=np.zeros(num_qubits + 1, dtype=np.int64),
-            qubit_ops=np.empty(0, dtype=np.int64),
-            num_ops=num_ops,
-            start=start,
-            end=end,
-        )
     o0, o1 = table.operand_pairs()
     # Flatten operand occurrences in (gate, slot) order; slot order is
     # controls-then-targets, exactly the order the object threading walks.
@@ -185,238 +236,59 @@ def _csr_from_table(table, start: int, end: int) -> QODGArrays:
     succ_counts = np.bincount(pair_u, minlength=num_ops + 2)[: num_ops + 2]
     succ_indptr = np.zeros(num_ops + 3, dtype=np.int64)
     np.cumsum(succ_counts, out=succ_indptr[1:])
-    return QODGArrays(
-        pred_indptr=pred_indptr,
-        pred_indices=pred_indices,
-        succ_indptr=succ_indptr,
-        succ_indices=pair_v[edge_order],
-        qubit_indptr=qubit_indptr,
-        qubit_ops=sorted_ops,
-        num_ops=num_ops,
-        start=start,
-        end=end,
+    return (
+        pred_indptr,
+        pred_indices,
+        succ_indptr,
+        pair_v[edge_order],
+        qubit_indptr,
+        sorted_ops,
     )
 
 
-class QODG:
-    """The dependency DAG of a circuit's operations.
+def _pack(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of per-node rows, row order kept."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, rows), np.int64, count=len(rows)),
+        out=indptr[1:],
+    )
+    indices = np.fromiter(
+        chain.from_iterable(rows), np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices
 
-    Node ids: operations are ``0 .. num_ops - 1`` in program order;
-    :attr:`start` is ``num_ops`` and :attr:`end` is ``num_ops + 1``.
-    ``(start, op..., end)`` listed in increasing id order is a valid
-    topological order.
+
+def _csr_from_gates(circuit: Circuit) -> tuple[np.ndarray, ...]:
+    """Object threading (any gate arity), packed into the six arrays.
+
+    The reference construction the vectorized table pass is checked
+    against; returns the arrays in :class:`QODG` field order.
     """
-
-    def __init__(self, circuit: Circuit) -> None:
-        self._circuit = circuit
-        num_ops = len(circuit)
-        self.start = num_ops
-        self.end = num_ops + 1
-        self._csr: QODGArrays | None = None
-        self._preds: list[list[int]] | None = None
-        self._succs: list[list[int]] | None = None
-        table = circuit.table_if_ready()
-        if table is not None and table.max_operands() <= 2:
-            self._csr = _csr_from_table(table, self.start, self.end)
-        else:
-            self._thread_lists()
-
-    def _thread_lists(self) -> None:
-        """Historical object threading (any gate arity)."""
-        circuit = self._circuit
-        gates = circuit.gates
-        total = self.num_ops + 2
-        preds: list[list[int]] = [[] for _ in range(total)]
-        succs: list[list[int]] = [[] for _ in range(total)]
-        # last_node[q] = node that last touched qubit q (start if none yet).
-        last_node = [self.start] * circuit.num_qubits
-        for index, gate in enumerate(gates):
-            for qubit in gate.iter_qubits():
-                source = last_node[qubit]
-                # Merge parallel edges (paper: "the edges are combined in
-                # order to keep the graph simple").
-                if not succs[source] or succs[source][-1] != index:
-                    succs[source].append(index)
-                    preds[index].append(source)
-                last_node[qubit] = index
-        for qubit in range(circuit.num_qubits):
+    num_ops = len(circuit)
+    start, end = num_ops, num_ops + 1
+    preds: list[list[int]] = [[] for _ in range(num_ops + 2)]
+    succs: list[list[int]] = [[] for _ in range(num_ops + 2)]
+    qubit_rows: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
+    # last_node[q] = node that last touched qubit q (start if none yet).
+    last_node = [start] * circuit.num_qubits
+    for index, gate in enumerate(circuit.gates):
+        for qubit in gate.iter_qubits():
+            qubit_rows[qubit].append(index)
             source = last_node[qubit]
-            if source == self.start:
-                continue  # idle qubit: no operations, no start->end edge
-            if not succs[source] or succs[source][-1] != self.end:
-                succs[source].append(self.end)
-                preds[self.end].append(source)
-        self._preds = preds
-        self._succs = succs
-
-    def _lists(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Python adjacency lists, materialized from the CSR on demand."""
-        if self._preds is None or self._succs is None:
-            csr = self.csr()
-            self._preds = [
-                csr.predecessors_of(node).tolist()
-                for node in range(self.num_nodes)
-            ]
-            self._succs = [
-                csr.successors_of(node).tolist()
-                for node in range(self.num_nodes)
-            ]
-        return self._preds, self._succs
-
-    # -- basic accessors ------------------------------------------------
-
-    @property
-    def circuit(self) -> Circuit:
-        """The circuit this graph was built from."""
-        return self._circuit
-
-    @property
-    def num_ops(self) -> int:
-        """Number of operation nodes (excludes start/end)."""
-        return len(self._circuit)
-
-    @property
-    def num_nodes(self) -> int:
-        """Total node count including start and end."""
-        return self.num_ops + 2
-
-    @property
-    def num_edges(self) -> int:
-        """Total merged edge count."""
-        if self._csr is not None:
-            return int(len(self._csr.succ_indices))
-        assert self._succs is not None
-        return sum(len(s) for s in self._succs)
-
-    def gate(self, node: int) -> Gate:
-        """The gate at an operation node.
-
-        Raises
-        ------
-        GraphError
-            For the start/end nodes or out-of-range ids.
-        """
-        if not 0 <= node < self.num_ops:
-            raise GraphError(f"node {node} is not an operation node")
-        table = self._circuit.table_if_ready()
-        if table is not None:
-            return table.gate(node)
-        return self._circuit.gates[node]
-
-    def predecessors(self, node: int) -> tuple[int, ...]:
-        """Predecessor node ids."""
-        self._check_node(node)
-        if self._preds is not None:
-            return tuple(self._preds[node])
-        return tuple(self.csr().predecessors_of(node).tolist())
-
-    def successors(self, node: int) -> tuple[int, ...]:
-        """Successor node ids."""
-        self._check_node(node)
-        if self._succs is not None:
-            return tuple(self._succs[node])
-        return tuple(self.csr().successors_of(node).tolist())
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise GraphError(f"node id {node} out of range")
-
-    def operation_nodes(self) -> range:
-        """Range over operation node ids (program order = topological)."""
-        return range(self.num_ops)
-
-    def topological_order(self) -> Iterator[int]:
-        """Nodes in a valid topological order (start, ops..., end)."""
-        yield self.start
-        yield from range(self.num_ops)
-        yield self.end
-
-    def in_degree(self, node: int) -> int:
-        """Number of incoming merged edges."""
-        self._check_node(node)
-        if self._csr is not None:
-            return int(
-                self._csr.pred_indptr[node + 1] - self._csr.pred_indptr[node]
-            )
-        assert self._preds is not None
-        return len(self._preds[node])
-
-    def out_degree(self, node: int) -> int:
-        """Number of outgoing merged edges."""
-        self._check_node(node)
-        if self._csr is not None:
-            return int(
-                self._csr.succ_indptr[node + 1] - self._csr.succ_indptr[node]
-            )
-        assert self._succs is not None
-        return len(self._succs[node])
-
-    # -- structure-of-arrays core ------------------------------------------
-
-    def csr(self) -> QODGArrays:
-        """The CSR (structure-of-arrays) view of the graph, built once.
-
-        Table-backed circuits get it straight from the vectorized
-        threading pass; otherwise it is packed from the adjacency lists,
-        preserving their row order, so array consumers see
-        predecessors/successors in exactly the order the object API
-        reports them.
-        """
-        if self._csr is None:
-            assert self._preds is not None and self._succs is not None
-
-            def pack(rows: list[list[int]]):
-                indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-                for i, row in enumerate(rows):
-                    indptr[i + 1] = indptr[i] + len(row)
-                flat = [node for row in rows for node in row]
-                indices = np.array(flat, dtype=np.int64)
-                return indptr, indices
-
-            pred_indptr, pred_indices = pack(self._preds)
-            succ_indptr, succ_indices = pack(self._succs)
-            qubit_rows: list[list[int]] = [
-                [] for _ in range(self._circuit.num_qubits)
-            ]
-            for index, gate in enumerate(self._circuit.gates):
-                for qubit in gate.iter_qubits():
-                    qubit_rows[qubit].append(index)
-            qubit_indptr, qubit_ops = pack(qubit_rows)
-            self._csr = QODGArrays(
-                pred_indptr=pred_indptr,
-                pred_indices=pred_indices,
-                succ_indptr=succ_indptr,
-                succ_indices=succ_indices,
-                qubit_indptr=qubit_indptr,
-                qubit_ops=qubit_ops,
-                num_ops=self.num_ops,
-                start=self.start,
-                end=self.end,
-            )
-        return self._csr
-
-    # -- export -----------------------------------------------------------
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` with ``gate`` node attributes."""
-        import networkx as nx
-
-        _, succs = self._lists()
-        graph = nx.DiGraph()
-        graph.add_node(self.start, role="start")
-        graph.add_node(self.end, role="end")
-        for node in self.operation_nodes():
-            graph.add_node(node, gate=self.gate(node))
-        for node in range(self.num_nodes):
-            for succ in succs[node]:
-                graph.add_edge(node, succ)
-        return graph
-
-    def __repr__(self) -> str:
-        return (
-            f"QODG(ops={self.num_ops}, edges={self.num_edges}, "
-            f"circuit={self._circuit.name!r})"
-        )
+            # Merge parallel edges (paper: "the edges are combined in
+            # order to keep the graph simple").
+            if not succs[source] or succs[source][-1] != index:
+                succs[source].append(index)
+                preds[index].append(source)
+            last_node[qubit] = index
+    for source in last_node:
+        if source == start:
+            continue  # idle qubit: no operations, no start->end edge
+        if not succs[source] or succs[source][-1] != end:
+            succs[source].append(end)
+            preds[end].append(source)
+    return (*_pack(preds), *_pack(succs), *_pack(qubit_rows))
 
 
 def build_qodg(circuit: Circuit) -> QODG:
@@ -425,4 +297,8 @@ def build_qodg(circuit: Circuit) -> QODG:
     Table-backed circuits of one- and two-qubit gates take the vectorized
     CSR path; anything else threads Gate objects.
     """
-    return QODG(circuit)
+    table = circuit.table_if_ready()
+    if table is not None and table.max_operands() <= 2:
+        num_ops = len(table)
+        return QODG(circuit, *_csr_from_table(table, num_ops, num_ops + 1))
+    return QODG(circuit, *_csr_from_gates(circuit))

@@ -10,7 +10,9 @@ latencies are added.  As for the critical path, node delays are one
 kind→delay table, resolved over the circuit's kind column without
 materializing a Gate.
 
-All passes are O(V + E) sweeps over the topologically ordered QODG.
+Both passes are O(V + E) sweeps over the QODG's CSR fields, forward over
+the predecessor rows and backward over the successor rows; node ids are
+already a topological order.
 """
 
 from __future__ import annotations
@@ -47,12 +49,17 @@ class SlackAnalysis:
     slack: tuple[float, ...]
     makespan: float
 
-    def critical_nodes(self, tolerance: float = 1e-9) -> tuple[int, ...]:
-        """Operation nodes with (near-)zero slack."""
+    def critical_nodes(self, tolerance: float = 1e-12) -> tuple[int, ...]:
+        """Operation nodes with (near-)zero slack.
+
+        ``tolerance`` is relative to the makespan: a node is critical when
+        its slack is at most ``tolerance * makespan``.  Start times are
+        sums of many delays, so a critical node's computed slack can be a
+        few ulps of the makespan rather than exactly zero.
+        """
+        bound = tolerance * self.makespan
         return tuple(
-            node
-            for node, s in enumerate(self.slack)
-            if s <= tolerance
+            node for node, s in enumerate(self.slack) if s <= bound
         )
 
 
@@ -71,14 +78,13 @@ def analyze_slack(
     """
     num_ops = qodg.num_ops
     durations = resolve_node_delays(qodg.circuit, delays)
-    # Both sweeps read the CSR (structure-of-arrays) core: flat index
-    # ranges instead of per-node tuple-allocating accessors.
-    csr = qodg.csr()
+    # Both sweeps read the CSR fields as flat lists: index ranges instead
+    # of per-node tuple-allocating accessors.
     start, end = qodg.start, qodg.end
-    pred_indptr = csr.pred_indptr.tolist()
-    pred_indices = csr.pred_indices.tolist()
-    succ_indptr = csr.succ_indptr.tolist()
-    succ_indices = csr.succ_indices.tolist()
+    pred_indptr = qodg.pred_indptr.tolist()
+    pred_indices = qodg.pred_indices.tolist()
+    succ_indptr = qodg.succ_indptr.tolist()
+    succ_indices = qodg.succ_indices.tolist()
     # ASAP forward sweep (program order is topological).
     asap = [0.0] * num_ops
     for node in range(num_ops):

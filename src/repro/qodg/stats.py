@@ -5,11 +5,13 @@ numbers: logical depth, available parallelism per level, operation mix,
 and the degree profile of the dependency graph.  The paper's premise —
 that real quantum programs expose enough parallelism for placement and
 routing to matter — is directly visible in these profiles.
+
+The level sweep reads the QODG's CSR predecessor rows; the operation mix
+is one count over the circuit's kind column, with no Gate objects.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from ..circuits.gates import GateKind
@@ -54,10 +56,9 @@ def parallelism_profile(qodg: QODG) -> list[int]:
     resources — the upper bound on fabric parallelism.
     """
     num_ops = qodg.num_ops
-    csr = qodg.csr()
     start = qodg.start
-    pred_indptr = csr.pred_indptr.tolist()
-    pred_indices = csr.pred_indices.tolist()
+    pred_indptr = qodg.pred_indptr.tolist()
+    pred_indices = qodg.pred_indices.tolist()
     level = [0] * num_ops
     for node in range(num_ops):
         deepest = -1
@@ -76,12 +77,11 @@ def parallelism_profile(qodg: QODG) -> list[int]:
 
 
 def compute_stats(qodg: QODG) -> QODGStats:
-    """Compute :class:`QODGStats` in two O(V + E) passes."""
+    """Compute :class:`QODGStats`: one O(V + E) level sweep and one
+    kind count."""
     profile = parallelism_profile(qodg)
     num_ops = qodg.num_ops
-    counts: Counter[GateKind] = Counter(
-        qodg.gate(node).kind for node in qodg.operation_nodes()
-    )
+    counts = qodg.circuit.table().counts_by_kind()
     cnots = counts.get(GateKind.CNOT, 0)
     return QODGStats(
         num_ops=num_ops,
@@ -89,6 +89,6 @@ def compute_stats(qodg: QODG) -> QODGStats:
         depth=len(profile),
         max_width=max(profile, default=0),
         average_width=(num_ops / len(profile)) if profile else 0.0,
-        counts_by_kind=dict(counts),
+        counts_by_kind=counts,
         cnot_fraction=(cnots / num_ops) if num_ops else 0.0,
     )

@@ -234,7 +234,7 @@ def _alap_order(circuit: Circuit, delays: dict) -> list[int]:
     Critical operations (smallest latest-start under base delays) are
     visited first among ready candidates.  The returned sequence is a
     valid topological order of the QODG, produced with a ready-heap over
-    QODG in-degrees (read straight off the CSR predecessor arrays).
+    QODG in-degrees, releasing successors from flat CSR successor slices.
     """
     import heapq
 
@@ -243,11 +243,13 @@ def _alap_order(circuit: Circuit, delays: dict) -> list[int]:
 
     qodg = build_qodg(circuit)
     analysis = analyze_slack(qodg, delays)
-    indegree = qodg.csr().op_indegrees().tolist()
+    indegree = qodg.op_indegrees().tolist()
+    succ_indptr = qodg.succ_indptr.tolist()
+    succ_indices = qodg.succ_indices.tolist()
     alap_start = analysis.alap_start
     heap = [
         (alap_start[node], node)
-        for node in qodg.operation_nodes()
+        for node in range(qodg.num_ops)
         if indegree[node] == 0
     ]
     heapq.heapify(heap)
@@ -256,7 +258,7 @@ def _alap_order(circuit: Circuit, delays: dict) -> list[int]:
     while heap:
         _, node = heapq.heappop(heap)
         order.append(node)
-        for succ in qodg.successors(node):
+        for succ in succ_indices[succ_indptr[node] : succ_indptr[node + 1]]:
             if succ == end:
                 continue
             indegree[succ] -= 1

@@ -133,7 +133,7 @@ def test_qodg_is_acyclic_and_consistent(num_qubits, gate_count, seed):
     circuit = random_reversible(num_qubits, gate_count, seed)
     qodg = build_qodg(circuit)
     # Predecessors always come earlier in program order (acyclicity).
-    for node in qodg.operation_nodes():
+    for node in range(qodg.num_ops):
         for pred in qodg.predecessors(node):
             assert pred == qodg.start or pred < node
     # Edge sets are mutually consistent.

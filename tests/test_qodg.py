@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.circuits.circuit import Circuit
@@ -24,8 +27,8 @@ class TestStructure:
         qodg = build_qodg(circuit)
         assert qodg.predecessors(0) == (qodg.start,)
         assert qodg.successors(0) == (qodg.end,)
-        assert qodg.in_degree(0) == 1
-        assert qodg.out_degree(0) == 1
+        assert qodg.in_degrees().tolist() == [1, 0, 1]
+        assert qodg.out_degrees().tolist() == [1, 1, 0]
 
     def test_chain_on_one_qubit(self):
         circuit = Circuit(1)
@@ -96,24 +99,34 @@ class TestAccessors:
         with pytest.raises(GraphError, match="out of range"):
             qodg.predecessors(99)
 
-    def test_topological_order_is_start_ops_end(self):
+    def test_node_numbering_is_ops_then_start_then_end(self):
         circuit = Circuit(2)
         circuit.extend([h(0), cnot(0, 1)])
         qodg = build_qodg(circuit)
-        assert list(qodg.topological_order()) == [2, 0, 1, 3]
+        assert (qodg.num_ops, qodg.start, qodg.end, qodg.num_nodes) == (
+            2,
+            2,
+            3,
+            4,
+        )
 
-    def test_topological_property_holds(self, adder_ft):
+    def test_program_order_is_topological(self, adder_ft):
+        # Every operation's predecessors are start or an earlier op, and
+        # the end node's are ops: ids order the DAG with start first.
         qodg = build_qodg(adder_ft)
-        order = {node: rank for rank, node in enumerate(qodg.topological_order())}
-        for node in qodg.operation_nodes():
-            for pred in qodg.predecessors(node):
-                assert order[pred] < order[node]
+        for node in range(qodg.num_ops):
+            row = qodg.pred_indices[
+                qodg.pred_indptr[node] : qodg.pred_indptr[node + 1]
+            ]
+            assert all(pred == qodg.start or pred < node for pred in row)
+        end_row = qodg.pred_indices[qodg.pred_indptr[qodg.end] :]
+        assert (end_row < qodg.start).all()
 
     def test_edge_count_consistency(self, adder_ft):
         qodg = build_qodg(adder_ft)
-        out_edges = sum(qodg.out_degree(n) for n in range(qodg.num_nodes))
-        in_edges = sum(qodg.in_degree(n) for n in range(qodg.num_nodes))
-        assert out_edges == in_edges == qodg.num_edges
+        assert qodg.in_degrees().sum() == qodg.out_degrees().sum()
+        assert len(qodg.pred_indices) == qodg.num_edges
+        assert len(qodg.succ_indices) == qodg.num_edges
 
     def test_to_networkx_roundtrip(self):
         nx = pytest.importorskip("networkx")
@@ -127,39 +140,63 @@ class TestAccessors:
 
 
 class TestCSRCore:
-    def test_csr_matches_adjacency_lists(self, adder_ft):
-        qodg = build_qodg(adder_ft)
-        csr = qodg.csr()
-        for node in range(qodg.num_nodes):
-            assert tuple(csr.predecessors_of(node)) == qodg.predecessors(node)
-            assert tuple(csr.successors_of(node)) == qodg.successors(node)
+    FIELDS = (
+        "pred_indptr",
+        "pred_indices",
+        "succ_indptr",
+        "succ_indices",
+        "qubit_indptr",
+        "qubit_ops",
+    )
 
-    def test_degree_views_match_accessors(self, adder_ft):
+    def test_fields_are_int64_csr(self, adder_ft):
         qodg = build_qodg(adder_ft)
-        csr = qodg.csr()
-        in_degrees = csr.in_degrees().tolist()
-        out_degrees = csr.out_degrees().tolist()
+        for name in self.FIELDS:
+            assert getattr(qodg, name).dtype == np.int64, name
+        assert len(qodg.pred_indptr) == qodg.num_nodes + 1
+        assert len(qodg.succ_indptr) == qodg.num_nodes + 1
+        assert len(qodg.qubit_indptr) == adder_ft.num_qubits + 1
+        assert qodg.qubit_indptr[-1] == len(qodg.qubit_ops)
+
+    def test_rows_match_accessors(self, adder_ft):
+        qodg = build_qodg(adder_ft)
         for node in range(qodg.num_nodes):
-            assert in_degrees[node] == qodg.in_degree(node)
-            assert out_degrees[node] == qodg.out_degree(node)
+            pred_row = qodg.pred_indices[
+                qodg.pred_indptr[node] : qodg.pred_indptr[node + 1]
+            ]
+            succ_row = qodg.succ_indices[
+                qodg.succ_indptr[node] : qodg.succ_indptr[node + 1]
+            ]
+            assert tuple(pred_row.tolist()) == qodg.predecessors(node)
+            assert tuple(succ_row.tolist()) == qodg.successors(node)
+
+    def test_degree_views_are_row_lengths(self, adder_ft):
+        qodg = build_qodg(adder_ft)
+        in_degrees = qodg.in_degrees().tolist()
+        out_degrees = qodg.out_degrees().tolist()
+        for node in range(qodg.num_nodes):
+            assert in_degrees[node] == len(qodg.predecessors(node))
+            assert out_degrees[node] == len(qodg.successors(node))
 
     def test_op_indegrees_exclude_start_edges(self):
         circuit = Circuit(2)
         circuit.extend([h(0), cnot(0, 1)])
         qodg = build_qodg(circuit)
-        counts = qodg.csr().op_indegrees().tolist()
+        counts = qodg.op_indegrees().tolist()
         # h(0) is fed by start only; the CNOT depends on h(0) (qubit 0)
         # and start (qubit 1).
         assert counts == [0, 1]
+        assert qodg.in_degrees().tolist() == [1, 2, 0, 1]
 
     def test_per_qubit_operation_lists(self):
         circuit = Circuit(3)
         circuit.extend([h(0), cnot(0, 1), cnot(1, 2), h(2)])
-        csr = build_qodg(circuit).csr()
-        assert csr.ops_of_qubit(0).tolist() == [0, 1]
-        assert csr.ops_of_qubit(1).tolist() == [1, 2]
-        assert csr.ops_of_qubit(2).tolist() == [2, 3]
+        qodg = build_qodg(circuit)
+        assert qodg.ops_of_qubit(0).tolist() == [0, 1]
+        assert qodg.ops_of_qubit(1).tolist() == [1, 2]
+        assert qodg.ops_of_qubit(2).tolist() == [2, 3]
 
-    def test_csr_is_cached(self, adder_ft):
+    def test_record_is_frozen(self, adder_ft):
         qodg = build_qodg(adder_ft)
-        assert qodg.csr() is qodg.csr()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qodg.pred_indptr = qodg.succ_indptr

@@ -56,6 +56,18 @@ class TestAnalyzeSlack:
         critical = set(analysis.critical_nodes())
         for node in result.node_ids:
             assert node in critical
+        # Routed delays on a ~5e7 us makespan: summed start times leave
+        # critical nodes with slack of a few ulps of the makespan, far
+        # above any absolute tolerance and far below any real slack.
+        qodg = build_qodg(build_ft("gf2^16mult"))
+        routed = {
+            kind: delay
+            + (777.77 if kind is GateKind.CNOT else 2 * DEFAULT_PARAMS.t_move)
+            for kind, delay in DEFAULT_PARAMS.delays.by_kind().items()
+        }
+        critical = set(analyze_slack(qodg, routed).critical_nodes())
+        missing = set(critical_path(qodg, routed).node_ids) - critical
+        assert not missing, f"{len(missing)} critical-path ops lack zero slack"
 
     def test_slack_non_negative(self, adder_ft):
         analysis = analyze_slack(build_qodg(adder_ft), UNIT)

@@ -15,6 +15,7 @@ to the multi-million-gate entries.
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.circuits.generators import (
     random_reversible,
     ripple_adder,
 )
-from repro.circuits.library import BENCHMARKS
+from repro.circuits.library import BENCHMARKS, build_ft
 from repro.circuits.optimize import optimize_ft
 from repro.circuits.parser import reads_qasm_lite, writes_qasm_lite
 from repro.circuits.stream import estimate_stream, stream_table
@@ -47,7 +48,7 @@ from repro.fabric.params import DEFAULT_PARAMS
 from repro.qodg.graph import build_qodg
 from repro.qodg.iig import build_iig
 from repro.qspr.mapper import QSPRMapper
-from repro.qspr.scheduling import compile_qodg
+from repro.qspr.scheduling import _alap_order, compile_qodg
 
 
 def _mixed_kinds() -> Circuit:
@@ -84,6 +85,17 @@ if os.environ.get("REPRO_FULL") == "1":
         (f"lib:{name}", spec.builder)
         for name, spec in BENCHMARKS.items()
     ]
+
+
+#: The QODG's six CSR arrays, in field order.
+QODG_FIELDS = (
+    "pred_indptr",
+    "pred_indices",
+    "succ_indptr",
+    "succ_indices",
+    "qubit_indptr",
+    "qubit_ops",
+)
 
 
 def _object_backed(circuit: Circuit) -> Circuit:
@@ -125,16 +137,12 @@ class TestFrontEndEquivalence:
 
     def test_qodg_csr_arrays_identical(self, label, make):
         ft = synthesize_ft(make(), engine="table")
-        fast = build_qodg(ft).csr()
-        slow = build_qodg(_object_backed(ft)).csr()
-        for field in (
-            "pred_indptr",
-            "pred_indices",
-            "succ_indptr",
-            "succ_indices",
-            "qubit_indptr",
-            "qubit_ops",
-        ):
+        fast = build_qodg(ft)
+        slow = build_qodg(_object_backed(ft))
+        for field in QODG_FIELDS:
+            # array_equal ignores dtype, so both sides are pinned too.
+            assert getattr(fast, field).dtype == np.int64, field
+            assert getattr(slow, field).dtype == np.int64, field
             assert np.array_equal(getattr(fast, field), getattr(slow, field)), field
         assert (fast.num_ops, fast.start, fast.end) == (
             slow.num_ops,
@@ -171,6 +179,29 @@ class TestFrontEndEquivalence:
             circuit.content_fingerprint()
             == _object_backed(circuit).content_fingerprint()
         )
+
+
+@pytest.mark.parametrize("backing", ["table", "object"])
+def test_gf2_16_qodg_and_alap_order_digests_pinned(backing):
+    # blake2b-16 digests recorded before the QODG became one record of
+    # its CSR arrays: the six arrays' bytes in field order, and the
+    # ALAP visit order the mapper's order="alap" schedules follow.
+    ft = build_ft("gf2^16mult")
+    if backing == "object":
+        ft = _object_backed(ft)
+    qodg = build_qodg(ft)
+    arrays = b"".join(getattr(qodg, field).tobytes() for field in QODG_FIELDS)
+    assert (
+        hashlib.blake2b(arrays, digest_size=16).hexdigest()
+        == "19344aa7f0bb470a4164aafee406cf9b"
+    )
+    order = np.array(
+        _alap_order(ft, DEFAULT_PARAMS.delays.by_kind()), np.int64
+    )
+    assert (
+        hashlib.blake2b(order.tobytes(), digest_size=16).hexdigest()
+        == "4852ad62d86ce073d40373d094e7c169"
+    )
 
 
 class TestEstimationEquivalence:
