@@ -2,7 +2,7 @@
 
 The persistent :class:`~repro.store.ArtifactStore` exists to amortize
 the front half of every estimate across *processes*: generator build,
-FT lowering, IIG/zones/coverage stages, compiled op tables, schedules
+FT lowering, IIG/zones/coverage stages, placements, schedules
 and whole estimate records all round-trip through the store's codec, so
 a cold Python process re-running a sweep it (or any earlier process)
 has run before should do little more than ``np.load``.

@@ -208,7 +208,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="array",
         choices=("array", "kernel", "legacy"),
         help=(
-            "scheduler engine: array (vectorized numpy, default), kernel "
+            "scheduler engine: array (slot-indexed Python loop over "
+            "compiled op arrays, default), kernel "
             "(compiled C; auto-built with the system compiler, falls back "
             "to array with a warning when unavailable) or legacy "
             "(reference oracle); all three produce bitwise-identical "
@@ -235,7 +236,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print per-stage wall times (qodg build / placement / "
+            "print per-stage wall times (iig / placement / "
             "schedule / estimate)"
         ),
     )
@@ -287,7 +288,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "print per-point per-stage wall times (qodg build / "
+            "print per-point per-stage wall times (iig / "
             "placement / schedule) for backends that report them"
         ),
     )

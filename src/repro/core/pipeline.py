@@ -431,7 +431,7 @@ class StagedPipeline:
             started = time.perf_counter()
         require_ft(circuit.table().kind)
         # Hashed even without a cache: perfbench's circuits.fingerprint
-        # layer is measured on this cache-less path (ROADMAP item 1).
+        # layer is measured on this cache-less path (ROADMAP item 3).
         ident = circuit.content_fingerprint()
         point = self._point(ident, self._zones(circuit, ident, iig), params)
         # The critical path is deliberately NOT cached: distinct parameter

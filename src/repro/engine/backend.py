@@ -185,9 +185,8 @@ class QSPRBackend:
     Keyword options are forwarded to the mapper (``placement``,
     ``routing``, ``seed``, ``record_trace``, ``scheduling``, ``engine``).
     The cache, when given, is attached to the mapper itself, so the IIG,
-    compiled QODG arrays, placements and schedules all become staged
-    artifacts — a fabric-size sweep builds the IIG and compiles the op
-    arrays exactly once.
+    placements and schedules all become staged artifacts — a fabric-size
+    sweep builds the IIG exactly once.
     """
 
     name = "qspr"

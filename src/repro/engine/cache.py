@@ -19,7 +19,6 @@ stage          key
 ``ham``        content hash + estimator options
 ``uncong``     content hash + options + the ``qubit_speed`` slice
 ``queueing``   content hash + options + speed/fabric/capacity slices
-``qodg``       content hash + gate-delay table
 ``placement``  content hash + strategy/seed + fabric geometry
 ``schedule``   content hash + full parameter fingerprint + mapper options
 ``estimate``   content hash + estimator options + parameter fingerprint
@@ -29,11 +28,12 @@ so a fabric-size sweep reuses the netlist, IIG and zones across every
 point, and two specs that build byte-identical circuits share the
 downstream artifacts even if their sources differ.
 
-The ``qodg``/``placement``/``schedule`` stages belong to the detailed
-QSPR-class mapper (:class:`~repro.qspr.mapper.QSPRMapper`): the compiled
-op arrays are fabric-independent, so a fabric-size sweep compiles them
-exactly once, while placements and schedules key on the geometry and
-parameter slices they read.
+The ``placement``/``schedule`` stages belong to the detailed QSPR-class
+mapper (:class:`~repro.qspr.mapper.QSPRMapper`), which also reads the
+``iig`` stage: a fabric-size sweep builds the IIG once, while placements
+and schedules key on the geometry and parameter slices they read.  The
+mapper's compiled op arrays are not a stage; the ``schedule`` builder
+compiles them, so a cached schedule compiles nothing.
 
 The ``zones``–``queueing`` stages belong to the staged analytic pipeline
 (:mod:`repro.core.pipeline`), which keys each entry by the
@@ -78,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, TypeVar
 
 from ..circuits.circuit import Circuit
+from ..exceptions import EngineError
 from ..fabric.params import PhysicalParams
 from ..obs import default_registry as _obs_registry
 from ..qodg.iig import IIG, build_iig
@@ -102,7 +103,6 @@ _STAGES = (
     "uncong",
     "coverage",
     "queueing",
-    "qodg",
     "placement",
     "schedule",
     "estimate",
@@ -110,6 +110,16 @@ _STAGES = (
 
 #: Public alias of the stage-name tuple (CLI stats tables and tests).
 STAGE_NAMES = _STAGES
+
+
+def _known_stage(name: str) -> str:
+    """``name`` itself, or :class:`EngineError` naming the known stages."""
+    if name not in _STAGES:
+        known = ", ".join(_STAGES)
+        raise EngineError(
+            f"unknown cache stage {name!r}; known stages: {known}"
+        )
+    return name
 
 
 def params_fingerprint(params: PhysicalParams) -> str:
@@ -131,6 +141,10 @@ class CacheStats:
     process (the store may still have published another process's build
     concurrently — the store's own stats disambiguate).  *Evictions*
     count memory-tier entries dropped by the ``max_entries`` LRU cap.
+
+    Every count accessor raises :class:`~repro.exceptions.EngineError`
+    for a name outside :data:`STAGE_NAMES`, so an assertion about a stage
+    that does not exist fails instead of reading 0 forever.
     """
 
     hits: dict[str, int] = field(default_factory=dict)
@@ -140,19 +154,19 @@ class CacheStats:
 
     def hit_count(self, stage: str) -> int:
         """Number of lookups served from the memory tier for one stage."""
-        return self.hits.get(stage, 0)
+        return self.hits.get(_known_stage(stage), 0)
 
     def miss_count(self, stage: str) -> int:
         """Number of lookups that had to build the artifact for one stage."""
-        return self.misses.get(stage, 0)
+        return self.misses.get(_known_stage(stage), 0)
 
     def store_hit_count(self, stage: str) -> int:
         """Number of lookups served from the persistent store tier."""
-        return self.store_hits.get(stage, 0)
+        return self.store_hits.get(_known_stage(stage), 0)
 
     def eviction_count(self, stage: str) -> int:
         """Number of memory-tier entries evicted by the LRU cap."""
-        return self.evictions.get(stage, 0)
+        return self.evictions.get(_known_stage(stage), 0)
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         """Machine-readable form (the CLI's ``--json`` payload)."""
@@ -190,8 +204,6 @@ class ArtifactCache:
         store: "object | None" = None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
-            from ..exceptions import EngineError
-
             raise EngineError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
@@ -294,14 +306,7 @@ class ArtifactCache:
             If ``name`` is not a known stage (stats would silently
             miscount otherwise).
         """
-        if name not in _STAGES:
-            from ..exceptions import EngineError
-
-            known = ", ".join(_STAGES)
-            raise EngineError(
-                f"unknown cache stage {name!r}; known stages: {known}"
-            )
-        return self._get_or_build(name, key, builder)
+        return self._get_or_build(_known_stage(name), key, builder)
 
     # -- pipeline stages ----------------------------------------------------
 

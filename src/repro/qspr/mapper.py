@@ -11,13 +11,16 @@ scheduling, placement and routing of every qubit movement on the tiled
 architecture — not a line-by-line port.  See DESIGN.md, "Substitutions".
 
 With an :class:`~repro.engine.cache.ArtifactCache` attached, each mapping
-stage is memoized under the slice of inputs it actually reads — the
-compiled QODG op arrays under the circuit content plus the delay table,
-the initial placement under the content plus fabric geometry and
-strategy, the schedule under the full parameter fingerprint — so a
-fabric-size sweep compiles the QODG exactly once and repeated points are
-served whole from the cache (the mapper's analogue of the staged LEQA
-pipeline).
+stage is memoized under the slice of inputs it actually reads — the IIG
+under the circuit content, the initial placement under the content plus
+fabric geometry and strategy, the schedule under the full parameter
+fingerprint — so a fabric-size sweep builds the IIG once and repeated
+points are served whole from the cache (the mapper's analogue of the
+staged LEQA pipeline).  The compiled QODG op arrays are not cached: one
+vectorized gather builds them, so the ``schedule`` stage compiles them
+only when it actually builds a schedule, and the scheduler trusts them
+by the identity of the gate table they were gathered from.  Only cache
+keys hash circuit content, so an uncached map hashes nothing.
 
 Table-backed circuits (the array-native front-end) flow through without
 ever materializing Gate objects: ``is_ft`` checks the flat kind column,
@@ -39,19 +42,13 @@ from ..fabric.tqa import TQA
 from ..obs import span as obs_span
 from ..qodg.iig import IIG, build_iig
 from .placement import make_placement
-from .scheduling import (
-    CompiledQODG,
-    ScheduleResult,
-    compile_qodg,
-    delays_table_token,
-    schedule_circuit,
-)
+from .scheduling import ScheduleResult, compile_qodg, schedule_circuit
 
 __all__ = ["MappingResult", "QSPRMapper", "map_circuit", "MAPPER_STAGES"]
 
 #: Stage names of the mapper pipeline, in execution order (the keys of
 #: :attr:`MappingResult.stage_seconds`).
-MAPPER_STAGES = ("iig", "qodg", "placement", "schedule")
+MAPPER_STAGES = ("iig", "placement", "schedule")
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,9 @@ class MappingResult:
         Wall-clock time the mapper took (placement + scheduling +
         routing) — the quantity Table 3 compares against LEQA's runtime.
     stage_seconds:
-        Wall time per mapper stage (``iig`` / ``qodg`` / ``placement`` /
-        ``schedule``); a cached stage costs its lookup only.
+        Wall time per mapper stage (``iig`` / ``placement`` /
+        ``schedule``, the last including the QODG compile); a cached
+        stage costs its lookup only.
     engine:
         Scheduler engine that produced the schedule (``"array"``,
         ``"kernel"`` or ``"legacy"``).  Note this is the engine the
@@ -130,8 +128,8 @@ class QSPRMapper:
         produce bitwise-identical schedules.
     cache:
         Optional :class:`~repro.engine.cache.ArtifactCache`; when given,
-        the compiled QODG, placement and schedule become staged cache
-        artifacts shared across mapper runs.
+        the IIG, placement and schedule become staged cache artifacts
+        shared across mapper runs.
     """
 
     def __init__(
@@ -164,13 +162,8 @@ class QSPRMapper:
         """Scheduler engine in use (``"array"``, ``"kernel"`` or ``"legacy"``)."""
         return self._engine
 
-    def map(self, circuit: Circuit, iig: IIG | None = None) -> MappingResult:
-        """Map an FT circuit onto the TQA and measure its actual latency.
-
-        ``iig`` accepts a prebuilt interaction graph of the same circuit
-        to skip rebuilding it for the initial placement; with a cache
-        attached it is ignored and the cache's ``iig`` stage is read.
-        """
+    def map(self, circuit: Circuit) -> MappingResult:
+        """Map an FT circuit onto the TQA and measure its actual latency."""
         if not circuit.is_ft():
             raise MappingError(
                 "the mapper requires a fault-tolerant circuit; run "
@@ -192,35 +185,16 @@ class QSPRMapper:
             )
 
         with stage_span("iig") as sp:
-            if cache is not None:
-                # The placement stage below is keyed on circuit content,
-                # so it must only ever build from the content-keyed IIG —
-                # a caller-supplied graph (however plausible) could poison
-                # the cache for every later run of the same circuit.
-                iig = cache.iig(circuit)
-            elif iig is None:
-                iig = build_iig(circuit)
-            elif iig.num_qubits != circuit.num_qubits:
-                raise MappingError(
-                    f"prebuilt IIG has {iig.num_qubits} qubits but the "
-                    f"circuit has {circuit.num_qubits}; it belongs to a "
-                    "different circuit"
-                )
+            iig = build_iig(circuit) if cache is None else cache.iig(circuit)
         stage_seconds["iig"] = sp.seconds
 
-        params = self._params
-        delays = params.delays.by_kind()
-        with stage_span("qodg") as sp:
-            compiled = self._compiled(circuit, delays, cache)
-        stage_seconds["qodg"] = sp.seconds
-
-        tqa = TQA(params.fabric)
+        tqa = TQA(self._params.fabric)
         with stage_span("placement") as sp:
             placement = self._initial_placement(circuit, iig, tqa, cache)
         stage_seconds["placement"] = sp.seconds
 
         with stage_span("schedule") as sp:
-            schedule = self._schedule(circuit, placement, compiled, cache)
+            schedule = self._schedule(circuit, placement, cache)
         stage_seconds["schedule"] = sp.seconds
 
         elapsed = time.perf_counter() - started
@@ -235,24 +209,6 @@ class QSPRMapper:
         )
 
     # -- staged builders ----------------------------------------------------
-
-    def _compiled(
-        self, circuit: Circuit, delays: dict, cache
-    ) -> CompiledQODG | None:
-        """The compiled op arrays, staged in the cache when one is given.
-
-        The artifact is fabric-independent: its key is the circuit
-        content plus the delay table, so one compile serves a whole
-        fabric-size sweep.  The legacy engine ignores it.
-        """
-        if self._engine == "legacy":
-            return None
-        if cache is None:
-            return compile_qodg(circuit, delays)
-        key = (circuit.content_fingerprint(), delays_table_token(delays))
-        return cache.stage(
-            "qodg", key, lambda: compile_qodg(circuit, delays)
-        )
 
     def _initial_placement(self, circuit: Circuit, iig: IIG, tqa: TQA, cache):
         """The initial placement, staged under content + geometry + strategy."""
@@ -273,12 +229,19 @@ class QSPRMapper:
             lambda: make_placement(self._placement, iig, tqa, seed=self._seed),
         )
 
-    def _schedule(
-        self, circuit: Circuit, placement, compiled, cache
-    ) -> ScheduleResult:
-        """The detailed schedule, staged under the full parameter set."""
+    def _schedule(self, circuit: Circuit, placement, cache) -> ScheduleResult:
+        """The detailed schedule, staged under the full parameter set.
+
+        The op arrays are compiled inside the builder, so a cached
+        schedule compiles nothing; the legacy engine reads no op arrays.
+        """
 
         def build() -> ScheduleResult:
+            compiled = None
+            if self._engine != "legacy":
+                compiled = compile_qodg(
+                    circuit, self._params.delays.by_kind()
+                )
             return schedule_circuit(
                 circuit,
                 placement,

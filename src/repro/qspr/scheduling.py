@@ -30,9 +30,9 @@ Three engines implement the identical schedule:
 
 ``"array"`` (default)
     Slot-indexed, structure-of-arrays engine: the circuit is first
-    *compiled* to flat operand/delay arrays (:class:`CompiledQODG`, a
-    cacheable artifact), qubit positions and ULB-free times live in flat
-    lists indexed by integer ULB id, and routing goes through
+    *compiled* to flat operand/delay arrays (:class:`CompiledQODG`),
+    qubit positions and ULB-free times live in flat lists indexed by
+    integer ULB id, and routing goes through
     :class:`~repro.qspr.routing.SlotRouter` (staircase fast path +
     int-encoded maze search).  Several times faster than the legacy
     engine with bitwise-identical output.
@@ -63,7 +63,7 @@ import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.gates import GateKind
-from ..circuits.table import FT_CODE_MASK
+from ..circuits.table import FT_CODE_MASK, GateTable
 from ..exceptions import MappingError
 from ..fabric.params import PhysicalParams
 from ..fabric.tqa import Position, TQA
@@ -141,9 +141,9 @@ class CompiledQODG:
     The per-op Python objects (gates, kind enums, operand tuples) are
     flattened once into three parallel numpy arrays, so the scheduling
     loop touches only scalar ints and floats.  The artifact depends on
-    the circuit content and the gate-delay table alone — not on fabric
-    geometry — which is what lets the engine's artifact cache reuse one
-    compile across a whole fabric-size sweep.
+    the circuit content and the gate-delay table alone, not on fabric
+    geometry, and takes a single vectorized gather to build, so it is
+    compiled per schedule rather than cached.
 
     Attributes
     ----------
@@ -157,11 +157,11 @@ class CompiledQODG:
         one-qubit gates (``int64``).
     delays:
         Base execution delay per op in µs (``float64``).
-    fingerprint:
-        The source circuit's content fingerprint — the scheduler refuses
-        to reuse a prebuilt artifact whose fingerprint mismatches the
-        circuit it is asked to schedule (the digest is cached on the
-        circuit object, so validation is O(1) after the first call).
+    table:
+        The :class:`~repro.circuits.table.GateTable` the ops were
+        gathered from.  The scheduler reuses a prebuilt artifact only for
+        a circuit whose :meth:`~repro.circuits.circuit.Circuit.table` is
+        this very object, which holds until that circuit grows.
     delays_token:
         Canonical token of the gate-delay table the ops were compiled
         under; a prebuilt artifact is ignored when the scheduling call's
@@ -172,7 +172,7 @@ class CompiledQODG:
     q0: "object"
     q1: "object"
     delays: "object"
-    fingerprint: str
+    table: GateTable
     delays_token: tuple
 
     @property
@@ -218,7 +218,7 @@ def compile_qodg(
         q0=np.ascontiguousarray(q0, dtype=np.int64),
         q1=np.ascontiguousarray(q1, dtype=np.int64),
         delays=lut[table.kind],
-        fingerprint=circuit.content_fingerprint(),
+        table=table,
         delays_token=delays_table_token(delays),
     )
 
@@ -306,8 +306,7 @@ def schedule_circuit(
         identical results.
     compiled:
         Optional prebuilt :class:`CompiledQODG` of the same circuit under
-        the same delay table (the engine's artifact cache passes one);
-        ignored by the legacy engine.
+        the same delay table; ignored by the legacy engine.
 
     Raises
     ------
@@ -334,12 +333,13 @@ def schedule_circuit(
             circuit, placement, params, tqa, delays, routing_mode,
             record_trace, order,
         )
-    # A prebuilt artifact must match the circuit content and the delay
-    # table; anything else is silently recompiled (never trusted).
+    # A prebuilt artifact must have been gathered from this circuit's
+    # own table under the same delay table; anything else is silently
+    # recompiled (never trusted).
     if (
         compiled is None
+        or compiled.table is not circuit.table()
         or compiled.delays_token != delays_table_token(delays)
-        or compiled.fingerprint != circuit.content_fingerprint()
     ):
         compiled = compile_qodg(circuit, delays)
     router = SlotRouter(

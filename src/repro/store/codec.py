@@ -35,7 +35,6 @@ tag                 cache stages / value
 ``float``           ``uncong`` (one scalar)
 ``float_tuple``     ``coverage`` (the ``E[S_q]`` series)
 ``queueing``        ``queueing`` (``(L_CNOT^avg, surfaces)``)
-``compiled_qodg``   ``qodg`` (:class:`~repro.qspr.scheduling.CompiledQODG`)
 ``placement``       ``placement`` (a ``list[Position]``)
 ``schedule``        ``schedule`` (trace-free ``ScheduleResult``)
 ``estimate``        ``estimate`` (full ``LatencyEstimate`` record)
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ from ..core.pipeline import ZoneArrays
 from ..exceptions import StoreError
 from ..qodg.critical_path import CriticalPathResult
 from ..qodg.iig import IIG
-from ..qspr.scheduling import CompiledQODG, ScheduleResult, ScheduleStats
+from ..qspr.scheduling import ScheduleResult, ScheduleStats
 
 __all__ = ["CODEC_VERSION", "encodable", "encode", "decode"]
 
@@ -67,6 +67,19 @@ __all__ = ["CODEC_VERSION", "encodable", "encode", "decode"]
 CODEC_VERSION = 1
 
 _META_KEY = "__meta__"
+
+#: What numpy's npz reader, the zip layer under it, the JSON header and a
+#: decoder's field lookups raise on a truncated or bit-flipped container
+#: (a flipped flag bit reads as encryption, a ``RuntimeError``).
+_CORRUPT = (
+    zipfile.BadZipFile,
+    EOFError,
+    KeyError,
+    ValueError,
+    OSError,
+    NotImplementedError,
+    RuntimeError,
+)
 
 
 def _pack(tag: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -214,40 +227,6 @@ def _decode_queueing(meta: dict, data) -> tuple:
     )
 
 
-def _encode_compiled_qodg(compiled: CompiledQODG) -> bytes:
-    token_kinds = [kind for kind, _ in compiled.delays_token]
-    token_delays = _f64(*(delay for _, delay in compiled.delays_token))
-    return _pack(
-        "compiled_qodg",
-        {
-            "num_qubits": compiled.num_qubits,
-            "fingerprint": compiled.fingerprint,
-            "token_kinds": token_kinds,
-        },
-        {
-            "q0": compiled.q0,
-            "q1": compiled.q1,
-            "delays": compiled.delays,
-            "token_delays": token_delays,
-        },
-    )
-
-
-def _decode_compiled_qodg(meta: dict, data) -> CompiledQODG:
-    token = tuple(
-        (kind, float(delay))
-        for kind, delay in zip(meta["token_kinds"], data["token_delays"])
-    )
-    return CompiledQODG(
-        num_qubits=int(meta["num_qubits"]),
-        q0=data["q0"],
-        q1=data["q1"],
-        delays=data["delays"],
-        fingerprint=meta["fingerprint"],
-        delays_token=token,
-    )
-
-
 def _placement_encodable(value: list) -> bool:
     return all(
         isinstance(position, tuple)
@@ -382,7 +361,6 @@ _DECODERS: dict[str, Callable[[dict, object], object]] = {
     "float": _decode_float,
     "float_tuple": _decode_float_tuple,
     "queueing": _decode_queueing,
-    "compiled_qodg": _decode_compiled_qodg,
     "placement": _decode_placement,
     "schedule": _decode_schedule,
     "estimate": _decode_estimate,
@@ -409,8 +387,6 @@ def _classify(value: object) -> str | None:
         return "ndarray"
     if isinstance(value, float):
         return "float"
-    if isinstance(value, CompiledQODG):
-        return "compiled_qodg"
     if isinstance(value, ScheduleResult):
         # Traces are per-operation event logs, orders of magnitude larger
         # than the schedule itself and never shared across processes —
@@ -441,7 +417,6 @@ _ENCODERS: dict[str, Callable[[object], bytes]] = {
     "float": _encode_float,
     "float_tuple": _encode_float_tuple,
     "queueing": _encode_queueing,
-    "compiled_qodg": _encode_compiled_qodg,
     "placement": _encode_placement,
     "schedule": _encode_schedule,
     "estimate": _encode_estimate,
@@ -476,31 +451,31 @@ def decode(blob: bytes) -> object:
     Raises
     ------
     StoreError
-        If the header is missing or malformed, the format version does
-        not match :data:`CODEC_VERSION`, or the type tag is unknown.
+        If the container is truncated or corrupt, the header is missing
+        or malformed, the format version does not match
+        :data:`CODEC_VERSION`, or the type tag is unknown.
     """
     try:
-        data = np.load(io.BytesIO(blob), allow_pickle=False)
-    except (ValueError, OSError) as error:
-        raise StoreError(f"unreadable store artifact: {error}") from None
-    with data:
-        try:
-            meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-        except KeyError:
-            raise StoreError(
-                "store artifact has no __meta__ header"
-            ) from None
-        version = meta.get("version")
-        if version != CODEC_VERSION:
-            raise StoreError(
-                f"store artifact has format version {version!r}; this "
-                f"codec reads version {CODEC_VERSION}"
-            )
-        tag = meta.get("tag")
-        try:
-            decoder = _DECODERS[tag]
-        except KeyError:
-            raise StoreError(
-                f"unknown store artifact tag {tag!r}"
-            ) from None
-        return decoder(meta, data)
+        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+            return _decode_container(data)
+    except _CORRUPT as error:
+        raise StoreError(
+            f"unreadable store artifact: {type(error).__name__}: {error}"
+        ) from None
+
+
+def _decode_container(data) -> object:
+    """Header checks and dispatch over an opened ``.npz`` container."""
+    if _META_KEY not in data.files:
+        raise StoreError("store artifact has no __meta__ header")
+    meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
+    version = meta.get("version")
+    if version != CODEC_VERSION:
+        raise StoreError(
+            f"store artifact has format version {version!r}; this "
+            f"codec reads version {CODEC_VERSION}"
+        )
+    tag = meta.get("tag")
+    if tag not in _DECODERS:
+        raise StoreError(f"unknown store artifact tag {tag!r}")
+    return _DECODERS[tag](meta, data)

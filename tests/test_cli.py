@@ -108,7 +108,7 @@ class TestCompare:
             "--width", "10", "--height", "10", "--profile",
         )
         assert code == 0
-        for stage in ("qodg", "placement", "schedule", "estimate"):
+        for stage in ("iig", "placement", "schedule", "estimate"):
             assert stage in out
 
     def test_unknown_circuit_fails_gracefully(self, capsys):
@@ -192,7 +192,7 @@ class TestSweep:
             "--backend", "qspr", "--profile",
         )
         assert code == 0
-        for stage in ("qodg (s)", "placement (s)", "schedule (s)"):
+        for stage in ("iig (s)", "placement (s)", "schedule (s)"):
             assert stage in out
 
     def test_profile_degrades_for_estimator_backend(self, capsys):
@@ -208,8 +208,9 @@ class TestSweep:
             "--backend", "qspr", "--cache-stats",
         )
         assert code == 0
-        for stage in ("qodg", "placement", "schedule"):
+        for stage in ("iig", "placement", "schedule"):
             assert stage in out
+        assert "qodg" not in out
 
     def test_cache_stats_hidden_under_process_pool(self, capsys):
         code, out, _ = run_cli(

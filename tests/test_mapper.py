@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.circuits.circuit import Circuit
@@ -77,9 +79,7 @@ class TestMapping:
 class TestArrayEngineFacade:
     def test_stage_seconds_reported(self, params):
         result = QSPRMapper(params=params).map(ham3())
-        assert set(result.stage_seconds) == {
-            "iig", "qodg", "placement", "schedule"
-        }
+        assert set(result.stage_seconds) == {"iig", "placement", "schedule"}
         assert all(wall >= 0.0 for wall in result.stage_seconds.values())
 
     def test_engines_agree_through_facade(self, params):
@@ -102,7 +102,23 @@ class TestArrayEngineFacade:
         second = mapper.map(circuit)
         assert first.latency == second.latency
         stats = cache.stats()
-        assert stats.miss_count("qodg") == 1
-        assert stats.hit_count("qodg") == 1
+        assert stats.miss_count("iig") == 1
+        assert stats.hit_count("iig") == 1
         assert stats.miss_count("schedule") == 1
         assert stats.hit_count("schedule") == 1
+
+    @pytest.mark.parametrize("engine", ["array", "kernel", "legacy"])
+    def test_uncached_map_hashes_nothing(self, params, engine, monkeypatch):
+        # Content hashes only key cache entries; without a cache the
+        # scheduler trusts the op arrays compiled in the same call.
+        def refuse(self):
+            raise AssertionError("uncached map hashed circuit content")
+
+        mapper = QSPRMapper(params=params, engine=engine)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = mapper.map(ham3())
+            monkeypatch.setattr(Circuit, "content_fingerprint", refuse)
+            result = mapper.map(ham3())
+        assert result.latency == expected.latency
+        assert result.schedule.finish_times == expected.schedule.finish_times

@@ -146,16 +146,25 @@ class TestLibraryEquivalence:
         placement = make_placement(
             "iig_greedy", build_iig(circuit), TQA(params.fabric)
         )
-        compiled = compile_qodg(circuit, params.delays.by_kind())
+        delays = params.delays.by_kind()
+        prebuilt = [
+            compile_qodg(circuit, delays),
+            # Mismatched artifacts of the same shape must be recompiled,
+            # never trusted: another circuit, another delay table.
+            compile_qodg(circuit.reversed(), delays),
+            compile_qodg(circuit, params.delays.scaled(2.0).by_kind()),
+        ]
+        assert prebuilt[1].num_ops == prebuilt[0].num_ops
         legacy = schedule_circuit(circuit, placement, params, engine="legacy")
-        for engine in ("array", "kernel"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                result = schedule_circuit(
-                    circuit, placement, params, engine=engine,
-                    compiled=compiled,
-                )
-            assert_identical(legacy, result)
+        for compiled in prebuilt:
+            for engine in ("array", "kernel"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    result = schedule_circuit(
+                        circuit, placement, params, engine=engine,
+                        compiled=compiled,
+                    )
+                assert_identical(legacy, result)
 
     def test_unknown_engine_rejected(self):
         from repro.exceptions import MappingError

@@ -109,14 +109,10 @@ class TestCodecRoundTrips:
         assert decode(encode((0.0, ()))) == (0.0, ())
 
     def test_compiled_qodg(self, ft_circuit):
+        # The op arrays are compiled per schedule, never stored: reading
+        # them back would cost more than the one gather that builds them.
         compiled = compile_qodg(ft_circuit, DEFAULT_PARAMS.delays.by_kind())
-        clone = decode(encode(compiled))
-        assert clone.num_qubits == compiled.num_qubits
-        assert clone.fingerprint == compiled.fingerprint
-        assert clone.delays_token == compiled.delays_token
-        for field in ("q0", "q1", "delays"):
-            assert np.array_equal(getattr(clone, field),
-                                  getattr(compiled, field))
+        assert not encodable(compiled)
 
     def test_placement(self):
         placement = [(0, 0), (3, 1), (11, 7)]
@@ -163,6 +159,29 @@ class TestCodecRoundTrips:
     def test_garbage_blob_rejected(self):
         with pytest.raises(StoreError):
             decode(b"definitely not an npz container")
+
+    def test_truncated_blob_rejected(self, ft_circuit, mapping):
+        # Every cut of every artifact type, as a power cut mid-publish
+        # leaves it, is a StoreError (which the store reads as a miss),
+        # never a zip, EOF or key error escaping the codec.
+        samples = {
+            "gate_table": ft_circuit.table(),
+            "circuit": ft_circuit,
+            "iig": build_iig(ft_circuit),
+            "zone_arrays": ZoneArrays.from_iig(build_iig(ft_circuit)),
+            "ndarray": np.linspace(0.0, 1.0, 17),
+            "float": 1.5,
+            "float_tuple": (1.5, 2.25),
+            "queueing": (0.5, (1.5, 2.25)),
+            "placement": [(0, 0), (3, 1)],
+            "schedule": mapping.schedule,
+            "estimate": LEQAEstimator(params=SMALL).estimate(ft_circuit),
+        }
+        for tag, value in samples.items():
+            blob = encode(value)
+            for length in range(0, len(blob), 8):
+                with pytest.raises(StoreError):
+                    decode(blob[:length])
 
 
 class TestKeyDigest:
@@ -211,15 +230,23 @@ class TestArtifactStore:
         assert second.stats().hits == 1
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.put("uncong", "k", 1.0)
-        (entry,) = [
-            path
-            for path in (tmp_path / "store").glob("*/*/*.npz")
-        ]
-        entry.write_bytes(b"truncated garbage")
-        assert store.get("uncong", "k") is None
-        assert not entry.exists()
+        for index, cut in enumerate((
+            lambda blob: b"truncated garbage",
+            lambda blob: blob[: len(blob) // 2],
+        )):
+            root = tmp_path / f"store{index}"
+            store = ArtifactStore(root)
+            store.put("uncong", "k", 1.0)
+            (entry,) = list(root.glob("*/*/*.npz"))
+            good = entry.read_bytes()
+            entry.write_bytes(cut(good))
+            assert store.get("uncong", "k") is None
+            assert not entry.exists()
+            # A fresh cache over the damaged entry rebuilds and republishes.
+            entry.write_bytes(cut(good))
+            cache = ArtifactCache(store=ArtifactStore(root))
+            assert cache.stage("uncong", "k", lambda: 1.5) == 1.5
+            assert ArtifactStore(root).get("uncong", "k") == 1.5
 
     def test_format_stamp_mismatch(self, tmp_path):
         root = tmp_path / "store"
