@@ -34,8 +34,9 @@ the materialized entry point is its one-chunk case:
 * :func:`lower_ft_stream` and :func:`~repro.circuits.table.lower_ft`
   share one per-chunk lowering (the ancilla allocator is the carry);
 * :func:`optimize_stream` and :func:`~repro.circuits.table.optimize_table`
-  run the same peephole scan to a fixed point, spilling each pass to
-  disk here and holding it in a list there;
+  run the same :func:`~repro.circuits.table.peephole` scan (compiled, or
+  its Python fallback) to a fixed point, each pass reading and emitting
+  tables, spilled to disk here and held in a list there;
 * :func:`estimate_stream` counts chunks into the
   :class:`~repro.qodg.iig.IIGAccumulator` that
   :func:`~repro.qodg.iig.build_iig` runs on one chunk (directed pair
@@ -74,12 +75,10 @@ from .table import (
     DEFAULT_CHUNK_SIZE,
     GateTable,
     _McExpandCarry,
-    _Row,
+    _empty_table,
     _lower_ft_chunk,
     _require_chunk_size,
-    _rows_of_table,
     _scan_to_fixed_point,
-    _table_of_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -219,16 +218,26 @@ def lower_ft_stream(
 # Peephole optimization as an out-of-core multi-pass scan
 # ---------------------------------------------------------------------------
 
-#: The :class:`GateTable` columns a spill file stores, in order.
-_SPILL_COLUMNS = (
-    "kind", "ctrl", "ctrl2", "target", "target2", "extra_indptr", "extra"
-)
+#: The int64 :class:`GateTable` columns of a spill record, in order;
+#: the int8 ``kind`` column follows them, so every int64 column of a
+#: record read into one aligned buffer stays aligned.
+_SPILL_COLUMNS = ("ctrl", "ctrl2", "target", "target2", "extra_indptr", "extra")
+
+#: A spill record's header: its row and extra-control counts.
+_SPILL_HEADER = struct.Struct("<qq")
 
 
 def _write_table(handle, table: GateTable) -> None:
-    """Append one table's columns to an open spill file."""
-    for column in _SPILL_COLUMNS:
-        np.save(handle, getattr(table, column), allow_pickle=False)
+    """Append one table to an open spill file as one record: the
+    header, the int64 columns, then the kind column."""
+    columns = [
+        np.ascontiguousarray(getattr(table, column), dtype="<i8")
+        for column in _SPILL_COLUMNS
+    ]
+    handle.write(_SPILL_HEADER.pack(len(table), len(columns[-1])))
+    for column in columns:
+        handle.write(column.tobytes())
+    handle.write(np.ascontiguousarray(table.kind, dtype=np.int8).tobytes())
 
 
 def _read_tables(
@@ -236,45 +245,76 @@ def _read_tables(
 ) -> Iterator[GateTable]:
     """Read back exactly ``count`` tables written by :func:`_write_table`.
 
-    A file cut short raises (``np.load``'s ``EOFError``/``ValueError``)
-    instead of ending the stream early.
+    Each record is read into one buffer and its columns are views of
+    it.  A file cut short raises ``EOFError`` instead of ending the
+    stream early.
     """
     for _ in range(count):
-        columns = {
-            column: np.load(handle, allow_pickle=False)
-            for column in _SPILL_COLUMNS
-        }
-        yield GateTable(**columns, qubit_names=qubit_names, name=name)
+        header = handle.read(_SPILL_HEADER.size)
+        if len(header) != _SPILL_HEADER.size:
+            raise EOFError("spill file ends inside a record header")
+        rows, extras = _SPILL_HEADER.unpack(header)
+        words = 5 * rows + 1 + extras
+        record = np.empty(8 * words + rows, dtype=np.uint8)
+        if handle.readinto(record) != len(record):
+            raise EOFError("spill file ends inside a record")
+        ints = record[: 8 * words].view("<i8")
+        ctrl, ctrl2, target, target2, extra_indptr, extra = np.split(
+            ints, np.cumsum([rows] * 4 + [rows + 1])
+        )
+        yield GateTable(
+            kind=record[8 * words :].view(np.int8),
+            ctrl=ctrl,
+            ctrl2=ctrl2,
+            target=target,
+            target2=target2,
+            extra_indptr=extra_indptr,
+            extra=extra,
+            qubit_names=qubit_names,
+            name=name,
+        )
 
 
 class _Spill:
     """One peephole pass's survivors on disk.
 
     The pass's emit target (:func:`~repro.circuits.table._scan_to_fixed_point`
-    sink): rows are packed into a :class:`GateTable` every ``chunk_size``
-    rows and appended to the file; iterating replays the rows in order,
-    and the file is deleted once read back.
+    sink): appended tables are buffered until they hold ``chunk_size``
+    rows, then written as one table; iterating reads the tables back in
+    order under the register of the last one appended, and the file is
+    deleted once read back.
     """
 
     def __init__(self, path: Path, chunk_size: int) -> None:
         self._path = path
         self._chunk_size = chunk_size
-        self._buffer: list[_Row] = []
+        self._buffer: list[GateTable] = []
+        self._rows = 0
         self._count = 0
+        self._register: tuple[str, ...] = ()
+        self._name = ""
 
-    def extend(self, rows: list[_Row]) -> None:
-        self._buffer.extend(rows)
-        if len(self._buffer) >= self._chunk_size:
+    def append(self, table: GateTable) -> None:
+        self._buffer.append(table)
+        self._rows += len(table)
+        self._register, self._name = table.qubit_names, table.name
+        if self._rows >= self._chunk_size:
             self._write()
 
     def _write(self) -> None:
         with self._path.open("ab") as handle:
-            _write_table(handle, _table_of_rows(self._buffer, (), ""))
+            _write_table(
+                handle,
+                assemble(self._buffer)
+                if self._buffer
+                else _empty_table((), ""),
+            )
         self._count += 1
         self._buffer.clear()
+        self._rows = 0
 
     def tables(
-        self, qubit_names: tuple[str, ...] = (), name: str = ""
+        self, qubit_names: tuple[str, ...], name: str
     ) -> Iterator[GateTable]:
         """Write the last batch, then read every table back (at least
         one, the last possibly empty) under the given register and name.
@@ -285,9 +325,8 @@ class _Spill:
             yield from _read_tables(handle, self._count, qubit_names, name)
         self._path.unlink()
 
-    def __iter__(self) -> Iterator[_Row]:
-        for table in self.tables():
-            yield from _rows_of_table(table)
+    def __iter__(self) -> Iterator[GateTable]:
+        return self.tables(self._register, self._name)
 
 
 def _rechunk(
@@ -317,11 +356,14 @@ def optimize_stream(
 ) -> Iterator[GateTable]:
     """Out-of-core :func:`~repro.circuits.table.optimize_table`.
 
-    Runs the same scan to the same fixed point, but each pass streams
-    its rows once — the first from the incoming chunks, later ones from
-    the previous pass's spill file — and writes survivors to a fresh
-    spill, so peak memory is the scan window plus one batch regardless
-    of circuit size.  The survivors come back in ``chunk_size`` chunks.
+    Runs the same :func:`~repro.circuits.table.peephole` scan (the
+    compiled one, one call per chunk, or the Python fallback with a
+    ``RuntimeWarning``) to the same fixed point, but each pass streams
+    its tables once — the first from the incoming chunks, later ones
+    from the previous pass's spill file — and writes the tables of
+    survivors to a fresh spill, so peak memory is the scan window plus
+    one batch regardless of circuit size.  The survivors come back in
+    ``chunk_size`` chunks.
     """
     _require_chunk_size(chunk_size)
     with tempfile.TemporaryDirectory(prefix="repro-peephole-") as tmp:
@@ -329,17 +371,18 @@ def optimize_stream(
         register: tuple[str, ...] = ()
         name = "circuit"
 
-        def rows_from_input() -> Iterator[_Row]:
+        def tables_from_input() -> Iterator[GateTable]:
             nonlocal register, name
             for table in chunks:
-                # The timing straddles ``yield from`` (consumer pull time
-                # included, matching the materialized pass), so the span
-                # is recorded post-hoc rather than as a context manager —
-                # a live span across a yield would misattribute nesting.
+                # The timing straddles the yield (the first pass's scan
+                # of the chunk included, matching the materialized pass),
+                # so the span is recorded post-hoc rather than as a
+                # context manager — a live span across a yield would
+                # misattribute nesting.
                 tick = time.perf_counter()
                 register = table.qubit_names
                 name = table.name
-                yield from _rows_of_table(table)
+                yield table
                 seconds = time.perf_counter() - tick
                 record_span(
                     "stream.peephole-ingest",
@@ -355,9 +398,9 @@ def optimize_stream(
 
         passes = itertools.count()
         survivors = _scan_to_fixed_point(
-            rows_from_input(),
+            tables_from_input(),
             max_passes,
-            lambda: _Spill(tmpdir / f"pass{next(passes)}.npy", chunk_size),
+            lambda: _Spill(tmpdir / f"pass{next(passes)}.bin", chunk_size),
         )
         yield from _rechunk(survivors.tables(register, name), chunk_size)
 

@@ -29,9 +29,13 @@ Tables are treated as immutable once built; producers stream rows into a
 On top of the storage the module provides the **table passes** — the FT
 synthesis stages of :mod:`repro.circuits.decompose` re-expressed as
 vectorized template expansions (:func:`lower_ft`) and the peephole
-optimizer of :mod:`repro.circuits.optimize` as a bounded-window row scan
-(:func:`optimize_table`).  Each is written once, as the per-chunk pass
-that :mod:`repro.circuits.stream` also drives.  Both are
+optimizer of :mod:`repro.circuits.optimize` as a bounded-window scan
+over a table stream (:func:`optimize_table`).  Each is written once, as
+the per-chunk pass that :mod:`repro.circuits.stream` also drives.  The
+peephole scan runs in C, one call per chunk on the table columns, in
+the shared object of :mod:`repro.qspr._kernel`; :func:`peephole` hands
+out that scan, or the Python row scan with a :class:`RuntimeWarning`
+when the object cannot be built or loaded.  Both are
 bitwise-equivalent to the object implementations, which remain available
 as the ``engine="legacy"`` oracle; the equivalence is asserted across the
 circuit library by ``tests/test_table_equivalence.py``.
@@ -41,11 +45,13 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import warnings
 from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
 from ..exceptions import CircuitError, DecompositionError
+from ..obs import default_registry
 from .gates import (
     FT_KINDS,
     Gate,
@@ -1164,24 +1170,60 @@ def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
 
 
 # ---------------------------------------------------------------------------
-# Peephole optimization as a row scan
+# Peephole optimization as a table-stream scan
 # ---------------------------------------------------------------------------
 
 _SELF_INVERSE_CODES = frozenset({_X, KIND_CODES[GateKind.Y], _Z, _H, _CNOT})
 _INVERSE_OF = {_T: _TDG, _TDG: _T, _S: _SDG, _SDG: _S}
 _PHASE_FUSION_CODES = {_T: _S, _TDG: _SDG, _S: _Z, _SDG: _Z}
 
-#: One row as the peephole scan reads it: ``(code, c1, c2, t1, t2,
+
+def _peephole_rules() -> np.ndarray:
+    """The rewrite rules as the compiled scan reads them: row 0 holds the
+    kind code each kind cancels with, row 1 the code two adjacent rows of
+    a kind fuse into (``-1`` = none)."""
+    rules = np.full((2, len(KINDS_BY_CODE)), -1, dtype=np.int64)
+    for code in _SELF_INVERSE_CODES:
+        rules[0, code] = code
+    for code, inverse in _INVERSE_OF.items():
+        rules[0, code] = inverse
+    for code, fused in _PHASE_FUSION_CODES.items():
+        rules[1, code] = fused
+    return rules
+
+
+_PEEPHOLE_RULES = _peephole_rules()
+
+#: One row as the Python scan reads it: ``(code, c1, c2, t1, t2,
 #: extra_controls)`` with ``-1`` padding.  Equal operand sets imply equal
 #: padded tuples, so the same-operand test is plain tuple comparison.
 _Row = tuple[int, int, int, int, int, tuple[int, ...]]
 
-#: Appended rows between frontier recomputations in :func:`_scan_stream`.
+#: Appended rows between frontier recomputations of a scan pass.
 _SCAN_FLUSH_EVERY = 4096
+
+#: A peephole pass: ``scan(tables, emit) -> rewrites`` reads a table
+#: stream and hands each batch of frozen rows to ``emit`` as a table.
+Scan = Callable[[Iterable[GateTable], Callable[[GateTable], object]], int]
+
+
+def _empty_table(qubit_names: tuple[str, ...], name: str) -> GateTable:
+    """A zero-row table over ``qubit_names``."""
+    return GateTable(
+        kind=np.empty(0, dtype=np.int8),
+        ctrl=np.empty(0, dtype=np.int64),
+        ctrl2=np.empty(0, dtype=np.int64),
+        target=np.empty(0, dtype=np.int64),
+        target2=np.empty(0, dtype=np.int64),
+        extra_indptr=np.zeros(1, dtype=np.int64),
+        extra=np.empty(0, dtype=np.int64),
+        qubit_names=qubit_names,
+        name=name,
+    )
 
 
 def _rows_of_table(table: GateTable) -> list[_Row]:
-    """A table's rows as the tuples the peephole scan eats."""
+    """A table's rows as the tuples the Python scan eats."""
     extra_rows: dict[int, tuple[int, ...]] = {}
     for row in np.nonzero(table.extra_counts())[0].tolist():
         lo, hi = table.extra_indptr[row], table.extra_indptr[row + 1]
@@ -1228,17 +1270,19 @@ def _table_of_rows(
 
 
 def _scan_stream(
-    rows: Iterable[_Row], emit: Callable[[list[_Row]], object]
+    tables: Iterable[GateTable], emit: Callable[[GateTable], object]
 ) -> int:
-    """One cancellation/fusion pass over a row stream, bounded window.
+    """One cancellation/fusion pass over a table stream, bounded window:
+    the Python fallback of :func:`peephole`.
 
     Logic mirrors :func:`repro.circuits.optimize.cancel_pairs_once`:
     only rows still reachable through ``last_on_qubit`` can be cancelled
     or fused, so every row below ``min(last_on_qubit.values())`` is
-    frozen and flushed to ``emit`` in order.  The frontier is
-    recomputed every :data:`_SCAN_FLUSH_EVERY` appends (an O(num_qubits)
-    ``min``), keeping the window a few thousand rows for circuits whose
-    qubits stay active.  Returns the rewrite count.
+    frozen and flushed to ``emit`` in order, packed as one table under
+    the register of the chunk being read.  The frontier is recomputed
+    every :data:`_SCAN_FLUSH_EVERY` appends (an O(num_qubits) ``min``),
+    keeping the window a few thousand rows for circuits whose qubits
+    stay active.  Returns the rewrite count.
     """
     # Rows not yet emitted, None where cancelled; ``last_on_qubit``
     # indexes into this window and is rebased at every flush.
@@ -1246,85 +1290,135 @@ def _scan_stream(
     last_on_qubit: dict[int, int] = {}
     check_at = _SCAN_FLUSH_EVERY
     rewrites = 0
-    for row in rows:
-        code, c1, c2, t1, t2, extra = row
-        qubits = [t1]
-        if c1 >= 0:
-            qubits.append(c1)
-        if c2 >= 0:
-            qubits.append(c2)
-        qubits.extend(extra)
-        if t2 >= 0:
-            qubits.append(t2)
-        previous = {last_on_qubit.get(q) for q in qubits}
-        candidate_index = previous.pop() if len(previous) == 1 else None
-        candidate = (
-            window[candidate_index] if candidate_index is not None else None
-        )
-        if candidate is not None:
-            ccode = candidate[0]
-            same_operands = candidate[1:] == row[1:]
-            if same_operands and (
-                (ccode == code and ccode in _SELF_INVERSE_CODES)
-                or _INVERSE_OF.get(ccode) == code
-            ):
-                window[candidate_index] = None
-                for qubit in qubits:
-                    del last_on_qubit[qubit]
-                rewrites += 1
-                continue
-            if same_operands and ccode == code:
-                fused = _PHASE_FUSION_CODES.get(code)
-                if fused is not None:
-                    window[candidate_index] = (fused, -1, -1, t1, -1, ())
+    register: tuple[str, ...] = ()
+    name = ""
+
+    def flush(frontier: int) -> None:
+        batch = [row for row in window[:frontier] if row is not None]
+        del window[:frontier]
+        if batch:
+            emit(_table_of_rows(batch, register, name))
+
+    for table in tables:
+        register, name = table.qubit_names, table.name
+        for row in _rows_of_table(table):
+            code, c1, c2, t1, t2, extra = row
+            qubits = [t1]
+            if c1 >= 0:
+                qubits.append(c1)
+            if c2 >= 0:
+                qubits.append(c2)
+            qubits.extend(extra)
+            if t2 >= 0:
+                qubits.append(t2)
+            previous = {last_on_qubit.get(q) for q in qubits}
+            candidate_index = previous.pop() if len(previous) == 1 else None
+            candidate = (
+                window[candidate_index]
+                if candidate_index is not None
+                else None
+            )
+            if candidate is not None:
+                ccode = candidate[0]
+                same_operands = candidate[1:] == row[1:]
+                if same_operands and (
+                    (ccode == code and ccode in _SELF_INVERSE_CODES)
+                    or _INVERSE_OF.get(ccode) == code
+                ):
+                    window[candidate_index] = None
+                    for qubit in qubits:
+                        del last_on_qubit[qubit]
                     rewrites += 1
                     continue
-        index = len(window)
-        window.append(row)
-        for qubit in qubits:
-            last_on_qubit[qubit] = index
-        if index >= check_at:
-            frontier = min(last_on_qubit.values())
-            _flush_window(window, frontier, emit)
-            for qubit in last_on_qubit:
-                last_on_qubit[qubit] -= frontier
-            check_at = index - frontier + _SCAN_FLUSH_EVERY
-    _flush_window(window, len(window), emit)
+                if same_operands and ccode == code:
+                    fused = _PHASE_FUSION_CODES.get(code)
+                    if fused is not None:
+                        window[candidate_index] = (fused, -1, -1, t1, -1, ())
+                        rewrites += 1
+                        continue
+            index = len(window)
+            window.append(row)
+            for qubit in qubits:
+                last_on_qubit[qubit] = index
+            if index >= check_at:
+                frontier = min(last_on_qubit.values())
+                flush(frontier)
+                for qubit in last_on_qubit:
+                    last_on_qubit[qubit] -= frontier
+                check_at = index - frontier + _SCAN_FLUSH_EVERY
+    flush(len(window))
     return rewrites
 
 
-def _flush_window(
-    window: list[_Row | None],
-    frontier: int,
-    emit: Callable[[list[_Row]], object],
-) -> None:
-    """Emit the scan window's rows below ``frontier`` in order, dropping
-    cancelled ones, and cut them from the window."""
-    batch = [row for row in window[:frontier] if row is not None]
-    del window[:frontier]
-    if batch:
-        emit(batch)
+def _native_scan(
+    tables: Iterable[GateTable], emit: Callable[[GateTable], object]
+) -> int:
+    """:func:`_scan_stream`, one compiled call per chunk: the same
+    decisions, the rows in table columns throughout.  Each chunk's
+    frozen rows are emitted as one table under that chunk's register."""
+    from ..qspr import _kernel
+
+    flush_every = _SCAN_FLUSH_EVERY
+    carry = _kernel.PeepholeCarry(flush_every)
+
+    def scan_chunk(table: GateTable, final: bool = False) -> None:
+        columns = _kernel.peephole_chunk(
+            table, _PEEPHOLE_RULES, carry, flush_every, final
+        )
+        if len(columns[0]):
+            emit(GateTable(*columns, table.qubit_names, table.name))
+
+    register: tuple[str, ...] = ()
+    name = ""
+    for table in tables:
+        scan_chunk(table)
+        register, name = table.qubit_names, table.name
+    scan_chunk(_empty_table(register, name), final=True)
+    return carry.rewrites
+
+
+def peephole() -> Scan:
+    """The compiled scan pass, or :func:`_scan_stream` when the kernel's
+    shared object cannot be built or loaded — with a
+    :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=peephole}``
+    count."""
+    try:
+        # Imported here: repro.qspr imports repro.circuits.
+        from ..qspr import _kernel
+
+        _kernel.load()
+    except (ImportError, AttributeError, OSError, RuntimeError) as error:
+        warnings.warn(
+            f"compiled peephole kernel unavailable ({error}); falling "
+            "back to the Python scan",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        default_registry().inc("kernel.fallbacks", entry="peephole")
+        return _scan_stream
+    return _native_scan
 
 
 def _scan_to_fixed_point(
-    rows: Iterable[_Row],
+    tables: Iterable[GateTable],
     max_passes: int,
-    new_sink: Callable[[], Iterable[_Row]] = list,
+    new_sink: Callable[[], object] = list,
 ):
-    """Run :func:`_scan_stream` until a pass rewrites nothing.
+    """Run the :func:`peephole` scan until a pass rewrites nothing.
 
-    Each pass emits its survivors into a fresh ``new_sink()`` — anything
-    with ``extend`` that iterates the emitted rows back in order (a list
-    in memory, a spill file out of core) — which feeds the next pass.
-    Returns the converged pass's sink.
+    Each pass emits its survivors as tables into a fresh ``new_sink()``
+    — anything with ``append`` that iterates the appended tables back
+    in order (a list in memory, a spill file out of core) — which feeds
+    the next pass.  Returns the converged pass's sink.
     """
     if max_passes < 1:
         raise CircuitError(f"max_passes must be >= 1, got {max_passes}")
+    scan = peephole()
     for _ in range(max_passes):
         sink = new_sink()
-        if _scan_stream(rows, sink.extend) == 0:
+        if scan(tables, sink.append) == 0:
             return sink
-        rows = sink
+        tables = sink
     raise CircuitError("peephole optimization did not converge")
 
 
@@ -1336,7 +1430,10 @@ def optimize_table(table: GateTable, max_passes: int = 100) -> GateTable:
     fuse, synthesis-level rows pass through but participate in adjacency
     tracking.  Bitwise-identical output to the object pass.  The whole
     table is one chunk of :func:`~repro.circuits.stream.optimize_stream`,
-    with the passes held in memory instead of spilled.
+    with the passes held in memory instead of spilled: the compiled scan
+    when the kernel loads, else the Python one (see :func:`peephole`).
     """
-    rows = _scan_to_fixed_point(_rows_of_table(table), max_passes)
-    return _table_of_rows(rows, table.qubit_names, table.name)
+    from .stream import assemble
+
+    survivors = _scan_to_fixed_point([table], max_passes)
+    return assemble([*survivors, _empty_table(table.qubit_names, table.name)])

@@ -30,7 +30,7 @@ name                            kind      emitted by
 ``mapper.stage.seconds{stage,engine}`` histogram :class:`~repro.qspr.mapper.QSPRMapper`
 ``stream.stage.seconds{stage}`` histogram :mod:`repro.circuits.stream`
 ``stream.rows{stage}``          counter   ″
-``kernel.fallbacks{entry}``     counter   :mod:`repro.qspr.scheduling` (schedule), :mod:`repro.qodg.sweep` (critical)
+``kernel.fallbacks{entry}``     counter   :mod:`repro.qspr.scheduling` (schedule), :mod:`repro.qodg.sweep` (critical), :mod:`repro.circuits.table` (peephole)
 =============================== ========= ==============================
 
 Environment: ``REPRO_OBS=1`` enables span recording, ``REPRO_OBS_EXPORT``

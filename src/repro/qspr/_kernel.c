@@ -1,5 +1,5 @@
 /* The repository's compiled inner loops, built as one shared object by
- * _kernel.py at first use.  Two entry families live here:
+ * _kernel.py at first use.  Three entry families live here:
  *
  *  - the scheduler (engine="kernel"): leqa_schedule(), a
  *    statement-for-statement translation of _schedule_array
@@ -10,7 +10,11 @@
  *    leqa_critical_chunk() runs critical_path_chunk over one chunk and
  *    updates its carry in place, leqa_critical_backtrack() walks the
  *    predecessors into the path, and leqa_critical_lengths() runs the
- *    recurrence under many delay tables at once.
+ *    recurrence under many delay tables at once;
+ *  - the peephole cancellation/fusion scan (circuits/table.py):
+ *    leqa_peephole_chunk() runs _scan_stream over one chunk's table
+ *    columns with the scan window carried in place, and writes out the
+ *    rows the chunk froze.
  *
  * Bitwise identity with the Python code is a hard contract: every
  * floating-point expression below performs the same IEEE binary64
@@ -18,12 +22,14 @@
  * disables FP contraction so no FMA changes a rounding), heap
  * tie-breaks compare (reach, node) exactly like the Python (reach,
  * node, box) tuples, the channel-slot reservation discipline mirrors
- * ChannelNetwork's min-heaps, and the recurrence keeps
- * critical_path_chunk's tie rules.
+ * ChannelNetwork's min-heaps, the recurrence keeps
+ * critical_path_chunk's tie rules, and the scan makes _scan_stream's
+ * decisions row for row.
  */
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef long long i64;
 
@@ -872,5 +878,204 @@ int leqa_critical_lengths(i64 n, i64 num_qubits, i64 num_kinds, i64 points,
         }
     }
     free(dist);
+    return 0;
+}
+
+/* ---- peephole scan (circuits/table.py) ----------------------------- */
+
+/* One window row: the table columns, the row's extras as a range of the
+ * carry's extra buffer, and the cancelled flag. */
+enum { W_KIND, W_C1, W_C2, W_T1, W_T2, W_XLO, W_XHI, W_DEAD, W_COLS };
+
+/* Carry scalars: rows and extras held in the window, the window index
+ * of the next frontier recomputation, and the rewrite count. */
+enum { S_ROWS, S_EXTRA, S_CHECK_AT, S_REWRITES, S_COLS };
+
+/* Kind codes (1), operands (2) and the extras CSR (4) of one chunk,
+ * plus the room the carry has for them (3), checked before any state is
+ * touched so a bad chunk leaves the carry as it was. */
+static int peephole_check(i64 n, i64 num_qubits, i64 num_kinds,
+                          const signed char *kind, const i64 *c1,
+                          const i64 *c2, const i64 *t1, const i64 *t2,
+                          const i64 *indptr, i64 extra_len,
+                          const i64 *extra, const i64 *state,
+                          i64 window_cap, i64 extra_cap) {
+    if (indptr[0] < 0 || indptr[n] > extra_len)
+        return 4;
+    for (i64 i = 0; i < n; i++) {
+        if (kind[i] < 0 || kind[i] >= num_kinds)
+            return 1;
+        if (t1[i] < 0 || t1[i] >= num_qubits)
+            return 2;
+        if (c1[i] < -1 || c1[i] >= num_qubits || c2[i] < -1 ||
+            c2[i] >= num_qubits || t2[i] < -1 || t2[i] >= num_qubits)
+            return 2;
+        if (indptr[i + 1] < indptr[i])
+            return 4;
+    }
+    for (i64 k = indptr[0]; k < indptr[n]; k++)
+        if (extra[k] < 0 || extra[k] >= num_qubits)
+            return 2;
+    if (state[S_ROWS] + n > window_cap ||
+        state[S_EXTRA] + (indptr[n] - indptr[0]) > extra_cap)
+        return 3;
+    return 0;
+}
+
+/* Emit the window's live rows below frontier to the out_* columns
+ * (counts[0] rows and counts[1] extras so far), cut them from the
+ * window and rebase last_on_qubit and the extras onto what is left. */
+static void peephole_flush(i64 frontier, i64 *window, i64 *wextra,
+                           i64 *last, i64 num_qubits, i64 *state,
+                           signed char *out_kind, i64 *out_c1,
+                           i64 *out_c2, i64 *out_t1, i64 *out_t2,
+                           i64 *out_indptr, i64 *out_extra, i64 *counts) {
+    i64 rows = counts[0];
+    i64 extras = counts[1];
+    for (i64 r = 0; r < frontier; r++) {
+        const i64 *w = window + r * W_COLS;
+        if (w[W_DEAD])
+            continue;
+        out_kind[rows] = (signed char)w[W_KIND];
+        out_c1[rows] = w[W_C1];
+        out_c2[rows] = w[W_C2];
+        out_t1[rows] = w[W_T1];
+        out_t2[rows] = w[W_T2];
+        for (i64 k = w[W_XLO]; k < w[W_XHI]; k++)
+            out_extra[extras++] = wextra[k];
+        rows += 1;
+        out_indptr[rows] = extras;
+    }
+    counts[0] = rows;
+    counts[1] = extras;
+    i64 held = state[S_ROWS] - frontier;
+    i64 base = held ? window[frontier * W_COLS + W_XLO] : state[S_EXTRA];
+    memmove(window, window + frontier * W_COLS,
+            (size_t)(held * W_COLS) * sizeof(i64));
+    for (i64 r = 0; r < held; r++) {
+        window[r * W_COLS + W_XLO] -= base;
+        window[r * W_COLS + W_XHI] -= base;
+    }
+    memmove(wextra, wextra + base,
+            (size_t)(state[S_EXTRA] - base) * sizeof(i64));
+    state[S_EXTRA] -= base;
+    state[S_ROWS] = held;
+    for (i64 q = 0; q < num_qubits; q++)
+        if (last[q] >= 0)
+            last[q] -= frontier;
+}
+
+/* Point every operand of one row (controls a, b, targets t, u; -1 =
+ * absent; nx extra controls xs) at window row `row` in last_on_qubit. */
+static void peephole_mark(i64 *last, i64 a, i64 b, i64 t, i64 u,
+                          const i64 *xs, i64 nx, i64 row) {
+    last[t] = row;
+    if (a >= 0)
+        last[a] = row;
+    if (b >= 0)
+        last[b] = row;
+    if (u >= 0)
+        last[u] = row;
+    for (i64 k = 0; k < nx; k++)
+        last[xs[k]] = row;
+}
+
+/* _scan_stream over one chunk.  window (window_cap x W_COLS), wextra
+ * (extra_cap), last (num_qubits; -1 = absent) and state (S_COLS) are
+ * the carry, updated in place.  cancel_with[k] is the kind code that
+ * cancels kind k (-1 for none) and fuse_to[k] the kind two adjacent k
+ * rows fuse into (-1 for none).  The rows frozen by this chunk (all
+ * that are left when final is set) go to the out_* columns, whose
+ * capacity is the window's rows and extras plus the chunk's; counts[]
+ * receives how many rows and extras were written. */
+int leqa_peephole_chunk(i64 n, i64 num_qubits, i64 num_kinds,
+                        i64 extra_len, i64 window_cap, i64 extra_cap,
+                        i64 flush_every, i64 final,
+                        const signed char *kind, const i64 *c1,
+                        const i64 *c2, const i64 *t1, const i64 *t2,
+                        const i64 *indptr, const i64 *extra,
+                        const i64 *cancel_with, const i64 *fuse_to,
+                        i64 *window, i64 *wextra, i64 *last, i64 *state,
+                        signed char *out_kind, i64 *out_c1, i64 *out_c2,
+                        i64 *out_t1, i64 *out_t2, i64 *out_indptr,
+                        i64 *out_extra, i64 *counts) {
+    int status = peephole_check(n, num_qubits, num_kinds, kind, c1, c2, t1,
+                                t2, indptr, extra_len, extra, state,
+                                window_cap, extra_cap);
+    if (status)
+        return status;
+    counts[0] = 0;
+    counts[1] = 0;
+    out_indptr[0] = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 code = kind[i];
+        i64 a = c1[i], b = c2[i], t = t1[i], u = t2[i];
+        const i64 *xs = extra + indptr[i];
+        i64 nx = indptr[i + 1] - indptr[i];
+        /* A candidate exists only when every operand's last row is the
+         * same (live) row. */
+        i64 cand = last[t];
+        if (cand >= 0) {
+            if ((a >= 0 && last[a] != cand) || (b >= 0 && last[b] != cand) ||
+                (u >= 0 && last[u] != cand))
+                cand = -1;
+            for (i64 k = 0; k < nx && cand >= 0; k++)
+                if (last[xs[k]] != cand)
+                    cand = -1;
+        }
+        if (cand >= 0 && !window[cand * W_COLS + W_DEAD]) {
+            i64 *w = window + cand * W_COLS;
+            int same = w[W_C1] == a && w[W_C2] == b && w[W_T1] == t &&
+                       w[W_T2] == u && w[W_XHI] - w[W_XLO] == nx;
+            for (i64 k = 0; k < nx && same; k++)
+                same = wextra[w[W_XLO] + k] == xs[k];
+            if (same && cancel_with[w[W_KIND]] == code) {
+                /* Every operand drops out of last_on_qubit; the rows
+                 * before the pair are not restored. */
+                w[W_DEAD] = 1;
+                peephole_mark(last, a, b, t, u, xs, nx, -1);
+                state[S_REWRITES] += 1;
+                continue;
+            }
+            if (same && w[W_KIND] == code && fuse_to[code] >= 0) {
+                w[W_KIND] = fuse_to[code];
+                w[W_C1] = -1;
+                w[W_C2] = -1;
+                w[W_T1] = t;
+                w[W_T2] = -1;
+                w[W_XHI] = w[W_XLO];
+                state[S_REWRITES] += 1;
+                continue;
+            }
+        }
+        i64 index = state[S_ROWS]++;
+        i64 *w = window + index * W_COLS;
+        w[W_KIND] = code;
+        w[W_C1] = a;
+        w[W_C2] = b;
+        w[W_T1] = t;
+        w[W_T2] = u;
+        w[W_XLO] = state[S_EXTRA];
+        for (i64 k = 0; k < nx; k++)
+            wextra[state[S_EXTRA]++] = xs[k];
+        w[W_XHI] = state[S_EXTRA];
+        w[W_DEAD] = 0;
+        peephole_mark(last, a, b, t, u, xs, nx, index);
+        if (index >= state[S_CHECK_AT]) {
+            /* The frontier: the oldest row still some qubit's last. */
+            i64 frontier = index;
+            for (i64 q = 0; q < num_qubits; q++)
+                if (last[q] >= 0 && last[q] < frontier)
+                    frontier = last[q];
+            peephole_flush(frontier, window, wextra, last, num_qubits,
+                           state, out_kind, out_c1, out_c2, out_t1, out_t2,
+                           out_indptr, out_extra, counts);
+            state[S_CHECK_AT] = index - frontier + flush_every;
+        }
+    }
+    if (final)
+        peephole_flush(state[S_ROWS], window, wextra, last, num_qubits,
+                       state, out_kind, out_c1, out_c2, out_t1, out_t2,
+                       out_indptr, out_extra, counts);
     return 0;
 }

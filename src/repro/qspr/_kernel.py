@@ -1,14 +1,17 @@
 """Loader for the repository's compiled kernels.
 
-``_kernel.c`` holds two families of entry points in one shared object:
-the scheduler (``engine="kernel"``), a statement-for-statement C
-translation of the array scheduling loop, exposed through
-:func:`schedule_arrays`; and the critical-path recurrence of Eq. 1
+``_kernel.c`` holds three families of entry points in one shared
+object: the scheduler (``engine="kernel"``), a statement-for-statement
+C translation of the array scheduling loop, exposed through
+:func:`schedule_arrays`; the critical-path recurrence of Eq. 1
 (:mod:`repro.qodg.sweep`), exposed through :func:`critical_chunk`,
-:func:`critical_walk` and :func:`critical_lengths`.  This module builds
-the source into that shared object with the system C compiler on first
-use and caches the ``.so`` keyed by a hash of the source (so a source
-change or a repo move never loads a stale binary).
+:func:`critical_walk` and :func:`critical_lengths`; and the peephole
+cancellation/fusion scan (:mod:`repro.circuits.table`), exposed through
+:func:`peephole_chunk`, which threads a :class:`PeepholeCarry` from
+chunk to chunk.  This module builds the source into that shared
+object with the system C compiler on first use and caches the ``.so``
+keyed by a hash of the source (so a source change or a repo move never
+loads a stale binary).
 
 No third-party build machinery: a single ``cc -O2 -shared`` invocation,
 with ``-ffp-contract=off`` so no fused-multiply-add changes a rounding —
@@ -40,6 +43,8 @@ __all__ = [
     "critical_walk",
     "kernel_cache_dir",
     "load",
+    "PeepholeCarry",
+    "peephole_chunk",
     "schedule_arrays",
 ]
 
@@ -153,6 +158,13 @@ def load() -> ctypes.CDLL:
         fn.restype = ctypes.c_int
         # n, num_qubits, num_kinds, points, kinds, o0, o1, matrix, out.
         fn.argtypes = [i64, i64, i64, i64] + [ptr] * 5
+        fn = lib.leqa_peephole_chunk
+        fn.restype = ctypes.c_int
+        # n, num_qubits, num_kinds, extra_len, window_cap, extra_cap,
+        # flush_every, final; the chunk's seven columns; the two rule
+        # tables; the carry (window, extras, last_on_qubit, state; in/out);
+        # the seven output columns and their counts (out).
+        fn.argtypes = [i64] * 8 + [ptr] * 21
     except Exception as error:
         _load_error = (
             error
@@ -376,3 +388,168 @@ def critical_lengths(
         "batched critical-path",
     )
     return out
+
+
+#: Columns of one peephole window row, in the C layout (``W_*`` in
+#: ``_kernel.c``): kind, ctrl, ctrl2, target, target2, the row's extras
+#: as a ``[lo, hi)`` range of the window's extra buffer, cancelled flag.
+_WINDOW_COLUMNS = 8
+
+#: The table columns the peephole scan reads and writes, in order.
+_TABLE_COLUMNS = ("ctrl", "ctrl2", "target", "target2", "extra_indptr", "extra")
+
+
+class PeepholeCarry:
+    """Scan state of the compiled peephole pass between chunks.
+
+    ``window`` holds the rows not yet emitted (``state[0]`` of its
+    ``(capacity, 8)`` rows are in use, each with a cancelled flag) and
+    ``window_extra`` their extra controls (``state[1]`` in use);
+    ``last_on_qubit`` indexes each qubit's last row in the window
+    (``-1`` = absent); ``state[2]`` is the window index of the next
+    frontier recomputation and ``state[3]`` the rewrite count.  All are
+    numpy arrays the C entry updates in place; :func:`peephole_chunk`
+    grows the first three (capacity only, never the contents) when a
+    chunk needs more room or the register grows.
+    """
+
+    __slots__ = ("window", "window_extra", "last_on_qubit", "state")
+
+    def __init__(self, flush_every: int) -> None:
+        self.window = np.zeros((0, _WINDOW_COLUMNS), dtype=np.int64)
+        self.window_extra = np.zeros(0, dtype=np.int64)
+        self.last_on_qubit = np.zeros(0, dtype=np.int64)
+        self.state = np.array([0, 0, flush_every, 0], dtype=np.int64)
+
+    @property
+    def rewrites(self) -> int:
+        """Cancellations plus fusions so far."""
+        return int(self.state[3])
+
+
+def _require_peephole_carry(carry: PeepholeCarry) -> None:
+    """The carry's arrays are written in place, so they are checked, not
+    converted."""
+    fields = (
+        (carry.window, 2),
+        (carry.window_extra, 1),
+        (carry.last_on_qubit, 1),
+        (carry.state, 1),
+    )
+    for array, ndim in fields:
+        if not (
+            isinstance(array, np.ndarray)
+            and array.dtype == np.int64
+            and array.ndim == ndim
+            and array.flags.c_contiguous
+            and array.flags.writeable
+        ):
+            raise ValueError("malformed peephole carry")
+    if carry.window.shape[1] != _WINDOW_COLUMNS or carry.state.shape != (4,):
+        raise ValueError("malformed peephole carry")
+    rows, extras = carry.state[:2].tolist()
+    if not (
+        0 <= rows <= len(carry.window)
+        and 0 <= extras <= len(carry.window_extra)
+    ):
+        raise ValueError("malformed peephole carry")
+
+
+def _with_room(array: np.ndarray, used: int, needed: int, fill: int = 0):
+    """``array`` itself when it has ``needed`` rows, else its first
+    ``used`` rows copied into a buffer of exactly ``needed`` rows, the
+    rest ``fill`` (no slack: the window's peak, not its growth, sets the
+    scan's memory)."""
+    if len(array) >= needed:
+        return array
+    grown = np.full((needed, *array.shape[1:]), fill, dtype=np.int64)
+    grown[:used] = array[:used]
+    return grown
+
+
+def peephole_chunk(
+    table, rules: np.ndarray, carry: PeepholeCarry, flush_every: int,
+    final: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """One chunk of :func:`repro.circuits.table._scan_stream`, compiled.
+
+    ``table`` is a :class:`~repro.circuits.table.GateTable` chunk (its
+    register sizes ``last_on_qubit``), ``rules`` the ``(2, kinds)``
+    table of the kind each kind cancels with and fuses into (``-1`` =
+    none), and ``flush_every`` the appends between frontier
+    recomputations.  Updates ``carry`` and returns the rows this chunk
+    froze — every row left in the window when ``final`` is set — as the
+    columns ``(kind, ctrl, ctrl2, target, target2, extra_indptr,
+    extra)``, with the same decisions as the Python scan, row for row.
+
+    Raises
+    ------
+    RuntimeError
+        If the kernel is unavailable.
+    ValueError
+        If the columns differ in length, the rule table or the carry is
+        malformed, or a kind code, operand or extras offset is out of
+        range (the carry is left untouched).
+    """
+    lib = load()
+    kind = np.ascontiguousarray(table.kind, dtype=np.int8)
+    ctrl, ctrl2, target, target2, indptr, extra = (
+        np.ascontiguousarray(getattr(table, column), dtype=np.int64)
+        for column in _TABLE_COLUMNS
+    )
+    n = len(kind)
+    if {array.ndim for array in (kind, ctrl, ctrl2, target, target2,
+                                 indptr, extra)} != {1} or not (
+        len(ctrl) == len(ctrl2) == len(target) == len(target2) == n
+        and len(indptr) == n + 1
+    ):
+        raise ValueError("table columns differ in shape")
+    rules = np.ascontiguousarray(rules, dtype=np.int64)
+    if rules.ndim != 2 or rules.shape[0] != 2:
+        raise ValueError(f"rule table must be (2, kinds), got {rules.shape}")
+    _require_peephole_carry(carry)
+    rows, extras = carry.state[:2].tolist()
+    chunk_extras = max(int(indptr[-1] - indptr[0]), 0)
+    # Grown into new buffers, adopted only once the C entry accepts the
+    # chunk, so a rejected chunk leaves the carry as it was.
+    window = _with_room(carry.window, rows, rows + n)
+    window_extra = _with_room(
+        carry.window_extra, extras, extras + chunk_extras
+    )
+    last = _with_room(
+        carry.last_on_qubit, len(carry.last_on_qubit), table.num_qubits, -1
+    )
+    out_kind = np.empty(rows + n, dtype=np.int8)
+    out = [np.empty(rows + n, dtype=np.int64) for _ in range(4)]
+    out_indptr = np.empty(rows + n + 1, dtype=np.int64)
+    out_extra = np.empty(extras + chunk_extras, dtype=np.int64)
+    counts = np.zeros(2, dtype=np.int64)
+    status = lib.leqa_peephole_chunk(
+        n, len(last), rules.shape[1], len(extra), len(window),
+        len(window_extra), flush_every, 1 if final else 0,
+        kind.ctypes.data, ctrl.ctypes.data, ctrl2.ctypes.data,
+        target.ctypes.data, target2.ctypes.data, indptr.ctypes.data,
+        extra.ctypes.data, rules[0].ctypes.data, rules[1].ctypes.data,
+        window.ctypes.data, window_extra.ctypes.data, last.ctypes.data,
+        carry.state.ctypes.data, out_kind.ctypes.data,
+        *(column.ctypes.data for column in out), out_indptr.ctypes.data,
+        out_extra.ctypes.data, counts.ctypes.data,
+    )
+    if status == 1:
+        raise ValueError("peephole chunk: kind code outside the rule table")
+    if status == 2:
+        raise ValueError("peephole chunk: operand outside the register")
+    if status == 4:
+        raise ValueError("peephole chunk: extras offsets outside the chunk")
+    if status:
+        raise RuntimeError(f"peephole chunk kernel failed with status {status}")
+    carry.window, carry.window_extra, carry.last_on_qubit = (
+        window, window_extra, last
+    )
+    emitted, emitted_extras = counts.tolist()
+    return (
+        out_kind[:emitted],
+        *(column[:emitted] for column in out),
+        out_indptr[:emitted + 1],
+        out_extra[:emitted_extras],
+    )

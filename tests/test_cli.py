@@ -55,6 +55,32 @@ class TestEstimate:
         assert code == 1
         assert "error:" in err
 
+    def test_optimize_materialized_and_streamed_agree(self, capsys):
+        """``--optimize`` runs the same peephole on both front-ends: the
+        streamed run (97-gate chunks, spilled passes) estimates the
+        netlist the materialized optimizer reports."""
+
+        def lines(out: str) -> dict[str, str]:
+            return {
+                line[:18].strip(): line[18:].strip()
+                for line in out.splitlines()
+            }
+
+        code, out, _ = run_cli(capsys, "estimate", "ham15", "--optimize")
+        assert code == 0
+        materialized = lines(out)
+        code, out, _ = run_cli(
+            capsys, "estimate", "ham15", "--stream", "--optimize",
+            "--chunk-gates", "97",
+        )
+        assert code == 0
+        streamed = lines(out)
+        before, after = materialized["optimizer"].split(" -> ")
+        assert after == f"{materialized['operations']} ops"
+        assert int(materialized["operations"]) < int(before)
+        for key in ("operations", "estimated latency"):
+            assert streamed[key] == materialized[key], key
+
     @pytest.mark.parametrize("chunk_gates", ["0", "-1"])
     def test_stream_rejects_non_positive_chunk_gates(self, capsys, chunk_gates):
         code, out, err = run_cli(

@@ -42,19 +42,35 @@ from repro.qspr.scheduling import compile_qodg, schedule_circuit
 #: removes it and covers the entire registry.
 DEFAULT_OP_CAP = 1000
 
-#: One build per registry row for the whole module: the row filter runs
-#: at collection time and the fixture reuses the same circuits.
+#: The registry rows within :data:`DEFAULT_OP_CAP`, in registry order.
+#: Frozen so that collection builds no circuit: filtering by op count
+#: would build every row, ``gf2^256mult`` (203,555 gates) included, only
+#: to drop it.  ``test_default_rows_are_the_op_cap_filter`` recomputes
+#: the filter under REPRO_FULL=1.
+DEFAULT_ROWS = (
+    "ham3",
+    "8bitadder",
+    "gf2^16mult",
+    "hwb15ps",
+    "hwb16ps",
+    "gf2^18mult",
+    "gf2^19mult",
+    "gf2^20mult",
+    "ham15",
+    "hwb20ps",
+    "hwb50ps",
+    "mod1048576adder",
+)
+
+#: One build per registry row for the whole module: the fixture and the
+#: filter check reuse the same circuits.
 _cached_build = functools.lru_cache(maxsize=None)(build)
 
 
 def library_rows() -> list[str]:
     if os.environ.get("REPRO_FULL") == "1":
         return list(BENCHMARKS)
-    return [
-        name
-        for name in BENCHMARKS
-        if len(_cached_build(name)) <= DEFAULT_OP_CAP
-    ]
+    return list(DEFAULT_ROWS)
 
 
 def all_engines(circuit, placement, params, **kwargs):
@@ -94,6 +110,17 @@ def ft_library():
 
 
 class TestLibraryEquivalence:
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_FULL") != "1",
+        reason="builds every registry row (set REPRO_FULL=1)",
+    )
+    def test_default_rows_are_the_op_cap_filter(self):
+        assert DEFAULT_ROWS == tuple(
+            name
+            for name in BENCHMARKS
+            if len(_cached_build(name)) <= DEFAULT_OP_CAP
+        )
+
     @pytest.mark.parametrize("name", library_rows())
     def test_identical_schedule_on_library(self, name, ft_library):
         """Bit-identical op start times and latency on every library row."""

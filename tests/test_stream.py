@@ -303,7 +303,7 @@ class TestSpillFile:
         data = self._spill(parts)
         first = len(self._spill(parts[:1]))
         end = {
-            "mid-header": first + 20,
+            "mid-header": first + 8,
             "boundary": first,
             "mid-data": len(data) - 9,
         }[cut]
