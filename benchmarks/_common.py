@@ -144,6 +144,14 @@ def recorded_mapper_speedup(key: str) -> float | None:
     return _recorded_speedup(MAPPER_TRAJECTORY_PATH, key)
 
 
+def recorded_mapper_wall(key: str) -> float | None:
+    """The mapper wall time (s) recorded for one configuration, if any."""
+    entry = load_mapper_trajectory().get("entries", {}).get(key)
+    if entry is None:
+        return None
+    return float(entry["wall_seconds"])
+
+
 def recorded_frontend_speedup(key: str) -> float | None:
     """The front-end baseline speedup recorded for one configuration."""
     return _recorded_speedup(FRONTEND_TRAJECTORY_PATH, key)

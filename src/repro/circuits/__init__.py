@@ -47,7 +47,7 @@ from .generators import (
     ripple_adder,
 )
 from .library import BENCHMARKS, BenchmarkSpec, PAPER_TABLE3_ORDER, benchmark_names, build, build_ft
-from .optimize import cancel_pairs_once, optimize_ft
+from .optimize import optimize_ft
 from .parser import (
     read_qasm_lite,
     read_real,

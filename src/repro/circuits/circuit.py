@@ -151,7 +151,7 @@ class Circuit:
 
     @_gates.setter
     def _gates(self, value: list[Gate]) -> None:
-        # Mutating callers (the legacy decompose/optimize passes) replace
+        # Mutating callers (the object passes of decompose) replace
         # the list wholesale; any cached table no longer describes it.
         self._gate_list = value
         self._table = None

@@ -496,8 +496,9 @@ def estimate_stream(
     with a gate outside the FT set
     (:func:`~repro.core.pipeline.require_ft`), accumulating the IIG
     incrementally and spilling the critical-path columns
-    ``(kind, o0, o1)`` to temporary files (the kind column once, read by
-    both the second pass and the backtrack); the model step
+    ``(kind, o0, o1)`` as raw bytes to temporary files (the kind column
+    once, read by both the second pass and the backtrack; each chunk's
+    operands as its ``o0`` rows then its ``o1`` rows); the model step
     (:func:`~repro.core.pipeline.model_point`, the one
     :meth:`~repro.core.pipeline.StagedPipeline.run` takes) then runs on
     the accumulated IIG, and the second pass replays the spilled
@@ -533,7 +534,7 @@ def estimate_stream(
     op_count = 0
     with tempfile.TemporaryDirectory(prefix="repro-stream-") as tmp:
         tmpdir = Path(tmp)
-        ops_path = tmpdir / "ops.npy"
+        ops_path = tmpdir / "ops.bin"
         kinds_path = tmpdir / "kinds.bin"
         preds_path = tmpdir / "preds.bin"
         chunk_rows: list[int] = []
@@ -550,10 +551,8 @@ def estimate_stream(
                     op_count += len(table)
                     accumulator.update(table)
                     o0, o1 = table.operand_pairs()
-                    np.save(ops_file, o0.astype(np.int64, copy=False),
-                            allow_pickle=False)
-                    np.save(ops_file, o1.astype(np.int64, copy=False),
-                            allow_pickle=False)
+                    ops_file.write(o0.astype(np.int64, copy=False).tobytes())
+                    ops_file.write(o1.astype(np.int64, copy=False).tobytes())
                     kinds_file.write(
                         np.ascontiguousarray(table.kind).tobytes()
                     )
@@ -568,25 +567,28 @@ def estimate_stream(
         lut = kind_delay_lut(point.delays)
         entries = recurrence()
         # The spilled kind column, read by both pass 2 and the
-        # backtrack.  (An empty file cannot be mapped.)
+        # backtrack, and the operand records of pass 2: chunk rows
+        # [start, start + rows) hold their o0 at ops[2 * start:] and
+        # their o1 right after.  (An empty file cannot be mapped.)
         if op_count:
             codes = np.memmap(kinds_path, dtype=np.int8, mode="r")
+            ops = np.memmap(ops_path, dtype=np.int64, mode="r")
         else:
             codes = np.empty(0, dtype=np.int8)
+            ops = np.empty(0, dtype=np.int64)
         # Pass 2: the spilled columns through the critical-path
         # recurrence, one chunk at a time with one carry.
         carry = CriticalPathCarry(num_qubits)
         start = 0
-        with ops_path.open("rb") as ops_file, \
-                preds_path.open("wb") as preds_file:
+        with preds_path.open("wb") as preds_file:
             for rows in chunk_rows:
                 with obs_span(
                     "stream.critical",
                     metric="stream.stage.seconds",
                     stage="critical",
                 ) as sp:
-                    o0 = np.load(ops_file, allow_pickle=False)
-                    o1 = np.load(ops_file, allow_pickle=False)
+                    o0 = ops[2 * start:2 * start + rows]
+                    o1 = ops[2 * start + rows:2 * (start + rows)]
                     preds = entries.chunk(
                         codes[start:start + rows], o0, o1, lut, carry
                     )
@@ -605,5 +607,5 @@ def estimate_stream(
         result = path_result(
             carry.best, entries.walk(carry.best_node, preds), codes
         )
-        del preds, codes
+        del preds, codes, ops
     return point.estimate(result, op_count, started)

@@ -35,10 +35,11 @@ the per-chunk pass that :mod:`repro.circuits.stream` also drives.  The
 peephole scan runs in C, one call per chunk on the table columns, in
 the shared object of :mod:`repro.qspr._kernel`; :func:`peephole` hands
 out that scan, or the Python row scan with a :class:`RuntimeWarning`
-when the object cannot be built or loaded.  Both are
-bitwise-equivalent to the object implementations, which remain available
-as the ``engine="legacy"`` oracle; the equivalence is asserted across the
-circuit library by ``tests/test_table_equivalence.py``.
+when the object cannot be built or loaded.  FT lowering is
+bitwise-equivalent to the object synthesis of
+:mod:`repro.circuits.decompose` (``engine="legacy"``), asserted across
+the circuit library by ``tests/test_table_equivalence.py``, which also
+pins the peephole's output per case as a frozen table fingerprint.
 """
 
 from __future__ import annotations
@@ -1275,11 +1276,13 @@ def _scan_stream(
     """One cancellation/fusion pass over a table stream, bounded window:
     the Python fallback of :func:`peephole`.
 
-    Logic mirrors :func:`repro.circuits.optimize.cancel_pairs_once`:
-    only rows still reachable through ``last_on_qubit`` can be cancelled
-    or fused, so every row below ``min(last_on_qubit.values())`` is
-    frozen and flushed to ``emit`` in order, packed as one table under
-    the register of the chunk being read.  The frontier is recomputed
+    A row can cancel or fuse only with the row that is the last
+    survivor on *every* one of its qubits, and only when the two share
+    their full operand set.  So only rows still reachable through
+    ``last_on_qubit`` can change, and every row below
+    ``min(last_on_qubit.values())`` is frozen and flushed to ``emit``
+    in order, packed as one table under the register of the chunk
+    being read.  The frontier is recomputed
     every :data:`_SCAN_FLUSH_EVERY` appends (an O(num_qubits) ``min``),
     keeping the window a few thousand rows for circuits whose qubits
     stay active.  Returns the rewrite count.
@@ -1428,10 +1431,10 @@ def optimize_table(table: GateTable, max_passes: int = 100) -> GateTable:
     The table counterpart of
     :func:`repro.circuits.optimize.optimize_ft`: FT-set rows cancel and
     fuse, synthesis-level rows pass through but participate in adjacency
-    tracking.  Bitwise-identical output to the object pass.  The whole
-    table is one chunk of :func:`~repro.circuits.stream.optimize_stream`,
-    with the passes held in memory instead of spilled: the compiled scan
-    when the kernel loads, else the Python one (see :func:`peephole`).
+    tracking.  The whole table is one chunk of
+    :func:`~repro.circuits.stream.optimize_stream`, with the passes held
+    in memory instead of spilled: the compiled scan when the kernel
+    loads, else the Python one (see :func:`peephole`).
     """
     from .stream import assemble
 

@@ -71,6 +71,7 @@ from .engine import (
 from .exceptions import ReproError
 from .fabric.params import FabricSpec, PhysicalParams
 from .qspr.mapper import QSPRMapper
+from .qspr.scheduling import SCHEDULER_ENGINES
 
 __all__ = ["main", "build_arg_parser"]
 
@@ -206,14 +207,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mapper.add_argument(
         "--engine",
         default="array",
-        choices=("array", "kernel", "legacy"),
+        choices=SCHEDULER_ENGINES,
         help=(
             "scheduler engine: array (slot-indexed Python loop over "
-            "compiled op arrays, default), kernel "
+            "compiled op arrays, default) or kernel "
             "(compiled C; auto-built with the system compiler, falls back "
-            "to array with a warning when unavailable) or legacy "
-            "(reference oracle); all three produce bitwise-identical "
-            "schedules"
+            "to array with a warning when unavailable); both produce "
+            "bitwise-identical schedules"
         ),
     )
 

@@ -1,16 +1,13 @@
-"""Tiled quantum architecture: physical parameters, geometry, channels."""
+"""Tiled quantum architecture: physical parameters and geometry."""
 
-from .channels import ChannelNetwork
 from .params import DEFAULT_PARAMS, FabricSpec, GateDelays, PhysicalParams
-from .tqa import Channel, Position, TQA
+from .tqa import Position, TQA
 
 __all__ = [
-    "ChannelNetwork",
     "DEFAULT_PARAMS",
     "FabricSpec",
     "GateDelays",
     "PhysicalParams",
-    "Channel",
     "Position",
     "TQA",
 ]

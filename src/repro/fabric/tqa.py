@@ -2,8 +2,9 @@
 
 The TQA (paper Figure 1) is a ``width x height`` grid of ULBs separated by
 routing channels.  This module provides the coordinate algebra the QSPR
-mapper routes over: ULB positions, Manhattan distances, dimension-ordered
-(X-then-Y) paths, and the channel segments a path crosses.
+mapper places over: ULB positions, their validation and row-major
+indexing, and Manhattan distances.  Routing works on flat node and
+channel ids instead (:class:`~repro.qspr.routing.SlotRouter`).
 
 Coordinates are 0-based ``(x, y)`` tuples with ``0 <= x < width`` and
 ``0 <= y < height`` (the paper's equations use 1-based positions; the
@@ -17,15 +18,10 @@ from typing import Iterator
 from ..exceptions import FabricError
 from .params import FabricSpec
 
-__all__ = ["Position", "Channel", "TQA"]
+__all__ = ["Position", "TQA"]
 
 #: A ULB grid coordinate.
 Position = tuple[int, int]
-
-#: A routing channel segment between two adjacent ULBs, stored with the
-#: lexicographically smaller endpoint first so each physical segment has a
-#: single canonical id.
-Channel = tuple[Position, Position]
 
 
 class TQA:
@@ -90,58 +86,10 @@ class TQA:
             raise FabricError(f"ULB index {index} out of range")
         return (index % self.width, index // self.width)
 
-    def neighbors(self, position: Position) -> tuple[Position, ...]:
-        """The 2-4 grid neighbours of a ULB."""
-        x, y = self.check(position)
-        candidates = ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
-        return tuple(p for p in candidates if self.contains(p))
-
     @staticmethod
     def manhattan(source: Position, target: Position) -> int:
         """Manhattan (hop) distance between two ULBs."""
         return abs(source[0] - target[0]) + abs(source[1] - target[1])
-
-    @staticmethod
-    def channel(ulb_a: Position, ulb_b: Position) -> Channel:
-        """Canonical id of the channel segment between two adjacent ULBs."""
-        if abs(ulb_a[0] - ulb_b[0]) + abs(ulb_a[1] - ulb_b[1]) != 1:
-            raise FabricError(
-                f"ULBs {ulb_a} and {ulb_b} are not adjacent; no channel"
-            )
-        return (ulb_a, ulb_b) if ulb_a <= ulb_b else (ulb_b, ulb_a)
-
-    def route_xy(self, source: Position, target: Position) -> list[Position]:
-        """Dimension-ordered (X then Y) ULB path from source to target.
-
-        The returned list starts at ``source`` and ends at ``target``
-        inclusive; consecutive entries are adjacent.  A zero-length route
-        returns ``[source]``.
-        """
-        self.check(source)
-        self.check(target)
-        path = [source]
-        x, y = source
-        step_x = 1 if target[0] > x else -1
-        while x != target[0]:
-            x += step_x
-            path.append((x, y))
-        step_y = 1 if target[1] > y else -1
-        while y != target[1]:
-            y += step_y
-            path.append((x, y))
-        return path
-
-    def route_channels(
-        self, source: Position, target: Position
-    ) -> list[Channel]:
-        """The channel segments crossed by the X-Y route."""
-        path = self.route_xy(source, target)
-        return [self.channel(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-    def midpoint(self, source: Position, target: Position) -> Position:
-        """The ULB halfway along the X-Y route (meeting point heuristic)."""
-        path = self.route_xy(source, target)
-        return path[len(path) // 2]
 
     def __repr__(self) -> str:
         return f"TQA({self.width}x{self.height})"

@@ -22,7 +22,7 @@
  * disables FP contraction so no FMA changes a rounding), heap
  * tie-breaks compare (reach, node) exactly like the Python (reach,
  * node, box) tuples, the channel-slot reservation discipline mirrors
- * ChannelNetwork's min-heaps, the recurrence keeps
+ * SlotRouter's per-channel min-heaps, the recurrence keeps
  * critical_path_chunk's tie rules, and the scan makes _scan_stream's
  * decisions row for row.
  */
@@ -249,7 +249,6 @@ static i64 xy_channels(Ctx *c, i64 source, i64 target, i64 *out) {
 static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
     i64 height = c->height;
     double t_move = c->t_move;
-    i64 capacity = c->capacity;
     i64 vbase = c->vbase;
     i64 sx = source / height;
     i64 sy = source - sx * height;
@@ -294,18 +293,14 @@ static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
         if (arrival > best[here_box])
             continue; /* stale heap entry */
         i64 by = here_box % box_h;
-        /* neighbours in legacy order: west, east, north, south */
+        /* neighbours in order west, east, north, south; a channel below
+         * capacity has free = -inf and delays nobody */
         if (here_box >= box_h) {
             i64 nxt = here - height;
             i64 nxt_box = here_box - box_h;
             i64 ch = nxt;
-            double reach;
-            if (c->slot_len[ch] < capacity) {
-                reach = arrival + t_move;
-            } else {
-                double free = c->slot_data[ch * capacity];
-                reach = (arrival >= free ? arrival : free) + t_move;
-            }
+            double free = c->block_until[ch];
+            double reach = (arrival >= free ? arrival : free) + t_move;
             if (reach < best[nxt_box]) {
                 best[nxt_box] = reach;
                 parent_node[nxt_box] = here;
@@ -319,13 +314,8 @@ static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
             i64 nxt = here + height;
             i64 nxt_box = here_box + box_h;
             i64 ch = here;
-            double reach;
-            if (c->slot_len[ch] < capacity) {
-                reach = arrival + t_move;
-            } else {
-                double free = c->slot_data[ch * capacity];
-                reach = (arrival >= free ? arrival : free) + t_move;
-            }
+            double free = c->block_until[ch];
+            double reach = (arrival >= free ? arrival : free) + t_move;
             if (reach < best[nxt_box]) {
                 best[nxt_box] = reach;
                 parent_node[nxt_box] = here;
@@ -339,13 +329,8 @@ static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
             i64 nxt = here - 1;
             i64 nxt_box = here_box - 1;
             i64 ch = vbase + nxt;
-            double reach;
-            if (c->slot_len[ch] < capacity) {
-                reach = arrival + t_move;
-            } else {
-                double free = c->slot_data[ch * capacity];
-                reach = (arrival >= free ? arrival : free) + t_move;
-            }
+            double free = c->block_until[ch];
+            double reach = (arrival >= free ? arrival : free) + t_move;
             if (reach < best[nxt_box]) {
                 best[nxt_box] = reach;
                 parent_node[nxt_box] = here;
@@ -359,13 +344,8 @@ static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
             i64 nxt = here + 1;
             i64 nxt_box = here_box + 1;
             i64 ch = vbase + here;
-            double reach;
-            if (c->slot_len[ch] < capacity) {
-                reach = arrival + t_move;
-            } else {
-                double free = c->slot_data[ch * capacity];
-                reach = (arrival >= free ? arrival : free) + t_move;
-            }
+            double free = c->block_until[ch];
+            double reach = (arrival >= free ? arrival : free) + t_move;
             if (reach < best[nxt_box]) {
                 best[nxt_box] = reach;
                 parent_node[nxt_box] = here;

@@ -72,11 +72,11 @@ class MappingResult:
         ``schedule``, the last including the QODG compile); a cached
         stage costs its lookup only.
     engine:
-        Scheduler engine that produced the schedule (``"array"``,
-        ``"kernel"`` or ``"legacy"``).  Note this is the engine the
-        mapper *requested*: a ``"kernel"`` run that fell back (no C
-        compiler) still reports ``"kernel"`` and emits a
-        :class:`RuntimeWarning` at schedule time.
+        Scheduler engine that produced the schedule (``"array"`` or
+        ``"kernel"``).  Note this is the engine the mapper *requested*:
+        a ``"kernel"`` run that fell back (no C compiler) still reports
+        ``"kernel"`` and emits a :class:`RuntimeWarning` at schedule
+        time.
     """
 
     schedule: ScheduleResult
@@ -124,8 +124,7 @@ class QSPRMapper:
         structure-of-arrays), ``"kernel"`` (compiled C translation of
         the array loop; auto-built with the system compiler and falls
         back to ``"array"`` with a :class:`RuntimeWarning` when
-        unavailable) or ``"legacy"`` (reference oracle); all three
-        produce bitwise-identical schedules.
+        unavailable); both produce bitwise-identical schedules.
     cache:
         Optional :class:`~repro.engine.cache.ArtifactCache`; when given,
         the IIG, placement and schedule become staged cache artifacts
@@ -159,7 +158,7 @@ class QSPRMapper:
 
     @property
     def engine(self) -> str:
-        """Scheduler engine in use (``"array"``, ``"kernel"`` or ``"legacy"``)."""
+        """Scheduler engine in use (``"array"`` or ``"kernel"``)."""
         return self._engine
 
     def map(self, circuit: Circuit) -> MappingResult:
@@ -174,7 +173,7 @@ class QSPRMapper:
         cache = self._cache
 
         # One span per mapper stage; ``stage_seconds`` is read back off
-        # the spans so the legacy per-result timings and the registry's
+        # the spans so the per-result timings and the registry's
         # ``mapper.stage.seconds`` histogram can never disagree.
         def stage_span(stage: str):
             return obs_span(
@@ -233,15 +232,11 @@ class QSPRMapper:
         """The detailed schedule, staged under the full parameter set.
 
         The op arrays are compiled inside the builder, so a cached
-        schedule compiles nothing; the legacy engine reads no op arrays.
+        schedule compiles nothing.
         """
 
         def build() -> ScheduleResult:
-            compiled = None
-            if self._engine != "legacy":
-                compiled = compile_qodg(
-                    circuit, self._params.delays.by_kind()
-                )
+            compiled = compile_qodg(circuit, self._params.delays.by_kind())
             return schedule_circuit(
                 circuit,
                 placement,

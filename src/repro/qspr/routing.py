@@ -1,6 +1,7 @@
 """Qubit routing for the QSPR baseline mapper.
 
-Two routing modes are provided:
+:class:`SlotRouter` routes each qubit journey over the ULB grid in one of
+two modes:
 
 * ``"maze"`` (default) — congestion-aware maze routing, the class of
   router the original QSPR tool uses: a time-dependent Dijkstra search
@@ -11,27 +12,22 @@ Two routing modes are provided:
 * ``"xy"`` — fixed dimension-ordered (X-then-Y) routing; faster and
   fully deterministic in path shape, useful for ablations.
 
-In both modes the chosen path's channel slots are *reserved*, so
-congestion delays emerge from overlapping qubit journeys exactly as in
-the paper's Figure 5 pipeline picture.
-
-The router also selects the *meeting ULB* where the two operands of a
-CNOT interact: the midpoint of the inter-qubit route, balancing the two
-journeys.
+In both modes the chosen path's channel slots are *reserved*: each
+channel passes at most ``N_c`` qubits at once, a crossing holds one slot
+for ``T_move``, and a qubit finding every slot busy waits for the
+earliest to free.  Congestion delays thus emerge from overlapping qubit
+journeys exactly as in the paper's Figure 5 pipeline picture, which
+LEQA approximates with its M/M/1 model.  The compiled kernel
+(:mod:`repro.qspr._kernel`) carries a C translation of this router.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 
 from ..exceptions import MappingError
-from ..fabric.channels import ChannelNetwork
-from ..fabric.params import PhysicalParams
-from ..fabric.tqa import Position, TQA
 
-__all__ = ["RoutedMove", "Router", "SlotRouter", "ROUTING_MODES"]
+__all__ = ["SlotRouter", "ROUTING_MODES"]
 
 #: Supported routing mode names.
 ROUTING_MODES = ("maze", "xy")
@@ -40,179 +36,27 @@ ROUTING_MODES = ("maze", "xy")
 #: routing, allowing detours around congested regions.
 DETOUR_MARGIN = 2
 
-
-@dataclass(frozen=True)
-class RoutedMove:
-    """Outcome of routing one qubit journey.
-
-    Attributes
-    ----------
-    arrival:
-        Time the qubit reaches the destination ULB (µs).
-    hops:
-        Number of channel segments crossed.
-    wait:
-        Congestion delay accumulated along the way (µs) — the excess over
-        ``hops * T_move``.
-    """
-
-    arrival: float
-    hops: int
-    wait: float
-
-
-class Router:
-    """Stateful router over a TQA grid with channel-slot reservations."""
-
-    def __init__(
-        self, tqa: TQA, params: PhysicalParams, mode: str = "maze"
-    ) -> None:
-        if mode not in ROUTING_MODES:
-            raise MappingError(
-                f"unknown routing mode {mode!r}; choose from {ROUTING_MODES}"
-            )
-        self._tqa = tqa
-        self._mode = mode
-        self._channels = ChannelNetwork(
-            capacity=params.channel_capacity, t_move=params.t_move
-        )
-        self._t_move = params.t_move
-        self._moves = 0
-        self._total_hops = 0
-
-    @property
-    def tqa(self) -> TQA:
-        """The fabric geometry."""
-        return self._tqa
-
-    @property
-    def mode(self) -> str:
-        """Routing mode in use (``"maze"`` or ``"xy"``)."""
-        return self._mode
-
-    @property
-    def channels(self) -> ChannelNetwork:
-        """The underlying channel reservation network."""
-        return self._channels
-
-    def meeting_point(self, source_a: Position, source_b: Position) -> Position:
-        """Meeting ULB for a CNOT between qubits at the two positions.
-
-        The midpoint of the X-Y route between them; coincident sources
-        meet in place.
-        """
-        if source_a == source_b:
-            return source_a
-        return self._tqa.midpoint(source_a, source_b)
-
-    def move(
-        self, source: Position, target: Position, departure: float
-    ) -> RoutedMove:
-        """Route one qubit from ``source`` to ``target`` starting at
-        ``departure``; reserves channel slots along the chosen path."""
-        if source == target:
-            return RoutedMove(arrival=departure, hops=0, wait=0.0)
-        if self._mode == "maze":
-            path = self._maze_path(source, target, departure)
-        else:
-            path = self._tqa.route_xy(source, target)
-        channels = [
-            self._tqa.channel(path[i], path[i + 1])
-            for i in range(len(path) - 1)
-        ]
-        arrival = self._channels.traverse_path(channels, departure)
-        hops = len(channels)
-        wait = (arrival - departure) - hops * self._t_move
-        self._moves += 1
-        self._total_hops += hops
-        return RoutedMove(arrival=arrival, hops=hops, wait=max(wait, 0.0))
-
-    def _maze_path(
-        self, source: Position, target: Position, departure: float
-    ) -> list[Position]:
-        """Time-dependent Dijkstra inside the padded bounding box.
-
-        Returns the ULB path (inclusive of both endpoints) reaching
-        ``target`` at the earliest time given current slot reservations.
-        """
-        tqa = self._tqa
-        t_move = self._t_move
-        peek = self._channels.peek_start
-        channel_of = tqa.channel
-        lo_x = max(0, min(source[0], target[0]) - DETOUR_MARGIN)
-        hi_x = min(tqa.width - 1, max(source[0], target[0]) + DETOUR_MARGIN)
-        lo_y = max(0, min(source[1], target[1]) - DETOUR_MARGIN)
-        hi_y = min(tqa.height - 1, max(source[1], target[1]) + DETOUR_MARGIN)
-        best: dict[Position, float] = {source: departure}
-        parent: dict[Position, Position] = {}
-        heap: list[tuple[float, Position]] = [(departure, source)]
-        while heap:
-            arrival, here = heapq.heappop(heap)
-            if here == target:
-                break
-            if arrival > best.get(here, float("inf")):
-                continue  # stale heap entry
-            x, y = here
-            for nxt in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-                if not lo_x <= nxt[0] <= hi_x or not lo_y <= nxt[1] <= hi_y:
-                    continue
-                start = peek(channel_of(here, nxt), arrival)
-                reach = start + t_move
-                if reach < best.get(nxt, float("inf")):
-                    best[nxt] = reach
-                    parent[nxt] = here
-                    heapq.heappush(heap, (reach, nxt))
-        if target not in parent and target != source:
-            # Unreachable inside the box cannot happen on a grid, but be
-            # explicit rather than looping forever on a logic error.
-            raise MappingError(
-                f"maze router failed to reach {target} from {source}"
-            )
-        path = [target]
-        while path[-1] != source:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    # -- statistics ---------------------------------------------------------
-
-    @property
-    def total_moves(self) -> int:
-        """Number of qubit journeys routed."""
-        return self._moves
-
-    @property
-    def total_hops(self) -> int:
-        """Total channel crossings over all journeys."""
-        return self._total_hops
-
-    @property
-    def total_congestion_wait(self) -> float:
-        """Accumulated congestion wait across all crossings (µs)."""
-        return self._channels.total_wait
-
-
 _NEG_INF = float("-inf")
 
 
 class SlotRouter:
-    """Slot-indexed router over flat arrays — the array-native engine's
-    drop-in for :class:`Router` + :class:`ChannelNetwork`.
+    """Slot-indexed router over flat arrays, the array engine's router.
 
     State layout (the "structure of arrays" the scheduler reads):
 
     * ULBs are flat integers ``n = x * height + y``.  The x-major encoding
       is deliberate: comparing node ints orders exactly like comparing
-      ``(x, y)`` tuples, so heap tie-breaks reproduce :class:`Router`'s
-      maze search bit for bit.
+      ``(x, y)`` tuples, so heap ties break toward the smaller ``(x, y)``
+      position, as the maze search's frozen schedules require.
     * Channels are flat integers.  The horizontal channel east of node
       ``n`` **is** ``n`` (defined for ``x < width - 1``); the vertical
       channel south of ``n`` is ``VBASE + n`` with
       ``VBASE = (width - 1) * height``.  Channel lookup is arithmetic —
       no tuple canonicalization, no dict hashing.
     * ``_slots[c]`` is the per-channel min-heap of slot-free times
-      (lazily created, ≤ ``N_c`` entries), exactly the reservation
-      discipline of :class:`~repro.fabric.channels.ChannelNetwork`.
+      (lazily created, ≤ ``N_c`` entries): a crossing pushes its slot's
+      free time, and a qubit arriving at a full channel starts when the
+      earliest slot frees.
     * ``_block_until[c]`` caches ``slots[0]`` once a channel reaches
       capacity (``-inf`` before that).  A qubit arriving at ``t`` is
       delayed by channel ``c`` iff ``_block_until[c] > t`` — the O(1)
@@ -225,10 +69,9 @@ class SlotRouter:
     the target lies east of the source, X-then-Y otherwise.  ``move``
     walks that staircase first, probing ``_block_until`` per channel; only
     when some staircase channel would delay the qubit does it fall back to
-    the full Dijkstra (identical to :meth:`Router._maze_path`).  On
-    congestion-light traffic this skips the search entirely for most
-    journeys while reserving the exact same slots at the exact same
-    times.
+    the full Dijkstra (:meth:`_dijkstra`).  On congestion-light traffic
+    this skips the search entirely for most journeys while reserving the
+    exact same slots at the exact same times.
     """
 
     def __init__(
@@ -257,9 +100,10 @@ class SlotRouter:
     def _traverse(self, channel: int, arrival: float) -> float:
         """Reserve one slot on ``channel``; returns the crossing time.
 
-        Same semantics as :meth:`ChannelNetwork.traverse`, with the
-        ``_block_until`` cache refreshed whenever the channel is at
-        capacity.
+        The qubit starts crossing on arrival if a slot is free, else when
+        the earliest slot frees (that wait accrues to ``total_wait``).
+        The ``_block_until`` cache is refreshed whenever the channel is
+        at capacity.
         """
         slots = self._slots[channel]
         if slots is None:
@@ -344,16 +188,15 @@ class SlotRouter:
     def _dijkstra(self, source: int, target: int, departure: float) -> list[int]:
         """Time-dependent Dijkstra in the padded bounding box.
 
-        Int-encoded mirror of :meth:`Router._maze_path`: same box, same
-        neighbour order, same strict-improvement updates, and heap keys
-        ``(reach, node)`` that compare exactly like the legacy
-        ``(reach, (x, y))`` tuples.  Returns the channel ids of the chosen
-        path.
+        The box is the source/target bounding box padded by
+        :data:`DETOUR_MARGIN`; neighbours are relaxed west, east, north,
+        south with strict-improvement updates, and heap keys
+        ``(reach, node)`` compare exactly like ``(reach, (x, y))``
+        tuples.  Returns the channel ids of the chosen path.
         """
         height = self.height
         t_move = self.t_move
-        capacity = self.capacity
-        slots = self._slots
+        block_until = self._block_until
         vbase = self.vbase
         sx = source // height
         sy = source - sx * height
@@ -379,8 +222,8 @@ class SlotRouter:
         target_box = (tx - lo_x) * box_h + (ty - lo_y)
         best[source_box] = departure
         # Heap keys (reach, node, box): node ints are x-major, so ties
-        # order exactly like the legacy (reach, (x, y)) tuples; the box
-        # index rides along and never participates in a comparison.
+        # order exactly like (reach, (x, y)) tuples; the box index rides
+        # along and never participates in a comparison.
         heap = [(departure, source, source_box)]
         while heap:
             arrival, here, here_box = heappop(heap)
@@ -389,17 +232,14 @@ class SlotRouter:
             if arrival > best[here_box]:
                 continue  # stale heap entry
             by = here_box % box_h
-            # Neighbours in legacy order: west, east, north, south.  The
-            # channel id is pure arithmetic on the node ids.
+            # Neighbours in order west, east, north, south.  The channel
+            # id is pure arithmetic on the node ids; a channel below
+            # capacity has ``free = -inf`` and delays nobody.
             if here_box >= box_h:
                 nxt = here - height
                 nxt_box = here_box - box_h
-                s = slots[nxt]
-                if s is None or len(s) < capacity:
-                    reach = arrival + t_move
-                else:
-                    free = s[0]
-                    reach = (arrival if arrival >= free else free) + t_move
+                free = block_until[nxt]
+                reach = (arrival if arrival >= free else free) + t_move
                 if reach < best[nxt_box]:
                     best[nxt_box] = reach
                     parent_node[nxt_box] = here
@@ -408,12 +248,8 @@ class SlotRouter:
             if here_box < max_bx:
                 nxt = here + height
                 nxt_box = here_box + box_h
-                s = slots[here]
-                if s is None or len(s) < capacity:
-                    reach = arrival + t_move
-                else:
-                    free = s[0]
-                    reach = (arrival if arrival >= free else free) + t_move
+                free = block_until[here]
+                reach = (arrival if arrival >= free else free) + t_move
                 if reach < best[nxt_box]:
                     best[nxt_box] = reach
                     parent_node[nxt_box] = here
@@ -422,12 +258,8 @@ class SlotRouter:
             if by > 0:
                 nxt = here - 1
                 nxt_box = here_box - 1
-                s = slots[vbase + nxt]
-                if s is None or len(s) < capacity:
-                    reach = arrival + t_move
-                else:
-                    free = s[0]
-                    reach = (arrival if arrival >= free else free) + t_move
+                free = block_until[vbase + nxt]
+                reach = (arrival if arrival >= free else free) + t_move
                 if reach < best[nxt_box]:
                     best[nxt_box] = reach
                     parent_node[nxt_box] = here
@@ -436,12 +268,8 @@ class SlotRouter:
             if by < box_h - 1:
                 nxt = here + 1
                 nxt_box = here_box + 1
-                s = slots[vbase + here]
-                if s is None or len(s) < capacity:
-                    reach = arrival + t_move
-                else:
-                    free = s[0]
-                    reach = (arrival if arrival >= free else free) + t_move
+                free = block_until[vbase + here]
+                reach = (arrival if arrival >= free else free) + t_move
                 if reach < best[nxt_box]:
                     best[nxt_box] = reach
                     parent_node[nxt_box] = here
@@ -473,9 +301,13 @@ class SlotRouter:
     # -- public API ---------------------------------------------------------
 
     def move(self, source: int, target: int, departure: float):
-        """Route one qubit journey; returns ``(arrival, hops, wait)``.
+        """Route one qubit from ``source`` to ``target`` departing at
+        ``departure``, reserving channel slots along the chosen path.
 
-        Same contract as :meth:`Router.move` with int-encoded ULBs.
+        Returns ``(arrival, hops, wait)``: the arrival time (µs), the
+        channel segments crossed, and the congestion wait over
+        ``hops * T_move``.  A zero-length journey returns
+        ``(departure, 0, 0.0)`` and is not counted.
         """
         if source == target:
             return departure, 0, 0.0

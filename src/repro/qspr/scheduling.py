@@ -26,7 +26,7 @@ ULBs are *execution*-exclusive (one operation at a time) but can store any
 number of idle qubits, matching the paper's observation that several
 operations may share a ULB across different time slots.
 
-Three engines implement the identical schedule:
+Two engines implement the identical schedule:
 
 ``"array"`` (default)
     Slot-indexed, structure-of-arrays engine: the circuit is first
@@ -34,8 +34,8 @@ Three engines implement the identical schedule:
     qubit positions and ULB-free times live in flat lists indexed by
     integer ULB id, and routing goes through
     :class:`~repro.qspr.routing.SlotRouter` (staircase fast path +
-    int-encoded maze search).  Several times faster than the legacy
-    engine with bitwise-identical output.
+    int-encoded maze search).  It is the pure-Python reference of the
+    compiled loop and the only engine that records traces.
 
 ``"kernel"``
     The same loop compiled to native code (:mod:`repro.qspr._kernel`):
@@ -47,11 +47,8 @@ Three engines implement the identical schedule:
     Trace-recording runs stay on the array path (the trace needs
     per-gate Python objects anyway).
 
-``"legacy"``
-    The original object-per-step implementation over
-    :class:`~repro.qspr.routing.Router`/:class:`~repro.fabric.channels.ChannelNetwork`.
-    Kept as the reference oracle for the equivalence tests and the
-    mapper speed benchmark.
+The schedule is a bitwise contract: both engines must reproduce the
+frozen schedule digests of ``tests/test_scheduling_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from ..fabric.params import PhysicalParams
 from ..fabric.tqa import Position, TQA
 from ..obs import default_registry
 from ..qodg.critical_path import first_missing_kind, kind_delay_lut
-from .routing import Router, SlotRouter
+from .routing import SlotRouter
 from .trace import ScheduleTrace, TraceEvent
 
 __all__ = [
@@ -83,7 +80,7 @@ __all__ = [
 ]
 
 #: Supported scheduler engine names.
-SCHEDULER_ENGINES = ("array", "kernel", "legacy")
+SCHEDULER_ENGINES = ("array", "kernel")
 
 
 @dataclass(frozen=True)
@@ -301,12 +298,11 @@ def schedule_circuit(
     engine:
         ``"array"`` (default; slot-indexed structure-of-arrays engine),
         ``"kernel"`` (the same loop compiled to native code, falling
-        back to ``"array"`` with a warning when unavailable) or
-        ``"legacy"`` (reference implementation).  All produce bitwise
-        identical results.
+        back to ``"array"`` with a warning when unavailable).  Both
+        produce bitwise identical results.
     compiled:
         Optional prebuilt :class:`CompiledQODG` of the same circuit under
-        the same delay table; ignored by the legacy engine.
+        the same delay table.
 
     Raises
     ------
@@ -328,11 +324,6 @@ def schedule_circuit(
     for position in placement:
         tqa.check(position)
     delays = params.delays.by_kind()
-    if engine == "legacy":
-        return _schedule_legacy(
-            circuit, placement, params, tqa, delays, routing_mode,
-            record_trace, order,
-        )
     # A prebuilt artifact must have been gathered from this circuit's
     # own table under the same delay table; anything else is silently
     # recompiled (never trusted).
@@ -454,8 +445,8 @@ def _schedule_array(
     Every quantity the loop touches is a scalar read out of a flat list:
     qubit positions and ready times indexed by qubit, ULB execution-free
     times indexed by integer ULB id, operands/delays indexed by op.  The
-    arithmetic mirrors the legacy engine expression for expression, so
-    the resulting schedule is bitwise identical.
+    compiled kernel mirrors this loop expression for expression, so the
+    two engines' schedules are bitwise identical.
     """
     height = params.fabric.height
     width = params.fabric.width
@@ -489,8 +480,8 @@ def _schedule_array(
             ready_t = qready[partner]
             cx, cy = divmod(loc_c, height)
             tx, ty = divmod(loc_t, height)
-            # Midpoint of the X-then-Y route (the legacy meeting-point
-            # heuristic) in closed form.
+            # Meeting-point heuristic: the midpoint of the X-then-Y
+            # route, in closed form.
             if loc_c == loc_t:
                 mx, my = cx, cy
             else:
@@ -498,8 +489,7 @@ def _schedule_array(
                 dy = ty - cy
                 adx = dx if dx >= 0 else -dx
                 ady = dy if dy >= 0 else -dy
-                # Legacy midpoint: node (d + 1) // 2 of the d+1-node
-                # X-then-Y path.
+                # Node (d + 1) // 2 of the d+1-node X-then-Y path.
                 m = (adx + ady + 1) // 2
                 if m <= adx:
                     mx = cx + m if dx >= 0 else cx - m
@@ -510,7 +500,7 @@ def _schedule_array(
                     my = cy + rem if dy >= 0 else cy - rem
             # Candidate meeting ULBs: the midpoint and its grid
             # neighbours; pick the earliest estimated start, ties broken
-            # toward the smaller (x, y) — same rule as the legacy min().
+            # toward the smaller (x, y).
             best_node = -1
             best_est = float("inf")
             px = mx - 1
@@ -656,168 +646,6 @@ def _schedule_array(
         latency=latency,
         finish_times=tuple(finish_times),
         final_locations=tuple(divmod(node, height) for node in qloc),
-        stats=stats,
-        trace=ScheduleTrace(events) if record_trace else None,
-    )
-
-
-def _schedule_legacy(
-    circuit: Circuit,
-    placement: list[Position],
-    params: PhysicalParams,
-    tqa: TQA,
-    delays: dict,
-    routing_mode: str,
-    record_trace: bool,
-    order: str,
-) -> ScheduleResult:
-    """The original object-per-step scheduling loop (reference oracle)."""
-    router = Router(tqa, params, mode=routing_mode)
-    t_move = params.t_move
-
-    for gate in circuit:
-        if gate.kind not in delays:
-            raise MappingError(
-                f"gate kind {gate.kind.value!r} is not executable on the "
-                "fabric; run synthesize_ft() first"
-            )
-    if order == "program":
-        visit_order = range(len(circuit))
-    elif order == "alap":
-        visit_order = _alap_order(circuit, delays)
-    else:
-        raise MappingError(
-            f"unknown scheduling order {order!r}; choose 'program' or 'alap'"
-        )
-
-    qubit_location: list[Position] = list(placement)
-    qubit_ready: list[float] = [0.0] * circuit.num_qubits
-    # Next time each ULB is free to *execute* (storage is unlimited).
-    ulb_free: dict[Position, float] = {}
-
-    finish_times: list[float] = [0.0] * len(circuit)
-    events: list[TraceEvent] = []
-    relocations = 0
-    cnot_count = 0
-    one_qubit_count = 0
-
-    gates = circuit.gates
-    for op_index in visit_order:
-        gate = gates[op_index]
-        base_delay = delays[gate.kind]
-        if gate.kind is GateKind.CNOT:
-            cnot_count += 1
-            control, target = gate.controls[0], gate.targets[0]
-            loc_c, loc_t = qubit_location[control], qubit_location[target]
-            # Candidate meeting ULBs: the route midpoint and its grid
-            # neighbours; prefer the one promising the earliest start
-            # (the two-qubit analogue of the "nearest free ULB" rule).
-            midpoint = router.meeting_point(loc_c, loc_t)
-            ready_c, ready_t = qubit_ready[control], qubit_ready[target]
-
-            def start_estimate(candidate: Position) -> float:
-                arrive_c = ready_c + t_move * tqa.manhattan(loc_c, candidate)
-                arrive_t = ready_t + t_move * tqa.manhattan(loc_t, candidate)
-                return max(
-                    arrive_c, arrive_t, ulb_free.get(candidate, 0.0)
-                )
-
-            meeting = min(
-                [midpoint, *tqa.neighbors(midpoint)],
-                key=lambda c: (start_estimate(c), c),
-            )
-            move_c = router.move(loc_c, meeting, ready_c)
-            move_t = router.move(loc_t, meeting, ready_t)
-            start = max(
-                move_c.arrival, move_t.arrival, ulb_free.get(meeting, 0.0)
-            )
-            finish = start + base_delay
-            qubit_location[control] = meeting
-            qubit_location[target] = meeting
-            qubit_ready[control] = finish
-            qubit_ready[target] = finish
-            ulb_free[meeting] = finish
-            if record_trace:
-                events.append(
-                    TraceEvent(
-                        index=op_index,
-                        kind=gate.kind.value,
-                        qubits=(control, target),
-                        ulb=meeting,
-                        start=start,
-                        finish=finish,
-                        travel_hops=move_c.hops + move_t.hops,
-                        travel_wait=move_c.wait + move_t.wait,
-                    )
-                )
-        else:
-            one_qubit_count += 1
-            qubit = gate.targets[0]
-            home = qubit_location[qubit]
-            ready = qubit_ready[qubit]
-            home_free = ulb_free.get(home, 0.0)
-            start_here = max(ready, home_free)
-            hop_hops = 0
-            hop_wait = 0.0
-            if home_free > ready:
-                # Home ULB is busy: consider hopping to the neighbour that
-                # lets the operation finish earliest ("nearest free ULB").
-                best_start = start_here
-                best_loc = home
-                for neighbor in tqa.neighbors(home):
-                    candidate = max(
-                        ready + t_move, ulb_free.get(neighbor, 0.0)
-                    )
-                    if candidate < best_start:
-                        best_start = candidate
-                        best_loc = neighbor
-                if best_loc != home:
-                    # Commit to the hop chosen by estimate; the realized
-                    # start may differ slightly if the channel is congested.
-                    move = router.move(home, best_loc, ready)
-                    start_here = max(
-                        move.arrival, ulb_free.get(best_loc, 0.0)
-                    )
-                    relocations += 1
-                    qubit_location[qubit] = best_loc
-                    home = best_loc
-                    hop_hops = move.hops
-                    hop_wait = move.wait
-            finish = start_here + base_delay
-            qubit_ready[qubit] = finish
-            ulb_free[home] = finish
-            if record_trace:
-                events.append(
-                    TraceEvent(
-                        index=op_index,
-                        kind=gate.kind.value,
-                        qubits=(qubit,),
-                        ulb=home,
-                        start=start_here,
-                        finish=finish,
-                        travel_hops=hop_hops,
-                        travel_wait=hop_wait,
-                    )
-                )
-        finish_times[op_index] = finish
-
-    latency = max(finish_times, default=0.0)
-    stats = ScheduleStats(
-        total_moves=router.total_moves,
-        total_hops=router.total_hops,
-        congestion_wait=router.total_congestion_wait,
-        relocations=relocations,
-        cnot_count=cnot_count,
-        one_qubit_count=one_qubit_count,
-    )
-    if record_trace:
-        # ALAP visiting order may interleave indices; the trace contract
-        # is program order.
-        events.sort(key=lambda e: e.index)
-    return ScheduleResult(
-        latency=latency,
-        finish_times=tuple(finish_times),
-        final_locations=tuple(qubit_location),
         stats=stats,
         trace=ScheduleTrace(events) if record_trace else None,
     )

@@ -110,6 +110,17 @@ class TestMap:
         )
         assert code == 0
 
+    def test_engine_choices(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "map", "ham3", "--engine", "kernel",
+            "--width", "10", "--height", "10",
+        )
+        assert code == 0
+        assert "scheduler engine   kernel" in out
+        with pytest.raises(SystemExit):
+            main(["map", "ham3", "--engine", "legacy"])
+        assert "invalid choice: 'legacy'" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_reports_error_and_speedup(self, capsys):

@@ -1,4 +1,4 @@
-"""Unit tests for the fabric layer (params, TQA geometry, channels)."""
+"""Unit tests for the fabric layer (params, TQA geometry)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.circuits.gates import GateKind
 from repro.exceptions import FabricError
-from repro.fabric.channels import ChannelNetwork
 from repro.fabric.params import DEFAULT_PARAMS, FabricSpec, GateDelays, PhysicalParams
 from repro.fabric.tqa import TQA
 
@@ -102,117 +101,9 @@ class TestTQA:
         assert len(seen) == 20
         assert len(set(seen)) == 20
 
-    def test_neighbors_interior_and_corner(self, tqa):
-        assert len(tqa.neighbors((2, 2))) == 4
-        assert len(tqa.neighbors((0, 0))) == 2
-
     def test_manhattan(self):
         assert TQA.manhattan((0, 0), (3, 4)) == 7
-
-    def test_channel_canonical_order(self):
-        assert TQA.channel((1, 0), (0, 0)) == ((0, 0), (1, 0))
-
-    def test_channel_requires_adjacency(self):
-        with pytest.raises(FabricError, match="not adjacent"):
-            TQA.channel((0, 0), (2, 0))
-
-    def test_route_xy_endpoints_and_length(self, tqa):
-        path = tqa.route_xy((0, 0), (3, 2))
-        assert path[0] == (0, 0)
-        assert path[-1] == (3, 2)
-        assert len(path) == TQA.manhattan((0, 0), (3, 2)) + 1
-
-    def test_route_xy_steps_are_adjacent(self, tqa):
-        path = tqa.route_xy((4, 3), (0, 0))
-        for a, b in zip(path, path[1:]):
-            assert TQA.manhattan(a, b) == 1
-
-    def test_route_xy_goes_x_first(self, tqa):
-        path = tqa.route_xy((0, 0), (2, 2))
-        assert path[1] == (1, 0)  # x moves before y
-
-    def test_route_to_self(self, tqa):
-        assert tqa.route_xy((1, 1), (1, 1)) == [(1, 1)]
-
-    def test_route_channels_count(self, tqa):
-        channels = tqa.route_channels((0, 0), (2, 1))
-        assert len(channels) == 3
-
-    def test_midpoint_is_on_route(self, tqa):
-        mid = tqa.midpoint((0, 0), (4, 2))
-        assert mid in tqa.route_xy((0, 0), (4, 2))
 
     def test_out_of_range_index_rejected(self, tqa):
         with pytest.raises(FabricError):
             tqa.position(20)
-
-
-class TestChannelNetwork:
-    def test_uncongested_traversal_takes_t_move(self):
-        net = ChannelNetwork(capacity=2, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        assert net.traverse(channel, 0.0) == 100.0
-
-    def test_capacity_concurrent_traversals_unpenalized(self):
-        net = ChannelNetwork(capacity=3, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        for _ in range(3):
-            assert net.traverse(channel, 0.0) == 100.0
-        assert net.total_wait == 0.0
-
-    def test_overflow_traversal_queues(self):
-        net = ChannelNetwork(capacity=2, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        net.traverse(channel, 0.0)
-        net.traverse(channel, 0.0)
-        # Third qubit must wait for a slot freeing at t=100.
-        assert net.traverse(channel, 0.0) == 200.0
-        assert net.total_wait == 100.0
-
-    def test_slots_free_over_time(self):
-        net = ChannelNetwork(capacity=1, t_move=50.0)
-        channel = ((0, 0), (1, 0))
-        assert net.traverse(channel, 0.0) == 50.0
-        # Arriving after the slot freed: no wait.
-        assert net.traverse(channel, 60.0) == 110.0
-        assert net.total_wait == 0.0
-
-    def test_peek_start_matches_traverse_without_reserving(self):
-        net = ChannelNetwork(capacity=1, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        net.traverse(channel, 0.0)
-        assert net.peek_start(channel, 10.0) == 100.0
-        # Peeking twice gives the same answer (no reservation happened).
-        assert net.peek_start(channel, 10.0) == 100.0
-
-    def test_peek_on_fresh_channel(self):
-        net = ChannelNetwork(capacity=1, t_move=100.0)
-        assert net.peek_start(((0, 0), (1, 0)), 42.0) == 42.0
-
-    def test_traverse_path_sequences_hops(self):
-        net = ChannelNetwork(capacity=5, t_move=100.0)
-        path = [((0, 0), (1, 0)), ((1, 0), (2, 0))]
-        assert net.traverse_path(path, 0.0) == 200.0
-
-    def test_statistics(self):
-        net = ChannelNetwork(capacity=1, t_move=10.0)
-        channel = ((0, 0), (0, 1))
-        net.traverse(channel, 0.0)
-        net.traverse(channel, 0.0)
-        assert net.total_traversals == 2
-        assert net.traversals_of(channel) == 2
-        assert net.busiest_channels(1) == [(channel, 2)]
-
-    def test_reset(self):
-        net = ChannelNetwork(capacity=1, t_move=10.0)
-        channel = ((0, 0), (0, 1))
-        net.traverse(channel, 0.0)
-        net.reset()
-        assert net.total_traversals == 0
-        assert net.traverse(channel, 0.0) == 10.0
-
-    def test_invalid_construction(self):
-        with pytest.raises(FabricError):
-            ChannelNetwork(capacity=0, t_move=10.0)
-        with pytest.raises(FabricError):
-            ChannelNetwork(capacity=1, t_move=0.0)

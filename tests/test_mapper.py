@@ -12,6 +12,20 @@ from repro.circuits.generators import ham3
 from repro.exceptions import MappingError
 from repro.fabric.params import FabricSpec, PhysicalParams
 from repro.qspr.mapper import QSPRMapper, map_circuit
+from repro.qspr.scheduling import SCHEDULER_ENGINES
+
+from test_scheduling_equivalence import schedule_digests
+
+#: ham3 mapped on a 10x10 fabric with the facade's defaults: the frozen
+#: schedule digests (see ``test_scheduling_equivalence``), recorded from
+#: the object scheduler the engines replaced.
+HAM3_10X10_DIGESTS = (
+    "0x1.818c000000000p+16",
+    "187d75f39270f635046d5633bdd366ee",
+    "e87d496e58306f3ea57c64425c6a6c3c",
+    "0f4db922a5aea798e5f68de6f13e8989",
+    None,
+)
 
 
 @pytest.fixture
@@ -82,15 +96,20 @@ class TestArrayEngineFacade:
         assert set(result.stage_seconds) == {"iig", "placement", "schedule"}
         assert all(wall >= 0.0 for wall in result.stage_seconds.values())
 
-    def test_engines_agree_through_facade(self, params):
-        array = QSPRMapper(params=params, engine="array").map(ham3())
-        legacy = QSPRMapper(params=params, engine="legacy").map(ham3())
-        assert array.latency == legacy.latency
-        assert array.schedule.finish_times == legacy.schedule.finish_times
+    @pytest.mark.parametrize("engine", SCHEDULER_ENGINES)
+    def test_engines_match_frozen_digest_through_facade(self, params, engine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = QSPRMapper(params=params, engine=engine).map(ham3())
+        assert result.engine == engine
+        assert schedule_digests(result.schedule) == HAM3_10X10_DIGESTS
 
     def test_map_circuit_engine_passthrough(self, params):
-        assert map_circuit(ham3(), params=params, engine="legacy").latency == \
-            map_circuit(ham3(), params=params).latency
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = map_circuit(ham3(), params=params, engine="kernel")
+        assert result.engine == "kernel"
+        assert result.latency == map_circuit(ham3(), params=params).latency
 
     def test_cached_mapper_shares_stages(self, params):
         from repro.engine import ArtifactCache
@@ -107,7 +126,7 @@ class TestArrayEngineFacade:
         assert stats.miss_count("schedule") == 1
         assert stats.hit_count("schedule") == 1
 
-    @pytest.mark.parametrize("engine", ["array", "kernel", "legacy"])
+    @pytest.mark.parametrize("engine", SCHEDULER_ENGINES)
     def test_uncached_map_hashes_nothing(self, params, engine, monkeypatch):
         # Content hashes only key cache entries; without a cache the
         # scheduler trusts the op arrays compiled in the same call.

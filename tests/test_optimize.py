@@ -20,7 +20,7 @@ from repro.circuits.gates import (
     x,
     z,
 )
-from repro.circuits.optimize import cancel_pairs_once, optimize_ft
+from repro.circuits.optimize import optimize_ft
 from repro.circuits.simulate import circuit_unitary
 from repro.exceptions import CircuitError
 
@@ -128,11 +128,15 @@ class TestSafety:
         assert len(optimize_ft(circuit)) <= len(circuit)
 
     def test_single_pass_reports_rewrites(self):
+        from repro.circuits.table import peephole
+
         circuit = Circuit(1)
         circuit.extend([h(0), h(0), t(0)])
-        rewritten, rewrites = cancel_pairs_once(circuit)
+        emitted = []
+        rewrites = peephole()([circuit.table()], emitted.append)
         assert rewrites == 1
-        assert [g.kind for g in rewritten] == [GateKind.T]
+        kinds = [gate.kind for table in emitted for gate in table.to_gates()]
+        assert kinds == [GateKind.T]
 
     @given(
         seed=st.integers(0, 5000),
@@ -180,8 +184,7 @@ class TestMaxPasses:
 
     @pytest.mark.parametrize(
         "entry",
-        ["optimize_table", "optimize_ft-table", "optimize_ft-legacy",
-         "optimize_stream"],
+        ["optimize_table", "optimize_ft", "optimize_stream"],
     )
     @pytest.mark.parametrize("max_passes", [0, -1])
     def test_rejected_everywhere(self, entry, max_passes):
@@ -193,11 +196,8 @@ class TestMaxPasses:
             "optimize_table": lambda: optimize_table(
                 circuit.table(), max_passes=max_passes
             ),
-            "optimize_ft-table": lambda: optimize_ft(
-                circuit, max_passes=max_passes, engine="table"
-            ),
-            "optimize_ft-legacy": lambda: optimize_ft(
-                circuit, max_passes=max_passes, engine="legacy"
+            "optimize_ft": lambda: optimize_ft(
+                circuit, max_passes=max_passes
             ),
             "optimize_stream": lambda: list(
                 optimize_stream(
@@ -213,4 +213,3 @@ class TestMaxPasses:
     def test_one_pass_suffices_when_nothing_rewrites(self):
         circuit = self._already_optimal()
         assert len(optimize_ft(circuit, max_passes=1)) == 3
-        assert len(optimize_ft(circuit, max_passes=1, engine="legacy")) == 3

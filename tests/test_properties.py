@@ -17,8 +17,6 @@ from repro.core.coverage import (
 )
 from repro.core.queueing import congested_latency
 from repro.core.tsp import expected_hamiltonian_path
-from repro.fabric.params import FabricSpec
-from repro.fabric.tqa import TQA
 from repro.qodg.critical_path import critical_path
 from repro.qodg.graph import build_qodg
 from repro.qodg.iig import build_iig
@@ -196,30 +194,3 @@ def test_iig_weight_counts_two_qubit_gates(num_qubits, gate_count, seed):
     iig = build_iig(circuit)
     two_qubit = sum(1 for g in circuit if g.arity == 2)
     assert iig.total_weight == two_qubit
-
-
-# ---------------------------------------------------------------------------
-# Geometry invariants
-# ---------------------------------------------------------------------------
-
-
-@given(
-    width=st.integers(1, 30),
-    height=st.integers(1, 30),
-    data=st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_route_xy_length_is_manhattan(width, height, data):
-    tqa = TQA(FabricSpec(width, height))
-    source = (
-        data.draw(st.integers(0, width - 1)),
-        data.draw(st.integers(0, height - 1)),
-    )
-    target = (
-        data.draw(st.integers(0, width - 1)),
-        data.draw(st.integers(0, height - 1)),
-    )
-    path = tqa.route_xy(source, target)
-    assert len(path) - 1 == TQA.manhattan(source, target)
-    for a, b in zip(path, path[1:]):
-        assert TQA.manhattan(a, b) == 1

@@ -41,7 +41,6 @@ from repro.circuits.stream import (
     stream_reads_real,
     stream_table,
 )
-from repro.circuits.optimize import optimize_ft
 from repro.circuits.stream import _read_tables, _write_table
 from repro.circuits import table as table_module
 from repro.circuits.table import _SCAN_FLUSH_EVERY, lower_ft, optimize_table
@@ -222,35 +221,37 @@ class TestOptimizeStream:
         assert_tables_equal(streamed, expected)
 
 
-def _object_backed(table) -> Circuit:
-    """A Circuit holding Gate objects only (forces the legacy passes)."""
-    circuit = Circuit(0, table.name)
-    for name in table.qubit_names:
-        circuit.add_qubit(name)
-    circuit.extend(table.to_gates())
-    return circuit
+#: ``fingerprint()`` of the optimized frontier-flush input, recorded from
+#: the object peephole pass the table scan replaced.
+FRONTIER_OPTIMIZED_FINGERPRINT = "64d399656562bc895bcaa38a08c433be"
 
 
 class TestPeepholeFrontierFlush:
-    """A peephole pass over many flush windows, against the object oracle.
+    """A peephole pass over many flush windows, against a frozen result.
 
     The scan freezes and emits rows below the qubit frontier every
     ``_SCAN_FLUSH_EVERY`` appends; this input spans several windows, so
     a flush that dropped, reordered or emitted a still-live row would
-    show up as a difference from the object pass.
+    show up as a difference from the table the object pass produced,
+    pinned by its fingerprint.
     """
 
     @pytest.fixture(scope="class")
     def ft_and_expected(self):
         ft = lower_ft(random_reversible(12, 4000, seed=3).table())
-        expected = optimize_ft(
-            _object_backed(ft), engine="legacy"
-        ).table()
+        expected = optimize_table(ft)
         assert len(ft) == 20520 > 4 * _SCAN_FLUSH_EVERY
         assert len(expected) == 19630
+        assert expected.qubit_names == ft.qubit_names
+        assert expected.fingerprint() == FRONTIER_OPTIMIZED_FINGERPRINT
         return ft, expected
 
-    def test_optimize_table(self, ft_and_expected):
+    def test_python_scan(self, ft_and_expected, monkeypatch):
+        # The fixture's table comes from the compiled scan when the
+        # kernel loads; the Python fallback must reach the same one.
+        monkeypatch.setattr(
+            table_module, "peephole", lambda: table_module._scan_stream
+        )
         ft, expected = ft_and_expected
         assert_tables_equal(optimize_table(ft), expected)
 
