@@ -85,6 +85,39 @@ def test_fresh_router_takes_manhattan_hops(width, height, mode, data):
     assert wait == 0.0
 
 
+#: One hop out of an interior ULB, per direction, as ``(dx, dy)``.
+STEPS = {"east": (1, 0), "west": (-1, 0), "south": (0, 1), "north": (0, -1)}
+
+
+class TestSingleHop:
+    """Maze mode reserves a free single-hop journey inline, without
+    building a path; both modes must cross the same one channel."""
+
+    @pytest.mark.parametrize("mode", ROUTING_MODES)
+    @pytest.mark.parametrize("step", list(STEPS))
+    def test_single_hop_holds_its_channel(self, mode, step):
+        dx, dy = STEPS[step]
+        here, there = node((3, 3)), node((3 + dx, 3 + dy))
+        slot_router = router(mode)
+        assert slot_router.move(here, there, 0.0) == (T_MOVE, 1, 0.0)
+        # Channels are undirected: the way back queues for the one slot
+        # (waiting arrives at 2 T_MOVE, a detour at 3 T_MOVE).
+        assert slot_router.move(there, here, 0.0) == (2 * T_MOVE, 1, T_MOVE)
+        assert slot_router.total_wait == T_MOVE
+
+    @pytest.mark.parametrize("mode", ROUTING_MODES)
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_column_end_is_not_next_to_next_column_start(self, mode, forward):
+        # The node ids of (0, SIDE - 1) and (1, 0) differ by one, yet the
+        # ULBs lie SIDE hops apart.
+        ends = [node((0, SIDE - 1)), node((1, 0))]
+        source, target = ends if forward else ends[::-1]
+        assert abs(target - source) == 1
+        assert router(mode).move(source, target, 0.0) == (
+            SIDE * T_MOVE, SIDE, 0.0,
+        )
+
+
 class TestCapacity:
     @pytest.mark.parametrize("mode", ROUTING_MODES)
     def test_capacity_concurrent_crossings_unpenalized(self, mode):
