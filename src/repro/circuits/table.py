@@ -46,13 +46,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import warnings
 from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
 from ..exceptions import CircuitError, DecompositionError
-from ..obs import default_registry
 from .gates import (
     FT_KINDS,
     Gate,
@@ -1385,21 +1383,14 @@ def peephole() -> Scan:
     shared object cannot be built or loaded — with a
     :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=peephole}``
     count."""
-    try:
-        # Imported here: repro.qspr imports repro.circuits.
-        from ..qspr import _kernel
+    # Imported here: repro.qspr imports repro.circuits.
+    from ..qspr import _kernel
 
-        _kernel.load()
-    except (ImportError, AttributeError, OSError, RuntimeError) as error:
-        warnings.warn(
-            f"compiled peephole kernel unavailable ({error}); falling "
-            "back to the Python scan",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        default_registry().inc("kernel.fallbacks", entry="peephole")
-        return _scan_stream
-    return _native_scan
+    return _kernel.select(
+        "peephole", _native_scan, _scan_stream,
+        "compiled peephole kernel unavailable ({error}); falling back to "
+        "the Python scan",
+    )
 
 
 def _scan_to_fixed_point(

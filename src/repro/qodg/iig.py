@@ -13,9 +13,10 @@ self-loops).  From the IIG the estimator reads, for each qubit ``n_i``:
 The graph is its CSR arrays.  Each edge is stored in both endpoints'
 rows, and every row lists its neighbours in **first-interaction order**,
 so array consumers (weighted centroids, zone sums) accumulate in one
-fixed sequence whichever way the graph was built: by the object walk, by
-the :class:`IIGAccumulator` over any chunking of a gate stream, or by
-decoding a stored graph.
+fixed sequence whichever way the graph was built: by the
+:class:`IIGAccumulator` over any chunking of a gate stream (the compiled
+pair count or its numpy fallback; :func:`build_iig` is the one-chunk
+case), or by decoding a stored graph.
 """
 
 from __future__ import annotations
@@ -118,41 +119,23 @@ class IIG:
         )
 
 
-class IIGAccumulator:
-    """Chunk-wise interaction pair counting.
-
-    Every two-qubit row adds the directed keys ``a << 32 | b`` and
-    ``b << 32 | a``, numbered in stream order (packing by shifting, not
-    by register size, because a stream's register can grow).  New keys
-    wait as pending until they outnumber the folded ones; a fold runs one
-    ``np.unique`` over the folded keys followed by the pending ones, so
-    each key's first index is its first interaction, and sums the counts.
-    :meth:`finish` orders each source's neighbours by that first
-    interaction, so the graph is the same for any chunking, and
-    :func:`build_iig` on a table-backed circuit is the one-chunk case.
-    """
+class _PairFold:
+    """The numpy pair count, :class:`IIGAccumulator`'s fallback: new keys
+    wait as pending until they outnumber the folded ones (unique, in
+    first-interaction order); a fold runs one ``np.unique`` over the
+    folded keys followed by the pending ones, so each key's first index
+    is its first interaction, and sums the counts."""
 
     def __init__(self) -> None:
-        self._num_qubits = 0
-        #: Folded keys (unique, ascending), each one's first stream
-        #: number and its count.
         self._keys = np.empty(0, dtype=np.int64)
-        self._first = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
-        #: Keys folded so far, duplicates included: the stream number of
-        #: the first pending key.
-        self._numbered = 0
         self._pending: list[np.ndarray] = []
         self._pending_count = 0
 
     def update(self, table) -> None:
-        """Add one :class:`~repro.circuits.table.GateTable` chunk's
-        two-qubit interactions to the counts."""
-        self._num_qubits = max(self._num_qubits, table.num_qubits)
         mask = table.arities() == 2
         if not mask.any():
             return
-        # Operands in controls-then-targets order, as the object walk reads.
         o0, o1 = table.operand_pairs()
         qa = o0[mask].astype(np.int64)
         qb = o1[mask].astype(np.int64)
@@ -163,37 +146,63 @@ class IIGAccumulator:
             self._fold()
 
     def _fold(self) -> None:
-        folded = len(self._keys)
-        pending = np.concatenate(self._pending)
-        numbers = np.concatenate((
-            self._first,
-            np.arange(self._numbered, self._numbered + len(pending)),
-        ))
-        self._keys, first_at, inverse = np.unique(
-            np.concatenate((self._keys, pending)),
-            return_index=True,
-            return_inverse=True,
-        )
-        self._first = numbers[first_at]
-        counts = np.bincount(inverse[folded:], minlength=len(self._keys))
-        counts[inverse[:folded]] += self._counts
-        self._counts = counts
-        self._numbered += len(pending)
-        self._pending = []
-        self._pending_count = 0
+        if self._pending:
+            folded = len(self._keys)
+            keys, first_at, inverse = np.unique(
+                np.concatenate((self._keys, *self._pending)),
+                return_index=True,
+                return_inverse=True,
+            )
+            counts = np.bincount(inverse[folded:], minlength=len(keys))
+            counts[inverse[:folded]] += self._counts
+            order = np.argsort(first_at)
+            self._keys, self._counts = keys[order], counts[order]
+            self._pending = []
+            self._pending_count = 0
+
+    def rows(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self._fold()
+        sources = self._keys >> 32
+        order = np.argsort(sources, kind="stable")
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=count), out=indptr[1:])
+        return indptr, self._keys[order] & 0xFFFFFFFF, self._counts[order]
+
+
+class IIGAccumulator:
+    """Chunk-wise interaction pair counting.
+
+    Every two-qubit row adds the directed keys ``a << 32 | b`` and
+    ``b << 32 | a`` (operands controls-then-targets, packed by shifting
+    because a stream's register can grow), counted by the shared object
+    (:class:`~repro.qspr._kernel.PairCounter`) or, with a
+    :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=iig}``
+    count, by the numpy ``_PairFold``.  Both keep each key's first
+    interaction and order each source's row by it, so any chunking gives
+    the same graph.
+    """
+
+    def __init__(self) -> None:
+        # Imported here: repro.qspr imports repro.qodg.
+        from ..qspr import _kernel
+
+        self._num_qubits = 0
+        self._counter = _kernel.select(
+            "iig", _kernel.PairCounter, _PairFold,
+            "compiled IIG pair-count kernel unavailable ({error}); "
+            "falling back to the numpy pair count",
+        )()
+
+    def update(self, table) -> None:
+        """Add one :class:`~repro.circuits.table.GateTable` chunk's
+        two-qubit interactions to the counts."""
+        self._num_qubits = max(self._num_qubits, table.num_qubits)
+        self._counter.update(table)
 
     def finish(self, num_qubits: int | None = None) -> IIG:
         """The accumulated graph as an :class:`IIG`."""
-        if self._pending:
-            self._fold()
         count = max(self._num_qubits, num_qubits or 0)
-        sources = self._keys >> 32
-        order = np.lexsort((self._first, sources))
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=count), out=indptr[1:])
-        return IIG(
-            indptr, self._keys[order] & 0xFFFFFFFF, self._counts[order]
-        )
+        return IIG(*self._counter.rows(count))
 
 
 def build_iig(circuit: Circuit) -> IIG:
@@ -205,32 +214,9 @@ def build_iig(circuit: Circuit) -> IIG:
     decomposed before LEQA runs and are ignored here with their pairwise
     interactions unspecified — pass FT circuits for paper-faithful use).
 
-    Table-backed circuits are pair-counted vectorized as one
-    :class:`IIGAccumulator` chunk; object-built circuits walk their gates
-    into per-qubit dicts (insertion order is first-interaction order) and
-    pack those rows into the same CSR arrays.
+    The circuit's :class:`~repro.circuits.table.GateTable` is counted as
+    one :class:`IIGAccumulator` chunk.
     """
-    table = circuit.table_if_ready()
-    if table is not None:
-        accumulator = IIGAccumulator()
-        accumulator.update(table)
-        return accumulator.finish(circuit.num_qubits)
-    adjacency: list[dict[int, int]] = [{} for _ in range(circuit.num_qubits)]
-    for gate in circuit:
-        if len(gate.controls) + len(gate.targets) == 2:
-            qubit_a, qubit_b = gate.controls + gate.targets
-            row_a = adjacency[qubit_a]
-            row_a[qubit_b] = row_a.get(qubit_b, 0) + 1
-            row_b = adjacency[qubit_b]
-            row_b[qubit_a] = row_b.get(qubit_a, 0) + 1
-    indptr = np.concatenate(
-        ([0], np.cumsum([len(row) for row in adjacency], dtype=np.int64))
-    )
-    size = int(indptr[-1])
-    return IIG(
-        indptr,
-        np.fromiter((j for row in adjacency for j in row), np.int64, size),
-        np.fromiter(
-            (w for row in adjacency for w in row.values()), np.int64, size
-        ),
-    )
+    accumulator = IIGAccumulator()
+    accumulator.update(circuit.table())
+    return accumulator.finish(circuit.num_qubits)

@@ -47,7 +47,6 @@ set.  Every check runs before the recurrence does.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -56,7 +55,6 @@ from ..circuits.circuit import Circuit
 from ..circuits.gates import KINDS_BY_CODE, GateKind
 from ..circuits.table import GateTable
 from ..exceptions import GraphError
-from ..obs import default_registry
 from .critical_path import (
     CriticalPathResult,
     checked_delay_lut,
@@ -219,22 +217,18 @@ def recurrence() -> Recurrence:
     shared object cannot be built or loaded — with a
     :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=critical}``
     count."""
-    try:
-        # Imported here: repro.qspr imports repro.qodg.
-        from ..qspr import _kernel
+    # Imported here: repro.qspr imports repro.qodg.
+    from ..qspr import _kernel
 
-        _kernel.load()
-    except (ImportError, AttributeError, OSError, RuntimeError) as error:
-        warnings.warn(
-            f"compiled critical-path kernel unavailable ({error}); falling "
-            "back to the Python recurrence",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        default_registry().inc("kernel.fallbacks", entry="critical")
-        return _PYTHON_RECURRENCE
-    return Recurrence(
-        _kernel.critical_chunk, _kernel.critical_walk, _kernel.critical_lengths
+    return _kernel.select(
+        "critical",
+        Recurrence(
+            _kernel.critical_chunk, _kernel.critical_walk,
+            _kernel.critical_lengths,
+        ),
+        _PYTHON_RECURRENCE,
+        "compiled critical-path kernel unavailable ({error}); falling "
+        "back to the Python recurrence",
     )
 
 

@@ -1,5 +1,5 @@
 /* The repository's compiled inner loops, built as one shared object by
- * _kernel.py at first use.  Three entry families live here:
+ * _kernel.py at first use.  Five entry families live here:
  *
  *  - the scheduler (engine="kernel"): leqa_schedule(), a
  *    statement-for-statement translation of _schedule_array
@@ -14,7 +14,12 @@
  *  - the peephole cancellation/fusion scan (circuits/table.py):
  *    leqa_peephole_chunk() runs _scan_stream over one chunk's table
  *    columns with the scan window carried in place, and writes out the
- *    rows the chunk froze.
+ *    rows the chunk froze;
+ *  - the IIG pair count (qodg/iig.py): leqa_iig_count() counts one
+ *    chunk's directed interaction keys in a hash carried in place, and
+ *    leqa_iig_rows() sorts the counts into the graph's CSR rows;
+ *  - the greedy spiral placement (qspr/placement.py):
+ *    leqa_place_iig_greedy() places every qubit of an IIG.
  *
  * Bitwise identity with the Python code is a hard contract: every
  * floating-point expression below performs the same IEEE binary64
@@ -23,8 +28,9 @@
  * tie-breaks compare (reach, node) exactly like the Python (reach,
  * node, box) tuples, the channel-slot reservation discipline mirrors
  * SlotRouter's per-channel min-heaps, the recurrence keeps
- * critical_path_chunk's tie rules, and the scan makes _scan_stream's
- * decisions row for row.
+ * critical_path_chunk's tie rules, the scan makes _scan_stream's
+ * decisions row for row, the pair count keeps first-interaction order,
+ * and the placement rounds centroids half to even, like Python's round.
  */
 
 #include <math.h>
@@ -1057,5 +1063,264 @@ int leqa_peephole_chunk(i64 n, i64 num_qubits, i64 num_kinds,
         peephole_flush(state[S_ROWS], window, wextra, last, num_qubits,
                        state, out_kind, out_c1, out_c2, out_t1, out_t2,
                        out_indptr, out_extra, counts);
+    return 0;
+}
+
+/* ---- IIG pair count (qodg/iig.py) ---------------------------------- */
+
+/* Count state: keys and counts in first-interaction order (I_SIZE in
+ * use) and how many of them the open-addressing slots hold.  A slot is
+ * a (key + 1, key index) pair; key + 1 = 0 marks an empty one. */
+enum { I_SIZE, I_HASHED, I_COLS };
+
+/* The slot holding key, or the empty slot where it belongs (linear
+ * probing; slot_cap is a power of two and at least twice the keys). */
+static i64 *iig_slot(i64 *slots, i64 slot_cap, i64 key) {
+    unsigned long long mask = (unsigned long long)slot_cap - 1;
+    unsigned long long at =
+        (((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (slots[2 * at] && slots[2 * at] != key + 1)
+        at = (at + 1) & mask;
+    return slots + 2 * at;
+}
+
+static void iig_add(i64 *keys, i64 *counts, i64 *slots, i64 slot_cap,
+                    i64 *size, i64 key) {
+    i64 *slot = iig_slot(slots, slot_cap, key);
+    if (slot[0]) {
+        counts[slot[1]] += 1;
+        return;
+    }
+    slot[0] = key + 1;
+    slot[1] = *size;
+    keys[*size] = key;
+    counts[*size] = 1;
+    *size += 1;
+}
+
+/* IIGAccumulator.update over one chunk's operand columns (controls c1,
+ * c2, targets t1, t2, extra-control offsets indptr).  Every row of
+ * arity 2 adds the directed keys a << 32 | b and b << 32 | a, operands
+ * controls-then-targets; a new key is appended to keys[] (so they stay
+ * in first-interaction order), a seen one counted.  Keys appended by
+ * earlier calls and not yet in the slots (state[I_HASHED] < state[
+ * I_SIZE], as after the caller grew the buffers) are hashed first.
+ * Checked before any state is written: 2 for an operand outside the
+ * register or an extras range running backwards, 3 when key_cap or half
+ * of slot_cap might not hold the keys (at most the register size
+ * squared, and at most two new ones per row); 1 reports an allocation
+ * failure. */
+int leqa_iig_count(i64 n, i64 num_qubits, const i64 *c1, const i64 *c2,
+                   const i64 *t1, const i64 *t2, const i64 *indptr,
+                   i64 *keys, i64 *counts, i64 key_cap, i64 *slots,
+                   i64 slot_cap, i64 *state) {
+    /* The first pass checks the rows and gathers each two-qubit row's
+     * a << 32 | b, so the count reads one compact column. */
+    i64 *pairs = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+    if (pairs == NULL)
+        return 1;
+    i64 rows = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (t1[i] < 0 || t1[i] >= num_qubits || c1[i] < -1 ||
+            c1[i] >= num_qubits || c2[i] < -1 || c2[i] >= num_qubits ||
+            t2[i] < -1 || t2[i] >= num_qubits ||
+            (c1[i] < 0 && c2[i] >= 0) || indptr[i + 1] < indptr[i]) {
+            free(pairs);
+            return 2;
+        }
+        if (1 + (c1[i] >= 0) + (c2[i] >= 0) + (t2[i] >= 0) +
+                (indptr[i + 1] - indptr[i]) == 2)
+            pairs[rows++] = c1[i] >= 0 ? c1[i] << 32 | t1[i]
+                                       : t1[i] << 32 | t2[i];
+    }
+    i64 size = state[I_SIZE];
+    i64 bound = size + 2 * rows;
+    if (bound > num_qubits * num_qubits)
+        bound = num_qubits * num_qubits;
+    if (bound < size)
+        bound = size;
+    if (bound > key_cap || 2 * bound > slot_cap) {
+        free(pairs);
+        return 3;
+    }
+    for (i64 k = state[I_HASHED]; k < size; k++) {
+        i64 *slot = iig_slot(slots, slot_cap, keys[k]);
+        slot[0] = keys[k] + 1;
+        slot[1] = k;
+    }
+    for (i64 r = 0; r < rows; r++) {
+        i64 a = pairs[r] >> 32, b = pairs[r] & 0xFFFFFFFFLL;
+        iig_add(keys, counts, slots, slot_cap, &size, pairs[r]);
+        iig_add(keys, counts, slots, slot_cap, &size, b << 32 | a);
+    }
+    free(pairs);
+    state[I_SIZE] = size;
+    state[I_HASHED] = size;
+    return 0;
+}
+
+/* IIGAccumulator.finish over the first size keys: CSR rows for
+ * num_rows sources (indptr has num_rows + 1 entries), each listing its
+ * neighbours and weights in first-interaction order (a stable counting
+ * sort by source).  Returns 2 for a source outside the rows. */
+int leqa_iig_rows(i64 size, const i64 *keys, const i64 *counts,
+                  i64 num_rows, i64 *indptr, i64 *indices, i64 *weights) {
+    for (i64 k = 0; k < size; k++)
+        if ((keys[k] >> 32) >= num_rows)
+            return 2;
+    for (i64 q = 0; q <= num_rows; q++)
+        indptr[q] = 0;
+    for (i64 k = 0; k < size; k++)
+        indptr[(keys[k] >> 32) + 1] += 1;
+    for (i64 q = 0; q < num_rows; q++)
+        indptr[q + 1] += indptr[q];
+    /* indptr[q] serves as row q's write cursor, ending at row q + 1's
+     * start; shifting the cursors up restores the row starts. */
+    for (i64 k = 0; k < size; k++) {
+        i64 at = indptr[keys[k] >> 32]++;
+        indices[at] = keys[k] & 0xFFFFFFFFLL;
+        weights[at] = counts[k];
+    }
+    for (i64 q = num_rows; q > 0; q--)
+        indptr[q] = indptr[q - 1];
+    indptr[0] = 0;
+    return 0;
+}
+
+/* ---- greedy IIG placement (qspr/placement.py) ---------------------- */
+
+typedef struct {
+    i64 weight_sum;
+    i64 qubit;
+} Visit;
+
+/* Visit order: decreasing adjacent weight, then qubit index. */
+static int visit_cmp(const void *pa, const void *pb) {
+    const Visit *a = (const Visit *)pa;
+    const Visit *b = (const Visit *)pb;
+    if (a->weight_sum != b->weight_sum)
+        return a->weight_sum > b->weight_sum ? -1 : 1;
+    return (a->qubit > b->qubit) - (a->qubit < b->qubit);
+}
+
+/* Whether (x, y) at Manhattan distance d from the anchor sorts before
+ * the best candidate so far: the spiral orders a ring by (distance, x,
+ * y), so its first free ULB is the free one with the smallest key. */
+static int spiral_before(i64 d, i64 x, i64 y, i64 bd, i64 bx, i64 by) {
+    if (d != bd)
+        return d < bd;
+    if (x != bx)
+        return x < bx;
+    return y < by;
+}
+
+/* iig_greedy_placement over the IIG's CSR rows: each qubit, in visit
+ * order, goes to the nearest free ULB around the weighted centroid of
+ * its placed neighbours (rounded half to even, as Python's round; the
+ * sums stay far below 2^53, so each division is Python's) or the fabric
+ * centre, searching Chebyshev rings outwards; once every ULB is taken,
+ * qubits go to the centroid ULB itself.  Writes each qubit's column and
+ * row to xs and ys.  Returns 1 on allocation failure, 2 for rows or
+ * neighbours outside the graph. */
+int leqa_place_iig_greedy(i64 num_qubits, i64 num_entries, const i64 *indptr,
+                          const i64 *indices, const i64 *weights,
+                          const i64 *weight_sums, i64 width, i64 height,
+                          i64 *xs, i64 *ys) {
+    if (width < 1 || height < 1 || indptr[0] != 0 ||
+        indptr[num_qubits] != num_entries)
+        return 2;
+    for (i64 q = 0; q < num_qubits; q++)
+        if (indptr[q + 1] < indptr[q])
+            return 2;
+    for (i64 k = 0; k < num_entries; k++)
+        if (indices[k] < 0 || indices[k] >= num_qubits)
+            return 2;
+    i64 area = width * height;
+    Visit *order = (Visit *)malloc((size_t)(num_qubits + 1) * sizeof(Visit));
+    unsigned char *placed = (unsigned char *)calloc((size_t)num_qubits + 1, 1);
+    unsigned char *occupied = (unsigned char *)calloc((size_t)area, 1);
+    if (!order || !placed || !occupied) {
+        free(order);
+        free(placed);
+        free(occupied);
+        return 1;
+    }
+    for (i64 q = 0; q < num_qubits; q++) {
+        order[q].weight_sum = weight_sums[q];
+        order[q].qubit = q;
+    }
+    qsort(order, (size_t)num_qubits, sizeof(Visit), visit_cmp);
+    i64 filled = 0;
+    int full = 0;
+    for (i64 v = 0; v < num_qubits; v++) {
+        i64 q = order[v].qubit;
+        i64 ax = width / 2, ay = height / 2;
+        i64 total = 0, sum_x = 0, sum_y = 0;
+        for (i64 k = indptr[q]; k < indptr[q + 1]; k++) {
+            i64 j = indices[k];
+            if (!placed[j])
+                continue;
+            total += weights[k];
+            sum_x += xs[j] * weights[k];
+            sum_y += ys[j] * weights[k];
+        }
+        if (total != 0) {
+            ax = (i64)nearbyint((double)sum_x / (double)total);
+            ay = (i64)nearbyint((double)sum_y / (double)total);
+            ax = ax < 0 ? 0 : (ax > width - 1 ? width - 1 : ax);
+            ay = ay < 0 ? 0 : (ay > height - 1 ? height - 1 : ay);
+        }
+        placed[q] = 1;
+        xs[q] = ax;
+        ys[q] = ay;
+        if (full)
+            continue;
+        i64 bx = -1, by = -1, bd = 0;
+        if (!occupied[ax * height + ay]) {
+            bx = ax;
+            by = ay;
+        }
+        i64 max_radius = ax;
+        if (width - 1 - ax > max_radius)
+            max_radius = width - 1 - ax;
+        if (ay > max_radius)
+            max_radius = ay;
+        if (height - 1 - ay > max_radius)
+            max_radius = height - 1 - ay;
+        for (i64 r = 1; bx < 0 && r <= max_radius; r++) {
+            for (i64 d = -r; d <= r; d++) {
+                /* The ring's top and bottom rows, then its two sides. */
+                i64 cand[4][2] = {{ax + d, ay - r}, {ax + d, ay + r},
+                                  {ax - r, ay + d}, {ax + r, ay + d}};
+                int sides = d > -r && d < r ? 4 : 2;
+                for (int s = 0; s < sides; s++) {
+                    i64 x = cand[s][0], y = cand[s][1];
+                    if (x < 0 || x >= width || y < 0 || y >= height ||
+                        occupied[x * height + y])
+                        continue;
+                    i64 dist = (x > ax ? x - ax : ax - x) +
+                               (y > ay ? y - ay : ay - y);
+                    if (bx < 0 || spiral_before(dist, x, y, bd, bx, by)) {
+                        bx = x;
+                        by = y;
+                        bd = dist;
+                    }
+                }
+            }
+        }
+        if (bx < 0) {
+            full = 1;
+        } else {
+            occupied[bx * height + by] = 1;
+            filled += 1;
+            xs[q] = bx;
+            ys[q] = by;
+        }
+        if (filled == area)
+            full = 1;
+    }
+    free(order);
+    free(placed);
+    free(occupied);
     return 0;
 }

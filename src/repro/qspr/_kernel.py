@@ -1,29 +1,30 @@
 """Loader for the repository's compiled kernels.
 
-``_kernel.c`` holds three families of entry points in one shared
-object: the scheduler (``engine="kernel"``), a statement-for-statement
-C translation of the array scheduling loop, exposed through
-:func:`schedule_arrays`; the critical-path recurrence of Eq. 1
-(:mod:`repro.qodg.sweep`), exposed through :func:`critical_chunk`,
-:func:`critical_walk` and :func:`critical_lengths`; and the peephole
-cancellation/fusion scan (:mod:`repro.circuits.table`), exposed through
-:func:`peephole_chunk`, which threads a :class:`PeepholeCarry` from
-chunk to chunk.  This module builds the source into that shared
-object with the system C compiler on first use and caches the ``.so``
-keyed by a hash of the source (so a source change or a repo move never
-loads a stale binary).
+``_kernel.c`` holds five entries in one shared object: the scheduler
+(``engine="kernel"``, :func:`schedule_arrays`), a statement-for-statement
+C translation of the array scheduling loop; the critical-path recurrence
+of Eq. 1 (:mod:`repro.qodg.sweep`; :func:`critical_chunk`,
+:func:`critical_walk`, :func:`critical_lengths`); the peephole scan
+(:mod:`repro.circuits.table`; :func:`peephole_chunk`, threading a
+:class:`PeepholeCarry` from chunk to chunk); the IIG pair count
+(:mod:`repro.qodg.iig`; :class:`PairCounter`); and the greedy spiral
+placement (:mod:`repro.qspr.placement`; :func:`place_iig_greedy`).
+This module builds the source with the system C compiler on first use
+and caches the ``.so`` keyed by a hash of the source (so a source change
+or a repo move never loads a stale binary).
 
 No third-party build machinery: a single ``cc -O2 -shared`` invocation,
 with ``-ffp-contract=off`` so no fused-multiply-add changes a rounding —
 each entry's contract is *bitwise* identity with its Python
 counterpart.  Everything degrades loudly but gracefully: when no
-compiler exists (or the compile fails), :func:`load` raises and each
-caller falls back to its Python loop with a :class:`RuntimeWarning`.
+compiler exists (or the compile fails), :func:`load` raises; the
+scheduler then falls back to its array engine, and :func:`select` hands
+every other caller its Python fallback, with a :class:`RuntimeWarning`
+and one ``kernel.fallbacks{entry}`` count.
 
 The cache directory is ``$REPRO_KERNEL_CACHE`` when set, else
 ``~/.cache/leqa-kernel``.
 """
-
 from __future__ import annotations
 
 import ctypes
@@ -32,9 +33,12 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+
+from ..obs import default_registry
 
 __all__ = [
     "available",
@@ -43,9 +47,12 @@ __all__ = [
     "critical_walk",
     "kernel_cache_dir",
     "load",
+    "PairCounter",
     "PeepholeCarry",
     "peephole_chunk",
+    "place_iig_greedy",
     "schedule_arrays",
+    "select",
 ]
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
@@ -126,45 +133,46 @@ def load() -> ctypes.CDLL:
         if not so_path.exists():
             _build(so_path)
         lib = ctypes.CDLL(str(so_path))
-        fn = lib.leqa_schedule
-        fn.restype = ctypes.c_int
-        fn.argtypes = [
-            ctypes.c_longlong,  # num_ops
-            ctypes.c_longlong,  # num_qubits
-            ctypes.POINTER(ctypes.c_longlong),  # op_q0
-            ctypes.POINTER(ctypes.c_longlong),  # op_q1
-            ctypes.POINTER(ctypes.c_double),  # op_delay
-            ctypes.POINTER(ctypes.c_longlong),  # visit_order
-            ctypes.c_longlong,  # width
-            ctypes.c_longlong,  # height
-            ctypes.c_longlong,  # capacity
-            ctypes.c_double,  # t_move
-            ctypes.c_longlong,  # mode_xy
-            ctypes.POINTER(ctypes.c_longlong),  # qloc (in/out)
-            ctypes.POINTER(ctypes.c_double),  # finish_times (out)
-            ctypes.POINTER(ctypes.c_longlong),  # stats_i (out, 5)
-            ctypes.POINTER(ctypes.c_double),  # stats_d (out, 1)
-        ]
         i64, ptr = ctypes.c_longlong, ctypes.c_void_p
-        fn = lib.leqa_critical_chunk
-        fn.restype = ctypes.c_int
+        # Every entry returns an int status except the backtrack.
+        for entry in (
+            "leqa_schedule", "leqa_critical_chunk", "leqa_critical_lengths",
+            "leqa_peephole_chunk", "leqa_iig_count", "leqa_iig_rows",
+            "leqa_place_iig_greedy",
+        ):
+            getattr(lib, entry).restype = ctypes.c_int
+        # num_ops, num_qubits; op_q0, op_q1, op_delay, visit_order; width,
+        # height, capacity, t_move, mode_xy; qloc (in/out), finish_times,
+        # stats_i (5) and stats_d (1) (out).
+        lib.leqa_schedule.argtypes = (
+            [i64, i64] + [ptr] * 4 + [i64] * 3 + [ctypes.c_double, i64]
+            + [ptr] * 4
+        )
         # n, num_qubits, num_kinds, kinds, o0, o1, lut, then the carry
         # (dist, last, best, nodes; in/out) and preds (out).
-        fn.argtypes = [i64, i64, i64] + [ptr] * 9
-        fn = lib.leqa_critical_backtrack
-        fn.restype = i64
-        fn.argtypes = [i64, ptr, i64, ptr, i64]  # node, preds, n, path, len
-        fn = lib.leqa_critical_lengths
-        fn.restype = ctypes.c_int
+        lib.leqa_critical_chunk.argtypes = [i64, i64, i64] + [ptr] * 9
+        # node, preds, n, path, length.
+        lib.leqa_critical_backtrack.restype = i64
+        lib.leqa_critical_backtrack.argtypes = [i64, ptr, i64, ptr, i64]
         # n, num_qubits, num_kinds, points, kinds, o0, o1, matrix, out.
-        fn.argtypes = [i64, i64, i64, i64] + [ptr] * 5
-        fn = lib.leqa_peephole_chunk
-        fn.restype = ctypes.c_int
+        lib.leqa_critical_lengths.argtypes = [i64] * 4 + [ptr] * 5
         # n, num_qubits, num_kinds, extra_len, window_cap, extra_cap,
         # flush_every, final; the chunk's seven columns; the two rule
         # tables; the carry (window, extras, last_on_qubit, state; in/out);
         # the seven output columns and their counts (out).
-        fn.argtypes = [i64] * 8 + [ptr] * 21
+        lib.leqa_peephole_chunk.argtypes = [i64] * 8 + [ptr] * 21
+        # n, num_qubits; the chunk's five operand columns; keys, counts,
+        # their capacity, slots, theirs, state (in/out).
+        lib.leqa_iig_count.argtypes = (
+            [i64, i64] + [ptr] * 7 + [i64, ptr, i64, ptr]
+        )
+        # size, keys, counts, num_rows; indptr, indices, weights (out).
+        lib.leqa_iig_rows.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr]
+        # num_qubits, entries; the IIG's CSR rows and weight sums; width,
+        # height; the columns and rows placed (out).
+        lib.leqa_place_iig_greedy.argtypes = (
+            [i64, i64] + [ptr] * 4 + [i64, i64, ptr, ptr]
+        )
     except Exception as error:
         _load_error = (
             error
@@ -185,12 +193,19 @@ def available() -> bool:
     return True
 
 
-def _i64_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
-
-
-def _f64_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+def select(entry: str, native, fallback, warning: str):
+    """``native`` when the shared object loads, else ``fallback`` — with
+    a :class:`RuntimeWarning` (``warning`` formatted with the load
+    ``error``) and one ``kernel.fallbacks{entry}`` count."""
+    try:
+        load()
+    except RuntimeError as error:
+        warnings.warn(
+            warning.format(error=error), RuntimeWarning, stacklevel=4
+        )
+        default_registry().inc("kernel.fallbacks", entry=entry)
+        return fallback
+    return native
 
 
 def schedule_arrays(
@@ -230,31 +245,14 @@ def schedule_arrays(
     stats_i = np.zeros(5, dtype=np.int64)
     stats_d = np.zeros(1, dtype=np.float64)
     status = lib.leqa_schedule(
-        num_ops,
-        num_qubits,
-        _i64_ptr(q0),
-        _i64_ptr(q1),
-        _f64_ptr(delays),
-        _i64_ptr(visit_order),
-        width,
-        height,
-        capacity,
-        t_move,
-        1 if mode == "xy" else 0,
-        _i64_ptr(qloc),
-        _f64_ptr(finish_times),
-        _i64_ptr(stats_i),
-        _f64_ptr(stats_d),
+        num_ops, num_qubits, q0.ctypes.data, q1.ctypes.data,
+        delays.ctypes.data, visit_order.ctypes.data, width, height, capacity,
+        t_move, 1 if mode == "xy" else 0, qloc.ctypes.data,
+        finish_times.ctypes.data, stats_i.ctypes.data, stats_d.ctypes.data,
     )
     if status != 0:
         raise RuntimeError(f"scheduler kernel failed with status {status}")
-    moves, hops, relocations, cnots, one_qubit = stats_i.tolist()
-    return (
-        finish_times,
-        qloc,
-        (moves, hops, relocations, cnots, one_qubit),
-        float(stats_d[0]),
-    )
+    return finish_times, qloc, tuple(stats_i.tolist()), float(stats_d[0])
 
 
 def _columns(kinds, o0, o1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,31 +268,43 @@ def _columns(kinds, o0, o1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kinds, o0, o1
 
 
+def _in_place(array, dtype, ndim: int = 1) -> bool:
+    """Whether a C entry can write ``array`` in place: carries are
+    checked, not converted."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == ndim
+        and array.flags.c_contiguous
+        and array.flags.writeable
+    )
+
+
 def _require_carry(carry) -> None:
-    """The carry's arrays are written in place, so they are checked, not
-    converted."""
+    size = len(carry.qubit_dist)
     fields = (
-        (carry.qubit_dist, np.float64, len(carry.qubit_dist)),
-        (carry.qubit_last, np.int64, len(carry.qubit_dist)),
+        (carry.qubit_dist, np.float64, size),
+        (carry.qubit_last, np.int64, size),
         (carry.best_length, np.float64, 1),
         (carry.nodes, np.int64, 2),
     )
-    for array, dtype, size in fields:
-        if not (
-            isinstance(array, np.ndarray)
-            and array.dtype == dtype
-            and array.shape == (size,)
-            and array.flags.c_contiguous
-            and array.flags.writeable
-        ):
-            raise ValueError("malformed critical-path carry")
+    if not all(_in_place(a, dtype) and len(a) == n for a, dtype, n in fields):
+        raise ValueError("malformed critical-path carry")
 
 
-def _check(status: int, entry: str) -> None:
-    if status == 1:
-        raise ValueError(f"{entry}: kind code outside the delay table")
-    if status == 2:
-        raise ValueError(f"{entry}: operand outside the carry's qubits")
+#: Why the critical-path entries reject their input, by status.
+_CRITICAL_ERRORS = {
+    1: "kind code outside the delay table",
+    2: "operand outside the carry's qubits",
+}
+
+
+def _check(status: int, entry: str, errors=_CRITICAL_ERRORS) -> None:
+    """A C status as the error it reports: ``errors[status]`` as a
+    :class:`ValueError` (input rejected before any state was written),
+    any other non-zero status as a :class:`RuntimeError`."""
+    if status in errors:
+        raise ValueError(f"{entry}: {errors[status]}")
     if status:
         raise RuntimeError(f"{entry} kernel failed with status {status}")
 
@@ -428,24 +438,17 @@ class PeepholeCarry:
 
 
 def _require_peephole_carry(carry: PeepholeCarry) -> None:
-    """The carry's arrays are written in place, so they are checked, not
-    converted."""
     fields = (
         (carry.window, 2),
         (carry.window_extra, 1),
         (carry.last_on_qubit, 1),
         (carry.state, 1),
     )
-    for array, ndim in fields:
-        if not (
-            isinstance(array, np.ndarray)
-            and array.dtype == np.int64
-            and array.ndim == ndim
-            and array.flags.c_contiguous
-            and array.flags.writeable
-        ):
-            raise ValueError("malformed peephole carry")
-    if carry.window.shape[1] != _WINDOW_COLUMNS or carry.state.shape != (4,):
+    if not (
+        all(_in_place(array, np.int64, ndim) for array, ndim in fields)
+        and carry.window.shape[1] == _WINDOW_COLUMNS
+        and carry.state.shape == (4,)
+    ):
         raise ValueError("malformed peephole carry")
     rows, extras = carry.state[:2].tolist()
     if not (
@@ -453,6 +456,24 @@ def _require_peephole_carry(carry: PeepholeCarry) -> None:
         and 0 <= extras <= len(carry.window_extra)
     ):
         raise ValueError("malformed peephole carry")
+
+
+def _table_columns(table) -> list[np.ndarray]:
+    """A :class:`~repro.circuits.table.GateTable` chunk's
+    :data:`_TABLE_COLUMNS` as the C entries read them; value bounds are
+    checked in C, before any state is written."""
+    columns = [
+        np.ascontiguousarray(getattr(table, column), dtype=np.int64)
+        for column in _TABLE_COLUMNS
+    ]
+    n = len(table.kind)
+    ndims = {np.ndim(table.kind), *(array.ndim for array in columns)}
+    if ndims != {1} or not (
+        all(len(array) == n for array in columns[:4])
+        and len(columns[4]) == n + 1
+    ):
+        raise ValueError("table columns differ in shape")
+    return columns
 
 
 def _with_room(array: np.ndarray, used: int, needed: int, fill: int = 0):
@@ -493,17 +514,8 @@ def peephole_chunk(
     """
     lib = load()
     kind = np.ascontiguousarray(table.kind, dtype=np.int8)
-    ctrl, ctrl2, target, target2, indptr, extra = (
-        np.ascontiguousarray(getattr(table, column), dtype=np.int64)
-        for column in _TABLE_COLUMNS
-    )
+    ctrl, ctrl2, target, target2, indptr, extra = _table_columns(table)
     n = len(kind)
-    if {array.ndim for array in (kind, ctrl, ctrl2, target, target2,
-                                 indptr, extra)} != {1} or not (
-        len(ctrl) == len(ctrl2) == len(target) == len(target2) == n
-        and len(indptr) == n + 1
-    ):
-        raise ValueError("table columns differ in shape")
     rules = np.ascontiguousarray(rules, dtype=np.int64)
     if rules.ndim != 2 or rules.shape[0] != 2:
         raise ValueError(f"rule table must be (2, kinds), got {rules.shape}")
@@ -535,14 +547,11 @@ def peephole_chunk(
         *(column.ctypes.data for column in out), out_indptr.ctypes.data,
         out_extra.ctypes.data, counts.ctypes.data,
     )
-    if status == 1:
-        raise ValueError("peephole chunk: kind code outside the rule table")
-    if status == 2:
-        raise ValueError("peephole chunk: operand outside the register")
-    if status == 4:
-        raise ValueError("peephole chunk: extras offsets outside the chunk")
-    if status:
-        raise RuntimeError(f"peephole chunk kernel failed with status {status}")
+    _check(status, "peephole chunk", {
+        1: "kind code outside the rule table",
+        2: "operand outside the register",
+        4: "extras offsets outside the chunk",
+    })
     carry.window, carry.window_extra, carry.last_on_qubit = (
         window, window_extra, last
     )
@@ -553,3 +562,95 @@ def peephole_chunk(
         out_indptr[:emitted + 1],
         out_extra[:emitted_extras],
     )
+
+
+class PairCounter:
+    """The pair count of :class:`~repro.qodg.iig.IIGAccumulator`,
+    compiled: each chunk's two-qubit rows count their directed keys
+    ``a << 32 | b`` and ``b << 32 | a`` in one hashed pass, and
+    :meth:`rows` sorts them into CSR rows by source.
+
+    ``keys``/``counts`` hold ``state[0]`` keys in first-interaction
+    order and ``slots`` hashes the first ``state[1]`` of them; the C
+    entry updates them in place.
+    """
+
+    __slots__ = ("keys", "counts", "slots", "state")
+
+    def __init__(self) -> None:
+        self.keys = self.counts = self.slots = np.zeros(0, dtype=np.int64)
+        self.state = np.zeros(2, dtype=np.int64)
+
+    def update(self, table) -> None:
+        """Count one :class:`~repro.circuits.table.GateTable` chunk;
+        :class:`ValueError` for columns of unequal length or an operand
+        outside its register leaves the counts untouched."""
+        lib = load()
+        columns = [array.ctypes.data for array in _table_columns(table)[:5]]
+        n = len(table.kind)
+        keys, counts, slots, state = (
+            self.keys, self.counts, self.slots, self.state
+        )
+        size = int(state[0])
+        # Keys are pairs of register qubits, at most two new ones a row.
+        needed = max(min(size + 2 * n, table.num_qubits**2), size)
+        if needed > len(keys):
+            # Grown into new buffers, adopted only once the C entry
+            # accepts the chunk.  The slots, (key + 1, index) pairs, a
+            # power of two at least twice the keys, start empty and the
+            # entry re-hashes the keys.
+            room = max(needed, 2 * len(keys))
+            keys = _with_room(keys, size, room)
+            counts = _with_room(counts, size, room)
+            slots = np.zeros(2 << (2 * room - 1).bit_length(), np.int64)
+            state = np.array([size, 0], dtype=np.int64)
+        _check(
+            lib.leqa_iig_count(
+                n, table.num_qubits, *columns, keys.ctypes.data,
+                counts.ctypes.data, len(keys), slots.ctypes.data,
+                len(slots) // 2, state.ctypes.data,
+            ),
+            "IIG pair count",
+            {2: "operand outside the register"},
+        )
+        self.keys, self.counts, self.slots, self.state = (
+            keys, counts, slots, state
+        )
+
+    def rows(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The counts as ``count`` CSR rows ``(indptr, indices, weights)``,
+        each listing a source's partners in first-interaction order."""
+        size = int(self.state[0])
+        indptr = np.empty(count + 1, dtype=np.int64)
+        indices, weights = np.empty((2, size), dtype=np.int64)
+        _check(
+            load().leqa_iig_rows(
+                size, self.keys.ctypes.data, self.counts.ctypes.data, count,
+                indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
+            ),
+            "IIG rows",
+            {2: "a pair's qubit is outside the rows"},
+        )
+        return indptr, indices, weights
+
+
+def place_iig_greedy(iig, tqa) -> list[tuple[int, int]]:
+    """:func:`repro.qspr.placement.iig_greedy_placement`, compiled: the
+    same positions, qubit for qubit (:class:`ValueError` for malformed
+    graph rows)."""
+    lib = load()
+    indptr, indices, weights, weight_sums = (
+        np.ascontiguousarray(array, dtype=np.int64)
+        for array in (iig.indptr, iig.indices, iig.weights, iig.weight_sums)
+    )
+    num_qubits = len(weight_sums)
+    if len(indptr) != num_qubits + 1 or len(weights) != len(indices):
+        raise ValueError("IIG placement: malformed graph rows")
+    xs, ys = placed = np.empty((2, num_qubits), dtype=np.int64)
+    status = lib.leqa_place_iig_greedy(
+        num_qubits, len(indices), indptr.ctypes.data, indices.ctypes.data,
+        weights.ctypes.data, weight_sums.ctypes.data, tqa.width, tqa.height,
+        xs.ctypes.data, ys.ctypes.data,
+    )
+    _check(status, "IIG placement", {2: "malformed graph rows"})
+    return list(zip(*placed.tolist()))

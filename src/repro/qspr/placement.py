@@ -10,7 +10,9 @@ Three strategies are provided:
   decreasing order of interaction weight, each at the free ULB nearest the
   weighted centroid of its already-placed IIG neighbours.  This is the
   class of clustering heuristic the QSPR literature uses to keep
-  communicating qubits close.
+  communicating qubits close.  Its spiral search runs in the compiled
+  kernel (:mod:`repro.qspr._kernel`), with the Python spiral as the
+  fallback.
 
 When there are more qubits than ULBs, every strategy overflows gracefully
 by allowing several qubits per ULB (ULBs store logical qubits; execution
@@ -25,6 +27,7 @@ from typing import Iterator
 from ..exceptions import MappingError
 from ..fabric.tqa import Position, TQA
 from ..qodg.iig import IIG
+from . import _kernel
 
 __all__ = [
     "row_major_placement",
@@ -102,8 +105,21 @@ def iig_greedy_placement(iig: IIG, tqa: TQA) -> list[Position]:
     Works off the IIG's CSR arrays: visit order comes from the weight-sum
     vector and centroids accumulate along neighbour rows (stored in
     first-interaction order, so every way of building the graph places
-    alike).
+    alike).  Runs in the shared object
+    (:func:`~repro.qspr._kernel.place_iig_greedy`) or, when it cannot
+    load, as the Python spiral — with a :class:`RuntimeWarning` and one
+    ``kernel.fallbacks{entry=placement}`` count; both place every qubit
+    alike.
     """
+    return _kernel.select(
+        "placement", _kernel.place_iig_greedy, _python_greedy_placement,
+        "compiled placement kernel unavailable ({error}); falling back "
+        "to the Python spiral",
+    )(iig, tqa)
+
+
+def _python_greedy_placement(iig: IIG, tqa: TQA) -> list[Position]:
+    """:func:`iig_greedy_placement` in Python, its fallback."""
     num_qubits = iig.num_qubits
     weight_sums = iig.weight_sums.tolist()
     indptr = iig.indptr.tolist()

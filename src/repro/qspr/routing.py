@@ -27,7 +27,7 @@ from heapq import heappop, heappush, heapreplace
 
 from ..exceptions import MappingError
 
-__all__ = ["SlotRouter", "ROUTING_MODES"]
+__all__ = ["SlotRouter", "ROUTING_MODES", "check_routing_mode"]
 
 #: Supported routing mode names.
 ROUTING_MODES = ("maze", "xy")
@@ -37,6 +37,14 @@ ROUTING_MODES = ("maze", "xy")
 DETOUR_MARGIN = 2
 
 _NEG_INF = float("-inf")
+
+
+def check_routing_mode(mode: str) -> None:
+    """Raise :class:`MappingError` for a mode outside :data:`ROUTING_MODES`."""
+    if mode not in ROUTING_MODES:
+        raise MappingError(
+            f"unknown routing mode {mode!r}; choose from {ROUTING_MODES}"
+        )
 
 
 class SlotRouter:
@@ -78,10 +86,7 @@ class SlotRouter:
         self, width: int, height: int, capacity: int, t_move: float,
         mode: str = "maze",
     ) -> None:
-        if mode not in ROUTING_MODES:
-            raise MappingError(
-                f"unknown routing mode {mode!r}; choose from {ROUTING_MODES}"
-            )
+        check_routing_mode(mode)
         self.width = width
         self.height = height
         self.capacity = capacity

@@ -66,7 +66,7 @@ from ..fabric.params import PhysicalParams
 from ..fabric.tqa import Position, TQA
 from ..obs import default_registry
 from ..qodg.critical_path import first_missing_kind, kind_delay_lut
-from .routing import SlotRouter
+from .routing import SlotRouter, check_routing_mode
 from .trace import ScheduleTrace, TraceEvent
 
 __all__ = [
@@ -333,13 +333,7 @@ def schedule_circuit(
         or compiled.delays_token != delays_table_token(delays)
     ):
         compiled = compile_qodg(circuit, delays)
-    router = SlotRouter(
-        params.fabric.width,
-        params.fabric.height,
-        params.channel_capacity,
-        params.t_move,
-        mode=routing_mode,
-    )
+    check_routing_mode(routing_mode)
     if order == "program":
         visit_order = range(compiled.num_ops)
     elif order == "alap":
@@ -356,6 +350,13 @@ def schedule_circuit(
         )
         if result is not None:
             return result
+    router = SlotRouter(
+        params.fabric.width,
+        params.fabric.height,
+        params.channel_capacity,
+        params.t_move,
+        mode=routing_mode,
+    )
     return _schedule_array(
         circuit, compiled, placement, params, router, record_trace,
         visit_order,

@@ -213,6 +213,22 @@ class TestValidation:
         with pytest.raises(MappingError, match="not executable"):
             run(circuit, [(0, 0), (0, 1), (0, 2)], params, engine)
 
+    def test_unknown_routing_mode_rejected(self, params, engine):
+        """Both engines check the mode up front, with the router's text,
+        though only the array engine builds a router."""
+        circuit = Circuit(2)
+        circuit.append(cnot(0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MappingError) as error:
+                schedule_circuit(
+                    circuit, [(0, 0), (4, 0)], params, engine=engine,
+                    routing_mode="diagonal",
+                )
+        assert str(error.value) == (
+            "unknown routing mode 'diagonal'; choose from ('maze', 'xy')"
+        )
+
     def test_empty_circuit(self, params, engine):
         result = run(Circuit(0), [], params, engine)
         assert result.latency == 0.0
