@@ -160,13 +160,9 @@ class _PairFold:
             self._pending = []
             self._pending_count = 0
 
-    def rows(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         self._fold()
-        sources = self._keys >> 32
-        order = np.argsort(sources, kind="stable")
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=count), out=indptr[1:])
-        return indptr, self._keys[order] & 0xFFFFFFFF, self._counts[order]
+        return self._keys, self._counts
 
 
 class IIGAccumulator:
@@ -177,9 +173,9 @@ class IIGAccumulator:
     because a stream's register can grow), counted by the shared object
     (:class:`~repro.qspr._kernel.PairCounter`) or, with a
     :class:`RuntimeWarning` and one ``kernel.fallbacks{entry=iig}``
-    count, by the numpy ``_PairFold``.  Both keep each key's first
-    interaction and order each source's row by it, so any chunking gives
-    the same graph.
+    count, by the numpy ``_PairFold``.  Both hand :meth:`finish` the keys
+    in first-interaction order, which it keeps within each source's row,
+    so any chunking gives the same graph.
     """
 
     def __init__(self) -> None:
@@ -202,7 +198,14 @@ class IIGAccumulator:
     def finish(self, num_qubits: int | None = None) -> IIG:
         """The accumulated graph as an :class:`IIG`."""
         count = max(self._num_qubits, num_qubits or 0)
-        return IIG(*self._counter.rows(count))
+        keys, counts = self._counter.pairs()
+        # Sorting each key's source over its index orders the rows by
+        # source and each row by first interaction.
+        sources = keys >> 32
+        order = np.sort(sources << 32 | np.arange(len(keys))) & 0xFFFFFFFF
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=count), out=indptr[1:])
+        return IIG(indptr, keys[order] & 0xFFFFFFFF, counts[order])
 
 
 def build_iig(circuit: Circuit) -> IIG:

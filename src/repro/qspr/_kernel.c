@@ -16,8 +16,8 @@
  *    columns with the scan window carried in place, and writes out the
  *    rows the chunk froze;
  *  - the IIG pair count (qodg/iig.py): leqa_iig_count() counts one
- *    chunk's directed interaction keys in a hash carried in place, and
- *    leqa_iig_rows() sorts the counts into the graph's CSR rows;
+ *    chunk's directed interaction keys in a hash carried in place,
+ *    keeping them in first-interaction order;
  *  - the greedy spiral placement (qspr/placement.py):
  *    leqa_place_iig_greedy() places every qubit of an IIG.
  *
@@ -1069,47 +1069,42 @@ int leqa_peephole_chunk(i64 n, i64 num_qubits, i64 num_kinds,
 /* ---- IIG pair count (qodg/iig.py) ---------------------------------- */
 
 /* Count state: keys and counts in first-interaction order (I_SIZE in
- * use) and how many of them the open-addressing slots hold.  A slot is
- * a (key + 1, key index) pair; key + 1 = 0 marks an empty one. */
+ * use) and how many of them the open-addressing slots hold.  A pair's
+ * two directed keys are always added together, so they sit side by
+ * side (a row's own direction first) with equal counts, and one slot
+ * serves both: a (lower-first key + 1, index of the first) pair, where
+ * key + 1 = 0 marks an empty slot. */
 enum { I_SIZE, I_HASHED, I_COLS };
 
-/* The slot holding key, or the empty slot where it belongs (linear
- * probing; slot_cap is a power of two and at least twice the keys). */
-static i64 *iig_slot(i64 *slots, i64 slot_cap, i64 key) {
-    unsigned long long mask = (unsigned long long)slot_cap - 1;
-    unsigned long long at =
-        (((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-    while (slots[2 * at] && slots[2 * at] != key + 1)
-        at = (at + 1) & mask;
-    return slots + 2 * at;
+/* The lower-first key of the pair a, b. */
+static i64 iig_pair(i64 a, i64 b) {
+    return a < b ? a << 32 | b : b << 32 | a;
 }
 
-static void iig_add(i64 *keys, i64 *counts, i64 *slots, i64 slot_cap,
-                    i64 *size, i64 key) {
-    i64 *slot = iig_slot(slots, slot_cap, key);
-    if (slot[0]) {
-        counts[slot[1]] += 1;
-        return;
-    }
-    slot[0] = key + 1;
-    slot[1] = *size;
-    keys[*size] = key;
-    counts[*size] = 1;
-    *size += 1;
+/* The slot holding pair, or the empty slot where it belongs (linear
+ * probing; slot_cap is a power of two and at least twice the pairs). */
+static i64 *iig_slot(i64 *slots, i64 slot_cap, i64 pair) {
+    unsigned long long mask = (unsigned long long)slot_cap - 1;
+    unsigned long long at =
+        (((unsigned long long)pair * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+    while (slots[2 * at] && slots[2 * at] != pair + 1)
+        at = (at + 1) & mask;
+    return slots + 2 * at;
 }
 
 /* IIGAccumulator.update over one chunk's operand columns (controls c1,
  * c2, targets t1, t2, extra-control offsets indptr).  Every row of
  * arity 2 adds the directed keys a << 32 | b and b << 32 | a, operands
- * controls-then-targets; a new key is appended to keys[] (so they stay
- * in first-interaction order), a seen one counted.  Keys appended by
- * earlier calls and not yet in the slots (state[I_HASHED] < state[
- * I_SIZE], as after the caller grew the buffers) are hashed first.
- * Checked before any state is written: 2 for an operand outside the
- * register or an extras range running backwards, 3 when key_cap or half
- * of slot_cap might not hold the keys (at most the register size
- * squared, and at most two new ones per row); 1 reports an allocation
- * failure. */
+ * controls-then-targets; a new pair appends both keys to keys[] (so
+ * they stay in first-interaction order), a seen one counts both.  Keys
+ * appended by earlier calls and not yet in the slots (state[I_HASHED]
+ * < state[I_SIZE], as after the caller grew the buffers) are hashed
+ * first.  Checked before any state is written: 2 for an operand outside
+ * the register, a two-qubit row acting twice on one qubit or an extras
+ * range running backwards, 3 when key_cap or slot_cap might not hold
+ * the keys (those held plus the new ones: at most two per row and at
+ * most the register size squared, whatever the registers of earlier
+ * calls were); 1 reports an allocation failure. */
 int leqa_iig_count(i64 n, i64 num_qubits, const i64 *c1, const i64 *c2,
                    const i64 *t1, const i64 *t2, const i64 *indptr,
                    i64 *keys, i64 *counts, i64 key_cap, i64 *slots,
@@ -1129,61 +1124,49 @@ int leqa_iig_count(i64 n, i64 num_qubits, const i64 *c1, const i64 *c2,
             return 2;
         }
         if (1 + (c1[i] >= 0) + (c2[i] >= 0) + (t2[i] >= 0) +
-                (indptr[i + 1] - indptr[i]) == 2)
-            pairs[rows++] = c1[i] >= 0 ? c1[i] << 32 | t1[i]
-                                       : t1[i] << 32 | t2[i];
+                (indptr[i + 1] - indptr[i]) == 2) {
+            i64 a = c1[i] >= 0 ? c1[i] : t1[i];
+            i64 b = c1[i] >= 0 ? t1[i] : t2[i];
+            if (a == b) {
+                free(pairs);
+                return 2;
+            }
+            pairs[rows++] = a << 32 | b;
+        }
     }
     i64 size = state[I_SIZE];
-    i64 bound = size + 2 * rows;
-    if (bound > num_qubits * num_qubits)
-        bound = num_qubits * num_qubits;
-    if (bound < size)
-        bound = size;
-    if (bound > key_cap || 2 * bound > slot_cap) {
+    i64 fresh = 2 * rows;
+    if (fresh > num_qubits * num_qubits)
+        fresh = num_qubits * num_qubits;
+    i64 bound = size + fresh;
+    if (bound > key_cap || bound > slot_cap) {
         free(pairs);
         return 3;
     }
-    for (i64 k = state[I_HASHED]; k < size; k++) {
-        i64 *slot = iig_slot(slots, slot_cap, keys[k]);
-        slot[0] = keys[k] + 1;
+    for (i64 k = state[I_HASHED]; k < size; k += 2) {
+        i64 pair = iig_pair(keys[k] >> 32, keys[k] & 0xFFFFFFFFLL);
+        i64 *slot = iig_slot(slots, slot_cap, pair);
+        slot[0] = pair + 1;
         slot[1] = k;
     }
     for (i64 r = 0; r < rows; r++) {
         i64 a = pairs[r] >> 32, b = pairs[r] & 0xFFFFFFFFLL;
-        iig_add(keys, counts, slots, slot_cap, &size, pairs[r]);
-        iig_add(keys, counts, slots, slot_cap, &size, b << 32 | a);
+        i64 pair = iig_pair(a, b);
+        i64 *slot = iig_slot(slots, slot_cap, pair);
+        if (!slot[0]) {
+            slot[0] = pair + 1;
+            slot[1] = size;
+            keys[size] = pairs[r];
+            keys[size + 1] = b << 32 | a;
+            counts[size] = counts[size + 1] = 0;
+            size += 2;
+        }
+        counts[slot[1]] += 1;
+        counts[slot[1] + 1] += 1;
     }
     free(pairs);
     state[I_SIZE] = size;
     state[I_HASHED] = size;
-    return 0;
-}
-
-/* IIGAccumulator.finish over the first size keys: CSR rows for
- * num_rows sources (indptr has num_rows + 1 entries), each listing its
- * neighbours and weights in first-interaction order (a stable counting
- * sort by source).  Returns 2 for a source outside the rows. */
-int leqa_iig_rows(i64 size, const i64 *keys, const i64 *counts,
-                  i64 num_rows, i64 *indptr, i64 *indices, i64 *weights) {
-    for (i64 k = 0; k < size; k++)
-        if ((keys[k] >> 32) >= num_rows)
-            return 2;
-    for (i64 q = 0; q <= num_rows; q++)
-        indptr[q] = 0;
-    for (i64 k = 0; k < size; k++)
-        indptr[(keys[k] >> 32) + 1] += 1;
-    for (i64 q = 0; q < num_rows; q++)
-        indptr[q + 1] += indptr[q];
-    /* indptr[q] serves as row q's write cursor, ending at row q + 1's
-     * start; shifting the cursors up restores the row starts. */
-    for (i64 k = 0; k < size; k++) {
-        i64 at = indptr[keys[k] >> 32]++;
-        indices[at] = keys[k] & 0xFFFFFFFFLL;
-        weights[at] = counts[k];
-    }
-    for (i64 q = num_rows; q > 0; q--)
-        indptr[q] = indptr[q - 1];
-    indptr[0] = 0;
     return 0;
 }
 

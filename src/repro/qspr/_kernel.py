@@ -137,8 +137,7 @@ def load() -> ctypes.CDLL:
         # Every entry returns an int status except the backtrack.
         for entry in (
             "leqa_schedule", "leqa_critical_chunk", "leqa_critical_lengths",
-            "leqa_peephole_chunk", "leqa_iig_count", "leqa_iig_rows",
-            "leqa_place_iig_greedy",
+            "leqa_peephole_chunk", "leqa_iig_count", "leqa_place_iig_greedy",
         ):
             getattr(lib, entry).restype = ctypes.c_int
         # num_ops, num_qubits; op_q0, op_q1, op_delay, visit_order; width,
@@ -166,8 +165,6 @@ def load() -> ctypes.CDLL:
         lib.leqa_iig_count.argtypes = (
             [i64, i64] + [ptr] * 7 + [i64, ptr, i64, ptr]
         )
-        # size, keys, counts, num_rows; indptr, indices, weights (out).
-        lib.leqa_iig_rows.argtypes = [i64, ptr, ptr, i64, ptr, ptr, ptr]
         # num_qubits, entries; the IIG's CSR rows and weight sums; width,
         # height; the columns and rows placed (out).
         lib.leqa_place_iig_greedy.argtypes = (
@@ -568,11 +565,12 @@ class PairCounter:
     """The pair count of :class:`~repro.qodg.iig.IIGAccumulator`,
     compiled: each chunk's two-qubit rows count their directed keys
     ``a << 32 | b`` and ``b << 32 | a`` in one hashed pass, and
-    :meth:`rows` sorts them into CSR rows by source.
+    :meth:`pairs` hands out the keys and their counts.
 
     ``keys``/``counts`` hold ``state[0]`` keys in first-interaction
-    order and ``slots`` hashes the first ``state[1]`` of them; the C
-    entry updates them in place.
+    order, each pair's two directions side by side, and ``slots`` hashes
+    the pairs among the first ``state[1]`` of them; the C entry updates
+    them in place.
     """
 
     __slots__ = ("keys", "counts", "slots", "state")
@@ -583,8 +581,9 @@ class PairCounter:
 
     def update(self, table) -> None:
         """Count one :class:`~repro.circuits.table.GateTable` chunk;
-        :class:`ValueError` for columns of unequal length or an operand
-        outside its register leaves the counts untouched."""
+        :class:`ValueError` for columns of unequal length, an operand
+        outside its register or a repeated one leaves the counts
+        untouched."""
         lib = load()
         columns = [array.ctypes.data for array in _table_columns(table)[:5]]
         n = len(table.kind)
@@ -592,17 +591,18 @@ class PairCounter:
             self.keys, self.counts, self.slots, self.state
         )
         size = int(state[0])
-        # Keys are pairs of register qubits, at most two new ones a row.
-        needed = max(min(size + 2 * n, table.num_qubits**2), size)
+        # At most two new keys a row, each a pair of this chunk's
+        # register; the keys held may come from a larger one.
+        needed = size + min(2 * n, table.num_qubits**2)
         if needed > len(keys):
             # Grown into new buffers, adopted only once the C entry
             # accepts the chunk.  The slots, (key + 1, index) pairs, a
-            # power of two at least twice the keys, start empty and the
+            # power of two at least twice the pairs, start empty and the
             # entry re-hashes the keys.
             room = max(needed, 2 * len(keys))
             keys = _with_room(keys, size, room)
             counts = _with_room(counts, size, room)
-            slots = np.zeros(2 << (2 * room - 1).bit_length(), np.int64)
+            slots = np.zeros(2 << (room - 1).bit_length(), np.int64)
             state = np.array([size, 0], dtype=np.int64)
         _check(
             lib.leqa_iig_count(
@@ -611,27 +611,17 @@ class PairCounter:
                 len(slots) // 2, state.ctypes.data,
             ),
             "IIG pair count",
-            {2: "operand outside the register"},
+            {2: "operand outside the register or repeated"},
         )
         self.keys, self.counts, self.slots, self.state = (
             keys, counts, slots, state
         )
 
-    def rows(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The counts as ``count`` CSR rows ``(indptr, indices, weights)``,
-        each listing a source's partners in first-interaction order."""
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys counted so far in first-interaction order, and their
+        counts."""
         size = int(self.state[0])
-        indptr = np.empty(count + 1, dtype=np.int64)
-        indices, weights = np.empty((2, size), dtype=np.int64)
-        _check(
-            load().leqa_iig_rows(
-                size, self.keys.ctypes.data, self.counts.ctypes.data, count,
-                indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
-            ),
-            "IIG rows",
-            {2: "a pair's qubit is outside the rows"},
-        )
-        return indptr, indices, weights
+        return self.keys[:size], self.counts[:size]
 
 
 def place_iig_greedy(iig, tqa) -> list[tuple[int, int]]:

@@ -282,8 +282,9 @@ def chunk_of(table: GateTable, lo: int, hi: int, names) -> GateTable:
 @st.composite
 def chunked_ft_tables(draw):
     """A random FT table (1–12 qubits, 0–200 gates, one- and two-qubit
-    rows) cut at random points into chunks (empty ones included) whose
-    register grows from the chunk's highest operand up to the full one."""
+    rows) cut at random points into chunks (empty ones included), each
+    under a register drawn from its highest operand up to the full one,
+    so the register grows and shrinks between chunks."""
     num_qubits = draw(st.integers(1, 12))
     gate_count = draw(st.integers(0, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -300,13 +301,12 @@ def chunked_ft_tables(draw):
     cuts = sorted(draw(st.lists(st.integers(0, gate_count), max_size=8)))
     bounds = [0, *cuts, gate_count]
     names = table.qubit_names
-    seen = 0
     chunks = []
     for lo, hi in zip(bounds, bounds[1:]):
         rows = table.ctrl[lo:hi], table.target[lo:hi]
         highest = max((int(col.max()) for col in rows if len(col)), default=-1)
-        seen = max(seen, highest + 1, draw(st.integers(0, num_qubits)))
-        chunks.append(chunk_of(table, lo, hi, names[:seen]))
+        register = max(highest + 1, draw(st.integers(0, num_qubits)))
+        chunks.append(chunk_of(table, lo, hi, names[:register]))
     return table, chunks
 
 
@@ -320,12 +320,31 @@ class TestNativePairCount:
         assert_same_iig(native, fold(chunks, _PairFold()))
         whole = fold([table], _kernel.PairCounter())
         # Only the register size may differ: a chunked register stops at
-        # the last chunk's.
+        # the largest chunk's.
         assert np.array_equal(
             native.indptr, whole.indptr[: native.num_qubits + 1]
         )
         assert np.array_equal(native.indices, whole.indices)
         assert np.array_equal(native.weights, whole.weights)
+
+    @needs_kernel
+    def test_smaller_register_after_full_buffers(self):
+        # The first chunk fills its buffers exactly with pairs outside
+        # the second chunk's register: the second chunk's new keys must
+        # still find room.
+        wide = Circuit(100)
+        wide.extend(cnot(10 + 2 * i, 11 + 2 * i) for i in range(5))
+        narrow = Circuit(3)
+        narrow.append(cnot(0, 1))
+        counter, reference = _kernel.PairCounter(), _PairFold()
+        counter.update(wide.table())
+        assert len(counter.keys) == int(counter.state[0]) == 10
+        counter.update(narrow.table())
+        for chunk in (wide, narrow):
+            reference.update(chunk.table())
+        for got, want in zip(counter.pairs(), reference.pairs()):
+            assert np.array_equal(got, want)
+        assert len(counter.pairs()[0]) == 12
 
     @needs_kernel
     def test_growth_keeps_first_interaction_order(self):
@@ -349,7 +368,7 @@ class TestNativePairCount:
     @pytest.mark.parametrize(
         "column, value",
         [("target", 3), ("target", -1), ("ctrl", 3), ("ctrl", -2),
-         ("target2", 7)],
+         ("target2", 7), ("target", 0)],
     )
     def test_out_of_range_operand_leaves_counts_untouched(self, column, value):
         good = Circuit(3)
