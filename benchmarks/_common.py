@@ -15,14 +15,22 @@ out).  The helpers here keep the methodology consistent:
   a few hundred thousand operations (minutes of wall clock).  Set the
   environment variable ``REPRO_FULL=1`` to run all 18 rows including the
   3M-operation ``gf2^256mult``.
+* **Host-normalized speed gates** — a speed bar is an absolute time or
+  rate on a named path, scaled by the frozen perfbench probe timed next
+  to each measured round (:func:`normalized_seconds`), not a ratio to a
+  second implementation kept alive to divide by.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
+import statistics
+import time
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis.calibration import calibrate_qubit_speed
 from repro.circuits.circuit import Circuit
@@ -41,6 +49,50 @@ CALIBRATION_BENCHMARK = "gf2^16mult"
 #: unlocks the rest (hwb100ps, gf2^100mult, hwb200ps, gf2^128mult,
 #: gf2^256mult).
 DEFAULT_ROWS: tuple[str, ...] = PAPER_TABLE3_ORDER[:13]
+
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_probe() -> Callable[[], float]:
+    """``probe_ms`` of the frozen ``perfbench/probe.py``, loaded from its
+    file (the benches do not import the perfbench package)."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_probe", _PERFBENCH / "probe.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.probe_ms
+
+
+_probe_ms = _load_probe()
+
+#: The probe time (ms) of perfbench's reference host: normalized times
+#: read as seconds on a host whose probe takes this long.
+REF_PROBE_MS = float(
+    json.loads((_PERFBENCH / "spec.json").read_text())["ref_probe_ms"]
+)
+
+
+def normalized_seconds(run: Callable[[], object], rounds: int = 1) -> float:
+    """Best of ``rounds`` calls of ``run``, in seconds on the reference
+    host.
+
+    Each round's CPU time is scaled by ``REF_PROBE_MS / probe``, with
+    ``probe`` the median of three runs of the frozen probe taken right
+    after the round (perfbench's normalization), so the fast and slow
+    phases of a shared host divide out of the time a gate asserts.  The
+    probe reads a CPU clock, so the round does too: time the host spent
+    running other processes counts in neither.
+    """
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.process_time()
+        run()
+        cpu = time.process_time() - started
+        probe = statistics.median(_probe_ms() for _ in range(3))
+        best = min(best, cpu * REF_PROBE_MS / probe)
+    return best
 
 
 def selected_rows() -> tuple[str, ...]:

@@ -2,22 +2,24 @@
 
 The acceptance bar for the execution engine: a cached fabric-size sweep
 over one benchmark must perform FT synthesis and IIG construction
-*exactly once* for the whole grid, and beat the naive loop — which
-rebuilds the netlist and interaction graph from scratch at every point,
-as `examples/fabric_sizing.py` and every sweep caller did before the
-engine existed — by at least 2x wall clock.
+*exactly once* for the whole grid, give the naive loop's latencies
+point for point, and run in at most half the time of the naive loop —
+which rebuilt the netlist and interaction graph from scratch at every
+point on the object synthesis, as `examples/fabric_sizing.py` and every
+sweep caller did before the engine existed.  That loop's time is a
+frozen, host-normalized constant (:data:`NAIVE_OBJECT_SECONDS`), and
+the sweep is timed the same way (``_common.normalized_seconds``).
 
 Methodology note: the module-level coverage-series memo
-(repro.core.coverage) is cleared between the two timed runs — the loops
-visit the same (Q, a, b, B, k) keys, so whichever ran second would
-otherwise get its Eq. 4 series for free and the comparison would partly
-measure the memo instead of the engine's staged cache.
+(repro.core.coverage) is cleared before every timed sweep — the loops
+visit the same (Q, a, b, B, k) keys, so a second run would otherwise
+get its Eq. 4 series for free and partly measure the memo instead of
+the engine's staged cache.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.circuits.decompose import synthesize_ft
 from repro.circuits.library import build
@@ -26,56 +28,50 @@ from repro.core.estimator import LEQAEstimator
 from repro.engine import ArtifactCache, BatchRunner, sweep_fabric_sizes
 from repro.fabric.params import DEFAULT_PARAMS
 
-from _common import selected_rows
+from _common import normalized_seconds, selected_rows
 
 # hwb's MCT-heavy decomposition makes FT synthesis the dominant per-point
 # cost of the naive loop, which is exactly what the cache amortizes.
-# REPRO_SMOKE=1 (the CI smoke job) halves the grid; the speedup bar is
-# unchanged because the naive loop's per-point rebuild cost is flat.
+# REPRO_SMOKE=1 (the CI smoke job) drops one grid point.
+SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 BENCH = "hwb15ps"
-SIZES = (
-    (10, 14, 20, 40, 60)
-    if os.environ.get("REPRO_SMOKE") == "1"
-    else (10, 14, 20, 28, 40, 60)
-)
+SIZES = (10, 14, 20, 40, 60) if SMOKE else (10, 14, 20, 28, 40, 60)
+
+#: The naive loop on the object synthesis over :data:`SIZES`, in
+#: normalized seconds: the median over 12 processes of one run each,
+#: measured with ``normalized_seconds`` on a 2-vCPU VM before the object
+#: synthesis was deleted (quartiles 215/239 ms full, 176/200 ms smoke).
+NAIVE_OBJECT_SECONDS = 0.1873 if SMOKE else 0.2277
+
+#: Asserted floor for the cached sweep over the naive loop.
+SPEEDUP_FLOOR = 2.0
 
 
 def _naive_sweep() -> list[float]:
-    """The pre-engine loop: full rebuild (synthesis + IIG) per point.
-
-    Pinned to the legacy object-walking synthesis — the flow every sweep
-    caller actually ran before the engine existed, and the fixed
-    historical baseline this bench's 2x bar was set against.  (The
-    array-native GateTable front-end has since made per-point rebuilds
-    themselves ~9x cheaper — benchmarks/test_frontend_speed.py tracks
-    that win separately.)
-    """
+    """The pre-engine loop: full rebuild (synthesis + IIG) per point."""
     latencies = []
     for size in SIZES:
-        # FT synthesis from the raw netlist, object path.
-        circuit = synthesize_ft(build(BENCH), engine="legacy")
+        circuit = synthesize_ft(build(BENCH))
         params = DEFAULT_PARAMS.with_fabric(size, size)
         estimate = LEQAEstimator(params=params).estimate(circuit)
         latencies.append(estimate.latency)
     return latencies
 
 
-def test_cached_batch_sweep_speedup():
-    # Warm the generator-level work both paths share (building the raw
-    # synthesis circuit is *charged* to both loops; only caching differs).
-    build(BENCH)
-
-    _surfaces_memo.cache_clear()
-    started = time.perf_counter()
-    naive_latencies = _naive_sweep()
-    naive_seconds = time.perf_counter() - started
-
+def _cached_sweep():
+    """One engine sweep over a fresh cache: ``(results, cache)``."""
     _surfaces_memo.cache_clear()
     cache = ArtifactCache()
     runner = BatchRunner(workers=1, cache=cache)
-    started = time.perf_counter()
-    results = sweep_fabric_sizes(BENCH, SIZES, runner=runner)
-    cached_seconds = time.perf_counter() - started
+    return sweep_fabric_sizes(BENCH, SIZES, runner=runner), cache
+
+
+def test_cached_batch_sweep_speedup():
+    # Warm the generator-level work both loops share.
+    build(BENCH)
+    _surfaces_memo.cache_clear()
+    naive_latencies = _naive_sweep()
+    results, cache = _cached_sweep()
 
     # Same numbers, in submission order.
     assert all(point.ok for point in results)
@@ -94,15 +90,17 @@ def test_cached_batch_sweep_speedup():
     assert stats.hit_count("zones") == len(SIZES) - 1
     assert stats.miss_count("circuit") == 1
 
-    speedup = naive_seconds / max(cached_seconds, 1e-9)
+    seconds = normalized_seconds(_cached_sweep)
+    bar = NAIVE_OBJECT_SECONDS / SPEEDUP_FLOOR
     print(
-        f"\nE1 - fabric sweep over {BENCH}, {len(SIZES)} points: "
-        f"naive {naive_seconds:.3f} s, engine {cached_seconds:.3f} s "
-        f"({speedup:.1f}x)"
+        f"\nE1 - fabric sweep over {BENCH}, {len(SIZES)} points: engine "
+        f"{seconds * 1000:.1f} ms normalized (bar {bar * 1000:.1f} ms; "
+        f"naive object loop {NAIVE_OBJECT_SECONDS * 1000:.1f} ms, "
+        f"{NAIVE_OBJECT_SECONDS / seconds:.1f}x)"
     )
-    assert speedup >= 2.0, (
-        f"cached batch sweep only {speedup:.2f}x faster than the naive "
-        "per-point loop"
+    assert seconds <= bar, (
+        f"cached batch sweep at {seconds * 1000:.1f} ms normalized, over "
+        f"half the naive loop's {NAIVE_OBJECT_SECONDS * 1000:.1f} ms"
     )
 
 

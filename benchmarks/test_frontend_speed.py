@@ -1,45 +1,62 @@
-"""Array-native front-end speedup: GateTable passes vs the object path.
+"""Array-native front-end speed: the cold path as a host-normalized time.
 
 The cold-start pipeline every estimate pays once per circuit — parse the
 netlist, lower it to the FT gate set, build the QODG CSR core and the
 IIG — used to be Gate-object traffic end to end.  This bench pins the
-GateTable refactor's contract on the largest circuit of the default
+GateTable front-end's contract on the largest circuit of the default
 benchmark subset:
 
-* **identical artifacts** — the table path must produce the same FT gate
-  count, the same QODG CSR arrays and the same IIG arrays as the legacy
-  object path, and
-* **speed** — cold parse+lower+build must run at least 4x faster than
-  the object path.
+* **identical artifacts** — the FT netlist's fingerprint and the QODG's
+  CSR arrays match digests recorded from the object path, and
+* **speed** — the best-of-rounds probe-normalized cold time (see
+  ``_common.normalized_seconds``) is at most the object path's, measured
+  the same way before it was deleted, divided by the stronger of
+  :data:`SPEEDUP_FLOOR` and the speedup recorded in
+  ``BENCH_frontend.json`` over :data:`REGRESSION_FACTOR` (the
+  perf-trajectory guard the CI smoke job relies on).
 
-Each run fails if the speedup regressed by more than 2x against the
-baseline committed in ``BENCH_frontend.json`` — the perf-trajectory
-guard the CI smoke job relies on.  The run never rewrites that file.
+The run never rewrites ``BENCH_frontend.json``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
-import time
 
-import numpy as np
-
-from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import synthesize_ft
 from repro.circuits.library import build
 from repro.circuits.parser import reads_real, writes_real
 from repro.qodg.graph import build_qodg
 from repro.qodg.iig import build_iig
 
-from _common import (
-    recorded_frontend_speedup,
-)
+from _common import normalized_seconds, recorded_frontend_speedup
 
 #: Largest Table-3 row of the default (non-REPRO_FULL) bench subset that
-#: the legacy object path still lowers in interactive time; the smoke
-#: configuration drops to the calibration benchmark.
+#: the object path lowered in interactive time; the smoke configuration
+#: drops to the calibration benchmark.
 FULL_BENCH = "gf2^20mult"
 SMOKE_BENCH = "gf2^16mult"
+
+#: Per configuration: the FT table's ``fingerprint()`` and the blake2b-16
+#: of its QODG's six CSR arrays (field order), recorded from the object
+#: synthesis and threading after asserting that the table path agreed.
+FROZEN_DIGESTS = {
+    "full": (
+        "a399d0c6c1120745671236699ad07041",
+        "527fc4f7a314a3021848de6a13a0ceea",
+    ),
+    "smoke": (
+        "b62e9952b7dc26333de458066088c5f4",
+        "19344aa7f0bb470a4164aafee406cf9b",
+    ),
+}
+
+#: The object path's cold time (object parse, object FT synthesis,
+#: object QODG and IIG) in normalized seconds: the median over 12
+#: processes of its best of 3 (full) or 2 (smoke) rounds, measured with
+#: ``normalized_seconds`` on a 2-vCPU VM before the object path was
+#: deleted (quartiles 52.3/59.8 ms full, 57.9/62.5 ms smoke).
+OBJECT_PATH_SECONDS = {"full": 0.05569, "smoke": 0.06124}
 
 #: Asserted floor for the table path over the object path.
 SPEEDUP_FLOOR = 4.0
@@ -47,82 +64,47 @@ SPEEDUP_FLOOR = 4.0
 #: A recorded-baseline regression beyond this factor fails the bench.
 REGRESSION_FACTOR = 2.0
 
-
-def _object_backed(circuit: Circuit) -> Circuit:
-    """Strip the table backing so every legacy code path runs."""
-    clone = Circuit(0, circuit.name)
-    clone._qubit_names = list(circuit.qubit_names)
-    clone._index_by_name = {
-        name: i for i, name in enumerate(circuit.qubit_names)
-    }
-    clone._gates = list(circuit.gates)
-    return clone
-
-
-def _legacy_cold(text: str):
-    """Object path: object parse -> object FT synthesis -> object threading."""
-    started = time.perf_counter()
-    circuit = _object_backed(reads_real(text))
-    ft = _object_backed(synthesize_ft(circuit, engine="legacy"))
-    qodg = build_qodg(ft)
-    iig = build_iig(ft)
-    return time.perf_counter() - started, ft, qodg, iig
+FIELDS = ("pred_indptr", "pred_indices", "succ_indptr", "succ_indices",
+          "qubit_indptr", "qubit_ops")
 
 
 def _table_cold(text: str):
-    """Table path: table parse -> table passes -> vectorized CSR builds."""
-    started = time.perf_counter()
+    """Table parse -> table passes -> vectorized CSR builds."""
     circuit = reads_real(text)
-    ft = synthesize_ft(circuit, engine="table")
-    qodg = build_qodg(ft)
-    iig = build_iig(ft)
-    return time.perf_counter() - started, ft, qodg, iig
+    ft = synthesize_ft(circuit)
+    return ft, build_qodg(ft), build_iig(ft)
 
 
 def test_frontend_speed_and_equivalence(benchmark):
     smoke = os.environ.get("REPRO_SMOKE") == "1"
+    key = "smoke" if smoke else "full"
     bench = SMOKE_BENCH if smoke else FULL_BENCH
     rounds = 2 if smoke else 3
     text = writes_real(build(bench))
 
-    legacy_wall, legacy_ft, legacy_qodg, legacy_iig = _legacy_cold(text)
-    table_wall, table_ft, table_qodg, table_iig = _table_cold(text)
+    ft, qodg, _ = _table_cold(text)
+    arrays = b"".join(getattr(qodg, field).tobytes() for field in FIELDS)
+    assert (
+        ft.content_fingerprint(),
+        hashlib.blake2b(arrays, digest_size=16).hexdigest(),
+    ) == FROZEN_DIGESTS[key]
 
-    # Identical artifacts: FT netlist, QODG CSR arrays, IIG arrays.
-    assert len(table_ft) == len(legacy_ft)
-    assert table_ft.qubit_names == legacy_ft.qubit_names
-    assert table_ft.content_fingerprint() == legacy_ft.content_fingerprint()
-    for field in ("pred_indptr", "pred_indices", "succ_indptr",
-                  "succ_indices", "qubit_indptr", "qubit_ops"):
-        assert np.array_equal(
-            getattr(table_qodg, field), getattr(legacy_qodg, field)
-        ), field
-    for field in ("indptr", "indices", "weights", "degrees", "weight_sums"):
-        assert np.array_equal(
-            getattr(table_iig, field), getattr(legacy_iig, field)
-        ), field
-
-    for _ in range(rounds - 1):
-        legacy_wall = min(legacy_wall, _legacy_cold(text)[0])
-        table_wall = min(table_wall, _table_cold(text)[0])
-    speedup = legacy_wall / table_wall
-    print(
-        f"\nfront-end speedup on {bench}: {speedup:.2f}x "
-        f"(legacy {legacy_wall * 1000:.1f} ms, table "
-        f"{table_wall * 1000:.1f} ms, {len(table_ft)} FT gates)"
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"table front-end only {speedup:.2f}x faster than the object path "
-        f"(floor {SPEEDUP_FLOOR}x)"
-    )
-
-    key = "smoke" if smoke else "full"
+    seconds = normalized_seconds(lambda: _table_cold(text), rounds)
+    factor = SPEEDUP_FLOOR
     baseline = recorded_frontend_speedup(key)
     if baseline is not None:
-        assert speedup >= baseline / REGRESSION_FACTOR, (
-            f"front-end speedup regressed more than {REGRESSION_FACTOR}x: "
-            f"{speedup:.2f}x now vs {baseline:.2f}x recorded"
-        )
+        factor = max(factor, baseline / REGRESSION_FACTOR)
+    bar = OBJECT_PATH_SECONDS[key] / factor
+    print(
+        f"\nfront-end cold path on {bench}: {seconds * 1000:.2f} ms "
+        f"normalized (bar {bar * 1000:.2f} ms = object path "
+        f"{OBJECT_PATH_SECONDS[key] * 1000:.1f} ms / {factor:.3f}; "
+        f"{OBJECT_PATH_SECONDS[key] / seconds:.1f}x), {len(ft)} FT gates"
+    )
+    assert seconds <= bar, (
+        f"table front-end at {seconds * 1000:.2f} ms normalized, over its "
+        f"bar of {bar * 1000:.2f} ms ({factor:.3f}x under the object path)"
+    )
 
     benchmark.pedantic(
         lambda: _table_cold(text), rounds=1, iterations=1

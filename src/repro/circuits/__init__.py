@@ -63,7 +63,6 @@ from .table import (
     TableBuilder,
     lower_ft,
     optimize_table,
-    table_from_gates,
 )
 from .simulate import (
     circuit_unitary,

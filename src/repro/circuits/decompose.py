@@ -15,26 +15,29 @@ The paper's benchmark flow (section 4.1) is reproduced stage by stage:
    (Nielsen & Chuang Fig. 4.9 / Shende & Markov, the paper's ref [21]).
    This is exactly the realization drawn in the paper's Figure 2(a).
 
-After :func:`synthesize_ft` every gate belongs to
+Each stage is written once, as a table pass of
+:mod:`repro.circuits.table` (the streamed front-end runs the same passes
+chunk by chunk); the functions here apply them to a circuit's
+:class:`~repro.circuits.table.GateTable` and wrap the result, so no Gate
+objects are built.  After :func:`synthesize_ft` every gate belongs to
 :data:`repro.circuits.gates.FT_KINDS`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from typing import List
 
-from ..exceptions import DecompositionError
 from .circuit import Circuit
-from .gates import (
-    FT_KINDS,
-    Gate,
-    GateKind,
-    cnot,
-    fredkin,
-    h,
-    t,
-    tdg,
-    toffoli,
+from .gates import Gate
+from .table import (
+    GateTable,
+    TableBuilder,
+    _McExpandCarry,
+    eliminate_fredkin_table,
+    eliminate_swap_table,
+    emit_toffoli_ft,
+    lower_ft,
+    lower_toffoli_table,
 )
 
 __all__ = [
@@ -52,66 +55,11 @@ __all__ = [
 TOFFOLI_FT_GATE_COUNT = 15
 
 
-class _AncillaAllocator:
-    """Allocates ancilla qubits on a circuit.
-
-    In paper-faithful mode (``share=False``) every request allocates fresh
-    qubits.  In sharing mode a free-pool is reused across requests, which
-    models the "ancilla sharing" optimization the paper explicitly does
-    *not* perform — exposed for ablation studies.
-    """
-
-    def __init__(self, circuit: Circuit, share: bool) -> None:
-        self._circuit = circuit
-        self._share = share
-        self._pool: List[int] = []
-        self._counter = 0
-
-    def take(self, count: int) -> List[int]:
-        """Return ``count`` ancilla qubit indices (clean, i.e. |0>)."""
-        taken: List[int] = []
-        if self._share:
-            while self._pool and len(taken) < count:
-                taken.append(self._pool.pop())
-        while len(taken) < count:
-            name = f"anc{self._counter}"
-            while self._circuit.has_qubit(name):
-                self._counter += 1
-                name = f"anc{self._counter}"
-            taken.append(self._circuit.add_qubit(name))
-            self._counter += 1
-        return taken
-
-    def release(self, qubits: Iterable[int]) -> None:
-        """Return ancillas to the pool (only meaningful when sharing)."""
-        if self._share:
-            self._pool.extend(qubits)
-
-
-def _mct_chain(
-    controls: tuple[int, ...],
-    target_gate: Callable[[int], List[Gate]],
-    alloc: _AncillaAllocator,
-) -> List[Gate]:
-    """Ancilla-chain conjunction of ``controls``, then ``target_gate``.
-
-    Computes ``a_1 = c_1 AND c_2``, ``a_i = a_{i-1} AND c_{i+1}`` into a
-    chain of clean ancillas, applies ``target_gate(a_last)`` (a callable so
-    Fredkin and Toffoli terminals share this helper), then uncomputes the
-    chain, restoring the ancillas to |0>.
-    """
-    k = len(controls)
-    if k < 2:
-        raise DecompositionError("ancilla chain requires at least 2 controls")
-    ancillas = alloc.take(k - 1)
-    compute: List[Gate] = [toffoli(controls[0], controls[1], ancillas[0])]
-    for i in range(2, k):
-        compute.append(toffoli(ancillas[i - 2], controls[i], ancillas[i - 1]))
-    gates = list(compute)
-    gates.extend(target_gate(ancillas[-1]))
-    gates.extend(reversed(compute))
-    alloc.release(ancillas)
-    return gates
+def _wrap(circuit: Circuit, table: GateTable) -> Circuit:
+    """``table`` as a circuit carrying ``circuit``'s name."""
+    result = Circuit.from_table(table)
+    result.name = circuit.name
+    return result
 
 
 def expand_multi_controlled(
@@ -125,8 +73,9 @@ def expand_multi_controlled(
         Input circuit; may contain any gate kind.
     share_ancillas:
         When ``False`` (paper-faithful default) each multi-controlled gate
-        allocates fresh ancilla qubits.  When ``True`` ancillas are pooled
-        and reused, shrinking the qubit count (ablation mode).
+        allocates fresh ancilla qubits (named ``anc<k>``).  When ``True``
+        ancillas are pooled and reused, shrinking the qubit count
+        (ablation mode).
 
     Returns
     -------
@@ -137,32 +86,9 @@ def expand_multi_controlled(
         chain); a k-control Fredkin uses ``k - 1`` ancillas, ``2(k - 1)``
         Toffolis and one Fredkin.
     """
-    result = circuit.copy(name=circuit.name)
-    result._gates = []  # rebuild gate list; qubit register is kept
-    alloc = _AncillaAllocator(result, share_ancillas)
-    for gate in circuit:
-        if gate.kind is GateKind.MCT:
-            # Conjoin the first k-1 controls into k-2 ancillas, then a
-            # terminal Toffoli on (a_last, c_k; target): 2k-3 Toffolis.
-            target = gate.targets[0]
-            last_control = gate.controls[-1]
-            expansion = _mct_chain(
-                gate.controls[:-1],
-                lambda a, _c=last_control, _t=target: [toffoli(a, _c, _t)],
-                alloc,
-            )
-            result.extend(expansion)
-        elif gate.kind is GateKind.MCF:
-            t1, t2 = gate.targets
-            expansion = _mct_chain(
-                gate.controls,
-                lambda a, _t1=t1, _t2=t2: [fredkin(a, _t1, _t2)],
-                alloc,
-            )
-            result.extend(expansion)
-        else:
-            result.append(gate)
-    return result
+    table = circuit.table()
+    carry = _McExpandCarry(table.qubit_names, share_ancillas)
+    return _wrap(circuit, carry.expand_chunk(table))
 
 
 def eliminate_fredkin(circuit: Circuit) -> Circuit:
@@ -173,31 +99,12 @@ def eliminate_fredkin(circuit: Circuit) -> Circuit:
     This matches the paper: "The resultant 3-input Fredkin gates are
     replaced by three 3-input Toffoli gates."
     """
-    result = circuit.copy()
-    result._gates = []
-    for gate in circuit:
-        if gate.kind is GateKind.FREDKIN:
-            c = gate.controls[0]
-            qx, qy = gate.targets
-            result.extend(
-                [toffoli(c, qx, qy), toffoli(c, qy, qx), toffoli(c, qx, qy)]
-            )
-        else:
-            result.append(gate)
-    return result
+    return _wrap(circuit, eliminate_fredkin_table(circuit.table()))
 
 
 def eliminate_swap(circuit: Circuit) -> Circuit:
     """Replace each unconditional SWAP by the standard three CNOTs."""
-    result = circuit.copy()
-    result._gates = []
-    for gate in circuit:
-        if gate.kind is GateKind.SWAP:
-            qx, qy = gate.targets
-            result.extend([cnot(qx, qy), cnot(qy, qx), cnot(qx, qy)])
-        else:
-            result.append(gate)
-    return result
+    return _wrap(circuit, eliminate_swap_table(circuit.table()))
 
 
 def toffoli_to_ft_gates(control1: int, control2: int, target: int) -> List[Gate]:
@@ -208,55 +115,24 @@ def toffoli_to_ft_gates(control1: int, control2: int, target: int) -> List[Gate]
     surrounding circuit it reproduces the gate sequence drawn in the
     paper's Figure 2(a).
     """
-    a, b, c = control1, control2, target
-    return [
-        h(c),
-        cnot(b, c),
-        tdg(c),
-        cnot(a, c),
-        t(c),
-        cnot(b, c),
-        tdg(c),
-        cnot(a, c),
-        t(b),
-        t(c),
-        cnot(a, b),
-        h(c),
-        t(a),
-        tdg(b),
-        cnot(a, b),
-    ]
+    builder = TableBuilder(max(control1, control2, target) + 1)
+    emit_toffoli_ft(builder, control1, control2, target)
+    return list(builder.finish().to_gates())
 
 
 def lower_toffoli(circuit: Circuit) -> Circuit:
     """Expand every 3-input Toffoli into its 15-gate FT realization."""
-    result = circuit.copy()
-    result._gates = []
-    for gate in circuit:
-        if gate.kind is GateKind.TOFFOLI:
-            c1, c2 = gate.controls
-            result.extend(toffoli_to_ft_gates(c1, c2, gate.targets[0]))
-        else:
-            result.append(gate)
-    return result
+    return _wrap(circuit, lower_toffoli_table(circuit.table()))
 
 
-def synthesize_ft(
-    circuit: Circuit, share_ancillas: bool = False, engine: str = "table"
-) -> Circuit:
+def synthesize_ft(circuit: Circuit, share_ancillas: bool = False) -> Circuit:
     """Run the complete FT synthesis pipeline of the paper's section 4.1.
 
     Stages: multi-controlled expansion, SWAP elimination, Fredkin
-    elimination, Toffoli lowering.  The output contains only gates from the
-    fault-tolerant set {X, Y, Z, H, S, S†, T, T†, CNOT}.
-
-    ``engine`` selects the implementation: ``"table"`` (default) runs the
-    vectorized template-expansion passes of
-    :mod:`repro.circuits.table` over the circuit's flat
-    :class:`~repro.circuits.table.GateTable` and returns a table-backed
-    circuit (no Gate objects are created); ``"legacy"`` walks Gate
-    objects stage by stage — retained as the bitwise-equivalence oracle
-    (identical gate stream, register and ancilla names).
+    elimination, Toffoli lowering, as the vectorized passes of
+    :func:`repro.circuits.table.lower_ft` over the circuit's flat table.
+    The output contains only gates from the fault-tolerant set {X, Y, Z,
+    H, S, S†, T, T†, CNOT}.
 
     Raises
     ------
@@ -265,27 +141,4 @@ def synthesize_ft(
         (cannot happen for circuits built from this library's gate kinds,
         but guards future extensions).
     """
-    if engine == "table":
-        from .table import lower_ft
-
-        lowered_table = lower_ft(
-            circuit.table(), share_ancillas=share_ancillas
-        )
-        result = Circuit.from_table(lowered_table)
-        result.name = circuit.name
-        return result
-    if engine != "legacy":
-        raise DecompositionError(
-            f"unknown synthesis engine {engine!r}; choose 'table' or 'legacy'"
-        )
-    lowered = expand_multi_controlled(circuit, share_ancillas=share_ancillas)
-    lowered = eliminate_swap(lowered)
-    lowered = eliminate_fredkin(lowered)
-    lowered = lower_toffoli(lowered)
-    for gate in lowered:
-        if gate.kind not in FT_KINDS:
-            raise DecompositionError(
-                f"gate kind {gate.kind.value!r} survived FT synthesis"
-            )
-    lowered.name = circuit.name
-    return lowered
+    return _wrap(circuit, lower_ft(circuit.table(), share_ancillas))

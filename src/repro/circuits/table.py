@@ -27,19 +27,19 @@ Tables are treated as immutable once built; producers stream rows into a
 :class:`TableBuilder` and call :meth:`TableBuilder.finish`.
 
 On top of the storage the module provides the **table passes** — the FT
-synthesis stages of :mod:`repro.circuits.decompose` re-expressed as
-vectorized template expansions (:func:`lower_ft`) and the peephole
-optimizer of :mod:`repro.circuits.optimize` as a bounded-window scan
-over a table stream (:func:`optimize_table`).  Each is written once, as
-the per-chunk pass that :mod:`repro.circuits.stream` also drives.  The
-peephole scan runs in C, one call per chunk on the table columns, in
-the shared object of :mod:`repro.qspr._kernel`; :func:`peephole` hands
-out that scan, or the Python row scan with a :class:`RuntimeWarning`
-when the object cannot be built or loaded.  FT lowering is
-bitwise-equivalent to the object synthesis of
-:mod:`repro.circuits.decompose` (``engine="legacy"``), asserted across
-the circuit library by ``tests/test_table_equivalence.py``, which also
-pins the peephole's output per case as a frozen table fingerprint.
+synthesis stages (multi-controlled expansion, SWAP and Fredkin
+elimination, Toffoli lowering; :mod:`repro.circuits.decompose` wraps
+each one for circuits) as vectorized template expansions
+(:func:`lower_ft`) and the peephole optimizer of
+:mod:`repro.circuits.optimize` as a bounded-window scan over a table
+stream (:func:`optimize_table`).  Each is written once, as the per-chunk
+pass that :mod:`repro.circuits.stream` also drives.  The peephole scan
+runs in C, one call per chunk on the table columns, in the shared object
+of :mod:`repro.qspr._kernel`; :func:`peephole` hands out that scan, or
+the Python row scan with a :class:`RuntimeWarning` when the object
+cannot be built or loaded.  ``tests/test_table_equivalence.py`` pins the
+FT lowering and the peephole's output per case as frozen table
+fingerprints.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .gates import (
 __all__ = [
     "GateTable",
     "TableBuilder",
-    "table_from_gates",
     "lower_ft",
     "eliminate_swap_table",
     "eliminate_fredkin_table",
@@ -122,10 +121,6 @@ FT_CODE_MASK: np.ndarray = np.zeros(len(KINDS_BY_CODE), dtype=bool)
 for _kind in FT_KINDS:
     FT_CODE_MASK[KIND_CODES[_kind]] = True
 
-_ONE_QUBIT_CODE_MASK: np.ndarray = np.zeros(len(KINDS_BY_CODE), dtype=bool)
-for _kind in ONE_QUBIT_FT_KINDS:
-    _ONE_QUBIT_CODE_MASK[KIND_CODES[_kind]] = True
-
 # Kind codes keyed by ``id(kind)`` for the per-row paths: enum members
 # are singletons, and ``GateKind.__hash__`` is a Python-level call that
 # a ``KIND_CODES[kind]`` lookup or set-membership test pays every row.
@@ -164,19 +159,15 @@ def emit_toffoli_ft(
 ) -> None:
     """Stream the 15-gate FT Toffoli realization into a builder.
 
-    Same template rows as :func:`lower_toffoli_table` (and the object
-    oracle :func:`repro.circuits.decompose.toffoli_to_ft_gates`), so
-    hand-built FT circuits like ``ham3`` stay in lock-step with the
-    synthesis passes.
+    Same template rows as :func:`lower_toffoli_table`, so hand-built FT
+    circuits like ``ham3`` stay in lock-step with the synthesis passes.
     """
     abc = (control1, control2, target)
-    from .gates import KINDS_BY_CODE as _by_code
-
     for code, ctrl_role, tgt_role in _TOF_TEMPLATE:
         if code == _CNOT:
             builder.cnot(abc[ctrl_role], abc[tgt_role])
         else:
-            builder.one_qubit(_by_code[code], abc[tgt_role])
+            builder.one_qubit(KINDS_BY_CODE[code], abc[tgt_role])
 
 
 def _make_gate(
@@ -197,8 +188,10 @@ def _make_gate(
 class GateTable:
     """One circuit as flat parallel arrays over a qubit name pool.
 
-    Construct through :class:`TableBuilder` or :func:`table_from_gates`;
-    the raw-array constructor trusts its inputs (internal passes use it).
+    Construct through :class:`TableBuilder`; the raw-array constructor
+    trusts its inputs (internal passes use it).  A table never changes
+    once built, so its :meth:`fingerprint` and its Gate-object view
+    (:meth:`to_gates`) are computed once and kept.
     """
 
     __slots__ = (
@@ -211,6 +204,8 @@ class GateTable:
         "extra",
         "qubit_names",
         "name",
+        "_fingerprint",
+        "_gates",
     )
 
     def __init__(
@@ -234,6 +229,8 @@ class GateTable:
         self.extra = extra
         self.qubit_names = tuple(qubit_names)
         self.name = str(name)
+        self._fingerprint: str | None = None
+        self._gates: tuple[Gate, ...] | None = None
 
     # -- shape ------------------------------------------------------------
 
@@ -325,8 +322,11 @@ class GateTable:
             self.targets_of(index),
         )
 
-    def to_gates(self) -> List[Gate]:
-        """Materialize the whole table as a gate list (object API bridge)."""
+    def to_gates(self) -> tuple[Gate, ...]:
+        """The whole table as Gate objects (the object API's read-only
+        view), materialized on the first call and kept."""
+        if self._gates is not None:
+            return self._gates
         kinds = self.kind.tolist()
         c1s = self.ctrl.tolist()
         c2s = self.ctrl2.tolist()
@@ -353,7 +353,8 @@ class GateTable:
                 controls = (c1, c2, *rest) if rest else (c1, c2)
             targets = (t1,) if t2 < 0 else (t1, t2)
             append(_make_gate(by_code[code], controls, targets))
-        return gates
+        self._gates = tuple(gates)
+        return self._gates
 
     # -- content hashing ---------------------------------------------------
 
@@ -394,11 +395,15 @@ class GateTable:
         return out
 
     def fingerprint(self) -> str:
-        """Content hash of the register size plus the exact gate stream."""
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(struct.pack("<q", self.num_qubits))
-        digest.update(self.record_stream().tobytes())
-        return digest.hexdigest()
+        """Content hash of the register size plus the exact gate stream
+        (computed once; the store seeds it from an encoded circuit's
+        header)."""
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(struct.pack("<q", self.num_qubits))
+            digest.update(self.record_stream().tobytes())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def same_content(self, other: "GateTable") -> bool:
         """Whether two tables hold identical registers and gate streams."""
@@ -428,11 +433,11 @@ class GateTable:
 class TableBuilder:
     """Streaming gate-table builder: append rows, then :meth:`finish`.
 
-    Mirrors the qubit-management contract of
-    :class:`~repro.circuits.circuit.Circuit` (named registers, collision-
-    free default names) and the arity validation of :class:`Gate`, but
-    stores every appended gate as five integers instead of an object —
-    the producer half of the array-native front-end.
+    Owns the qubit register (named qubits, collision-free default names)
+    and applies the arity validation of :class:`Gate`, but stores every
+    appended gate as five integers instead of an object — the producer
+    half of the array-native front-end, and the mutable half of
+    :class:`~repro.circuits.circuit.Circuit`.
 
     Storage is numpy column buffers grown by **geometric doubling** from
     ``initial_capacity`` (default :data:`_INITIAL_CAPACITY` rows), fed
@@ -492,12 +497,38 @@ class TableBuilder:
         self._extra_counts: list[int] = []
         self._extra: list[int] = []
 
+    @classmethod
+    def from_table(cls, table: GateTable) -> "TableBuilder":
+        """A builder holding ``table``'s register and rows, ready to
+        append more (the columns are copied in bulk)."""
+        n = len(table)
+        builder = cls(
+            table.num_qubits,
+            table.name,
+            table.qubit_names,
+            initial_capacity=max(n, _INITIAL_CAPACITY),
+        )
+        builder._buf_kind[:n] = table.kind
+        builder._buf_c1[:n] = table.ctrl
+        builder._buf_c2[:n] = table.ctrl2
+        builder._buf_t1[:n] = table.target
+        builder._buf_t2[:n] = table.target2
+        builder._buf_ec[:n] = table.extra_counts()
+        builder._extra.extend(table.extra.tolist())
+        builder._size = n
+        return builder
+
     # -- qubit pool -------------------------------------------------------
 
     @property
     def num_qubits(self) -> int:
         """Number of declared qubits so far."""
         return len(self._qubit_names)
+
+    @property
+    def qubit_names(self) -> tuple[str, ...]:
+        """The declared qubit names, in index order."""
+        return tuple(self._qubit_names)
 
     def add_qubit(self, name: str | None = None) -> int:
         """Declare a new qubit and return its index (collision-safe)."""
@@ -786,8 +817,10 @@ class TableBuilder:
 
     def append_gate(self, gate: Gate) -> None:
         """Append an already-validated :class:`Gate` (object bridge)."""
-        self._check_bounds(*gate.controls, *gate.targets)
         controls, targets = gate.controls, gate.targets
+        # A Gate's operands are distinct non-negative ints already.
+        if max(controls + targets) >= len(self._qubit_names):
+            self._check_bounds(*controls, *targets)
         c1 = controls[0] if len(controls) > 0 else -1
         c2 = controls[1] if len(controls) > 1 else -1
         t2 = targets[1] if len(targets) > 1 else -1
@@ -836,50 +869,6 @@ class TableBuilder:
         self._t2.clear()
         self._extra_counts.clear()
         self._extra.clear()
-
-
-def table_from_gates(
-    gates: Iterable[Gate],
-    qubit_names: Sequence[str],
-    name: str = "circuit",
-) -> GateTable:
-    """Pack an already-validated gate sequence into a :class:`GateTable`."""
-    kind: list[int] = []
-    c1s: list[int] = []
-    c2s: list[int] = []
-    t1s: list[int] = []
-    t2s: list[int] = []
-    extra_counts: list[int] = []
-    extra: list[int] = []
-    codes = _CODE_BY_ID
-    for gate in gates:
-        controls, targets = gate.controls, gate.targets
-        kind.append(codes[id(gate.kind)])
-        nc = len(controls)
-        c1s.append(controls[0] if nc > 0 else -1)
-        c2s.append(controls[1] if nc > 1 else -1)
-        t1s.append(targets[0])
-        t2s.append(targets[1] if len(targets) > 1 else -1)
-        if nc > 2:
-            extra_counts.append(nc - 2)
-            extra.extend(controls[2:])
-        else:
-            extra_counts.append(0)
-    n = len(kind)
-    extra_indptr = np.zeros(n + 1, dtype=np.int64)
-    if extra:
-        np.cumsum(np.asarray(extra_counts, dtype=np.int64), out=extra_indptr[1:])
-    return GateTable(
-        kind=np.asarray(kind, dtype=np.int8),
-        ctrl=np.asarray(c1s, dtype=np.int64),
-        ctrl2=np.asarray(c2s, dtype=np.int64),
-        target=np.asarray(t1s, dtype=np.int64),
-        target2=np.asarray(t2s, dtype=np.int64),
-        extra_indptr=extra_indptr,
-        extra=np.asarray(extra, dtype=np.int64),
-        qubit_names=tuple(qubit_names),
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1052,7 @@ class _McExpandCarry:
                 controls = [c1s[i], c2s[i]]
                 controls.extend(extra[extra_indptr[i] : extra_indptr[i + 1]])
                 # Conjoin the first k-1 controls, terminal Toffoli on
-                # (a_last, c_k; target) — same split as the object pass.
+                # (a_last, c_k; target): 2k-3 Toffolis.
                 emit_chain(controls[:-1], _TOFFOLI, (controls[-1], t1s[i]))
             elif code == _MCF:
                 controls = [c1s[i], c2s[i]]
@@ -1158,10 +1147,9 @@ def _lower_ft_chunk(table: GateTable, carry: _McExpandCarry) -> GateTable:
 def lower_ft(table: GateTable, share_ancillas: bool = False) -> GateTable:
     """The complete FT synthesis pipeline as table passes.
 
-    Stage order matches :func:`repro.circuits.decompose.synthesize_ft`
-    (multi-controlled expansion, SWAP elimination, Fredkin elimination,
-    Toffoli lowering) and the output is bitwise-identical to it.  The
-    whole table is one chunk of
+    Stages, in the paper's order: multi-controlled expansion, SWAP
+    elimination, Fredkin elimination, Toffoli lowering.  The whole table
+    is one chunk of
     :func:`~repro.circuits.stream.lower_ft_stream`.
     """
     carry = _McExpandCarry(table.qubit_names, share_ancillas)

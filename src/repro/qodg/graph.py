@@ -11,13 +11,11 @@ The graph is its CSR arrays: flat predecessor and successor adjacency in
 compressed-sparse-row form, plus each qubit's operations in program
 order.  Because gates are threaded in program order the node numbering is
 already a topological order (start and end follow the operations), which
-every sweep over the graph exploits.  For table-backed circuits of one-
-and two-qubit gates (the array-native front-end) the arrays are built
-**straight from the flat :class:`~repro.circuits.table.GateTable`** in
-one vectorized per-qubit threading pass, with no Gate objects; every
-other circuit threads its Gate objects into per-node rows and packs them
-into the same arrays.  Both builders produce bitwise-identical arrays
-(asserted by ``tests/test_table_equivalence.py``).  A
+every sweep over the graph exploits.  The arrays are built **straight
+from the circuit's flat :class:`~repro.circuits.table.GateTable`** in one
+vectorized per-qubit threading pass over gates of any arity, with no
+Gate objects; ``tests/test_table_equivalence.py`` pins them per case as
+frozen digests recorded from the object threading this pass replaced.  A
 :meth:`QODG.to_networkx` export exists for interoperability and visual
 debugging.
 """
@@ -25,7 +23,6 @@ debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -97,10 +94,7 @@ class QODG:
         """
         if not 0 <= node < self.num_ops:
             raise GraphError(f"node {node} is not an operation node")
-        table = self.circuit.table_if_ready()
-        if table is not None:
-            return table.gate(node)
-        return self.circuit.gates[node]
+        return self.circuit.table().gate(node)
 
     def predecessors(self, node: int) -> tuple[int, ...]:
         """Predecessor node ids."""
@@ -168,26 +162,47 @@ class QODG:
         )
 
 
+def _operand_occurrences(table) -> tuple[np.ndarray, np.ndarray]:
+    """``(qubits, ops)`` of every operand occurrence, in (gate, slot)
+    order: each gate's controls (``ctrl``, ``ctrl2``, then its extra
+    controls) and then its targets, the order :attr:`Gate.qubits`
+    reports."""
+    num_ops = len(table)
+    extras = table.extra_counts()
+    # Every gate gets four fixed slots plus one per extra control;
+    # absent operands stay -1 and are dropped below.
+    width = 4 + extras
+    offsets = np.zeros(num_ops + 1, dtype=np.int64)
+    np.cumsum(width, out=offsets[1:])
+    base = offsets[:-1]
+    slots = np.full(int(offsets[-1]), -1, dtype=np.int64)
+    slots[base] = table.ctrl
+    slots[base + 1] = table.ctrl2
+    slots[base + 2 + extras] = table.target
+    slots[base + 3 + extras] = table.target2
+    if table.extra.size:
+        rows = np.repeat(np.arange(num_ops, dtype=np.int64), extras)
+        rank = np.arange(len(table.extra)) - table.extra_indptr[rows]
+        slots[base[rows] + 2 + rank] = table.extra
+    ops = np.repeat(np.arange(num_ops, dtype=np.int64), width)
+    valid = slots >= 0
+    return slots[valid], ops[valid]
+
+
 def _csr_from_table(table, start: int, end: int) -> tuple[np.ndarray, ...]:
     """One vectorized per-qubit threading pass over a flat gate table.
 
-    Reproduces the object threading bit for bit: successor rows hold
-    increasing targets (with ``end`` last), predecessor rows hold sources
-    in operand order (controls first) with in-gate duplicates merged, and
-    ``preds[end]`` lists distinct last-touchers in qubit order.  Returns
-    the six arrays in :class:`QODG` field order.
+    Each operand occurrence's source is the previous op on its qubit
+    (``start`` if none).  Predecessor rows hold the distinct sources in
+    operand order (controls first): a source repeated within a gate is
+    one merged edge.  Successor rows hold increasing targets (with
+    ``end`` last), and ``preds[end]`` lists the distinct last-touchers
+    in qubit order.  Returns the six arrays in :class:`QODG` field
+    order.
     """
     num_ops = len(table)
     num_qubits = table.num_qubits
-    o0, o1 = table.operand_pairs()
-    # Flatten operand occurrences in (gate, slot) order; slot order is
-    # controls-then-targets, exactly the order the object threading walks.
-    flat_q = np.empty(num_ops * 2, dtype=np.int64)
-    flat_q[0::2] = o0
-    flat_q[1::2] = o1
-    valid = flat_q >= 0
-    flat_q = flat_q[valid]
-    flat_op = np.repeat(np.arange(num_ops, dtype=np.int64), 2)[valid]
+    flat_q, flat_op = _operand_occurrences(table)
     # Per-qubit program-order rows via one stable counting sort.
     order = np.argsort(flat_q, kind="stable")
     sorted_ops = flat_op[order]
@@ -200,40 +215,36 @@ def _csr_from_table(table, start: int, end: int) -> tuple[np.ndarray, ...]:
     row_starts = qubit_indptr[:-1][counts > 0]
     prev[row_starts] = start
     # Scatter back to (gate, slot) order.
-    src_sorted_inverse = np.empty_like(prev)
-    src_sorted_inverse[order] = prev
-    src_all = np.full(num_ops * 2, -2, dtype=np.int64)
-    src_all[valid] = src_sorted_inverse
-    src0 = src_all[0::2]
-    src1 = src_all[1::2]
-    # In-gate merge: the second operand contributes an edge only when its
-    # source differs from the first's (the "combine parallel edges" rule).
-    keep2 = (src1 != -2) & (src1 != src0)
+    src = np.empty_like(prev)
+    src[order] = prev
+    # In-gate merge ("the edges are combined in order to keep the graph
+    # simple"): an occurrence whose source an earlier slot of the same
+    # gate already has adds no edge.  A gate's slots lie within
+    # ``max_operands`` of each other.
+    keep = np.ones(len(src), dtype=bool)
+    for gap in range(1, table.max_operands()):
+        keep[gap:] &= (flat_op[gap:] != flat_op[:-gap]) | (
+            src[gap:] != src[:-gap]
+        )
+    edge_u = src[keep]
+    edge_v = flat_op[keep]
     # End edges: distinct last-touchers, first occurrence in qubit order.
     lasts = sorted_ops[qubit_indptr[1:][counts > 0] - 1]
     _, first_idx = np.unique(lasts, return_index=True)
     end_preds = lasts[np.sort(first_idx)]
-    # Predecessor CSR: ops rows, empty start row, end row.
-    pred_counts = np.empty(num_ops + 2, dtype=np.int64)
-    pred_counts[:num_ops] = 1 + keep2
-    pred_counts[num_ops] = 0
+    # Predecessor CSR: ops rows (grouped by gate already), an empty
+    # start row, the end row.
+    pred_counts = np.bincount(edge_v, minlength=num_ops + 2)
     pred_counts[num_ops + 1] = len(end_preds)
     pred_indptr = np.zeros(num_ops + 3, dtype=np.int64)
     np.cumsum(pred_counts, out=pred_indptr[1:])
-    pred_indices = np.empty(int(pred_indptr[-1]), dtype=np.int64)
-    base = pred_indptr[:num_ops]
-    pred_indices[base] = src0
-    pred_indices[(base + 1)[keep2]] = src1[keep2]
-    pred_indices[pred_indptr[num_ops + 1] :] = end_preds
-    # Successor CSR from the unique directed-edge list, grouped by source
-    # with targets increasing (end sorts last: its id exceeds every op's).
-    ops_ids = np.arange(num_ops, dtype=np.int64)
-    pair_u = np.concatenate((src0, src1[keep2], end_preds))
-    pair_v = np.concatenate(
-        (ops_ids, ops_ids[keep2], np.full(len(end_preds), end, dtype=np.int64))
-    )
+    pred_indices = np.concatenate((edge_u, end_preds))
+    # Successor CSR from the directed-edge list, grouped by source with
+    # targets increasing (end sorts last: its id exceeds every op's).
+    pair_u = np.concatenate((edge_u, end_preds))
+    pair_v = np.concatenate((edge_v, np.full(len(end_preds), end, np.int64)))
     edge_order = np.lexsort((pair_v, pair_u))
-    succ_counts = np.bincount(pair_u, minlength=num_ops + 2)[: num_ops + 2]
+    succ_counts = np.bincount(pair_u, minlength=num_ops + 2)
     succ_indptr = np.zeros(num_ops + 3, dtype=np.int64)
     np.cumsum(succ_counts, out=succ_indptr[1:])
     return (
@@ -246,59 +257,9 @@ def _csr_from_table(table, start: int, end: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _pack(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, indices)`` of per-node rows, row order kept."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(len, rows), np.int64, count=len(rows)),
-        out=indptr[1:],
-    )
-    indices = np.fromiter(
-        chain.from_iterable(rows), np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices
-
-
-def _csr_from_gates(circuit: Circuit) -> tuple[np.ndarray, ...]:
-    """Object threading (any gate arity), packed into the six arrays.
-
-    The reference construction the vectorized table pass is checked
-    against; returns the arrays in :class:`QODG` field order.
-    """
-    num_ops = len(circuit)
-    start, end = num_ops, num_ops + 1
-    preds: list[list[int]] = [[] for _ in range(num_ops + 2)]
-    succs: list[list[int]] = [[] for _ in range(num_ops + 2)]
-    qubit_rows: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
-    # last_node[q] = node that last touched qubit q (start if none yet).
-    last_node = [start] * circuit.num_qubits
-    for index, gate in enumerate(circuit.gates):
-        for qubit in gate.iter_qubits():
-            qubit_rows[qubit].append(index)
-            source = last_node[qubit]
-            # Merge parallel edges (paper: "the edges are combined in
-            # order to keep the graph simple").
-            if not succs[source] or succs[source][-1] != index:
-                succs[source].append(index)
-                preds[index].append(source)
-            last_node[qubit] = index
-    for source in last_node:
-        if source == start:
-            continue  # idle qubit: no operations, no start->end edge
-        if not succs[source] or succs[source][-1] != end:
-            succs[source].append(end)
-            preds[end].append(source)
-    return (*_pack(preds), *_pack(succs), *_pack(qubit_rows))
-
-
 def build_qodg(circuit: Circuit) -> QODG:
-    """Build the QODG of a circuit (any gate kinds; typically FT).
-
-    Table-backed circuits of one- and two-qubit gates take the vectorized
-    CSR path; anything else threads Gate objects.
-    """
-    table = circuit.table_if_ready()
-    if table is not None and table.max_operands() <= 2:
-        num_ops = len(table)
-        return QODG(circuit, *_csr_from_table(table, num_ops, num_ops + 1))
-    return QODG(circuit, *_csr_from_gates(circuit))
+    """Build the QODG of a circuit (any gate kinds; typically FT)."""
+    num_ops = len(circuit)
+    return QODG(
+        circuit, *_csr_from_table(circuit.table(), num_ops, num_ops + 1)
+    )

@@ -124,7 +124,8 @@ class _PairFold:
     wait as pending until they outnumber the folded ones (unique, in
     first-interaction order); a fold runs one ``np.unique`` over the
     folded keys followed by the pending ones, so each key's first index
-    is its first interaction, and sums the counts."""
+    is its first interaction, and sums the counts.  A chunk is checked
+    as the compiled count checks it, before any state is touched."""
 
     def __init__(self) -> None:
         self._keys = np.empty(0, dtype=np.int64)
@@ -133,12 +134,22 @@ class _PairFold:
         self._pending_count = 0
 
     def update(self, table) -> None:
+        num_qubits = table.num_qubits
+        bad = (table.target < 0) | (table.target >= num_qubits)
+        for column in (table.ctrl, table.ctrl2, table.target2):
+            bad |= (column < -1) | (column >= num_qubits)
+        bad |= (table.ctrl < 0) & (table.ctrl2 >= 0)
+        bad |= table.extra_counts() < 0
         mask = table.arities() == 2
-        if not mask.any():
-            return
         o0, o1 = table.operand_pairs()
         qa = o0[mask].astype(np.int64)
         qb = o1[mask].astype(np.int64)
+        if bad.any() or (qa == qb).any():
+            raise ValueError(
+                "IIG pair count: operand outside the register or repeated"
+            )
+        if not len(qa):
+            return
         keys = np.stack((qa << 32 | qb, qb << 32 | qa), axis=1).ravel()
         self._pending.append(keys)
         self._pending_count += len(keys)

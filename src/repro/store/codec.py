@@ -150,13 +150,12 @@ def _encode_circuit(circuit: Circuit) -> bytes:
 
 
 def _decode_circuit(meta: dict, data) -> Circuit:
-    circuit = Circuit.from_table(_table_from_payload(meta, data))
+    table = _table_from_payload(meta, data)
     fingerprint = meta.get("fingerprint")
     if fingerprint:
-        circuit._fp_cache = (
-            (circuit.num_qubits, len(circuit)), fingerprint
-        )
-    return circuit
+        # Seed the table's fingerprint memo with the shipped digest.
+        table._fingerprint = fingerprint
+    return Circuit.from_table(table)
 
 
 def _encode_iig(iig: IIG) -> bytes:

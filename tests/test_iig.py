@@ -52,12 +52,11 @@ def iig_digest(iig) -> str:
 
 
 def object_backed(circuit: Circuit) -> Circuit:
-    """A copy holding Gate objects only (its table is built on demand)."""
+    """A copy rebuilt gate by gate through :meth:`Circuit.append`."""
     clone = Circuit(0, circuit.name)
     for name in circuit.qubit_names:
         clone.add_qubit(name)
     clone.extend(circuit.gates)
-    assert clone.table_if_ready() is None
     return clone
 
 

@@ -364,19 +364,36 @@ class TestNativePairCount:
             fold(stream_table(table, 333), _kernel.PairCounter()), want
         )
 
-    @needs_kernel
+    @pytest.mark.parametrize(
+        "make_counter",
+        [
+            pytest.param(lambda: _kernel.PairCounter(), marks=needs_kernel,
+                         id="kernel"),
+            pytest.param(_PairFold, id="numpy"),
+        ],
+    )
     @pytest.mark.parametrize(
         "column, value",
         [("target", 3), ("target", -1), ("ctrl", 3), ("ctrl", -2),
          ("target2", 7), ("target", 0)],
     )
-    def test_out_of_range_operand_leaves_counts_untouched(self, column, value):
+    def test_out_of_range_operand_leaves_counts_untouched(
+        self, make_counter, column, value
+    ):
         good = Circuit(3)
         good.extend([cnot(0, 1), cnot(1, 2), cnot(0, 1)])
-        counter = _kernel.PairCounter()
+        counter = make_counter()
         counter.update(good.table())
-        before = [a.copy() for a in (counter.keys, counter.counts,
-                                     counter.slots, counter.state)]
+
+        def state() -> list[np.ndarray]:
+            if isinstance(counter, _PairFold):
+                arrays = (*counter.pairs(), *counter._pending)
+            else:
+                arrays = (counter.keys, counter.counts, counter.slots,
+                          counter.state)
+            return [array.copy() for array in arrays]
+
+        before = state()
         bad = good.table()
         columns = {
             name: getattr(bad, name).copy()
@@ -390,7 +407,8 @@ class TestNativePairCount:
         )
         with pytest.raises(ValueError, match="operand outside the register"):
             counter.update(bad)
-        after = (counter.keys, counter.counts, counter.slots, counter.state)
+        after = state()
+        assert len(before) == len(after)
         for old, new in zip(before, after):
             assert np.array_equal(old, new)
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import table as table_module
+from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate, GateKind
 from repro.circuits.library import build_ft
 from repro.circuits.stream import assemble, optimize_stream, stream_table
@@ -30,7 +31,6 @@ from repro.circuits.table import (
     _native_scan,
     _scan_stream,
     optimize_table,
-    table_from_gates,
 )
 from repro.obs import default_registry
 from repro.qspr import _kernel
@@ -38,6 +38,14 @@ from repro.qspr import _kernel
 needs_kernel = pytest.mark.skipif(
     not _kernel.available(), reason="the compiled kernel cannot be built here"
 )
+
+
+def table_from_gates(gates, names, name: str = "circuit") -> GateTable:
+    """``gates`` over the register ``names``, packed as a table."""
+    circuit = Circuit(len(names), name, names)
+    circuit.extend(gates)
+    return circuit.table()
+
 
 FALLBACK_WARNING = "falling back to the Python scan"
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuits.gates import GateKind
+from repro.circuits.gates import KIND_CODES, Gate, GateKind
 from repro.circuits.generators import ripple_adder
 from repro.circuits.parser import (
     read_real,
@@ -223,9 +223,16 @@ class TestQasmLite:
         text = "qubits 2\ncnot q0 q1\n\n# done\n   \n"
         assert len(reads_qasm_lite(text)) == 1
 
-    def test_parsed_circuits_are_table_backed(self):
+    def test_parsed_circuits_are_table_backed(self, monkeypatch):
+        # The reader streams rows into a table: no Gate is constructed.
+        def no_gates(gate):
+            raise AssertionError("the reader built a Gate")
+
+        monkeypatch.setattr(Gate, "__post_init__", no_gates)
         circuit = reads_qasm_lite("qubits 2\ncnot q0 q1\nh q0\n")
-        assert circuit.table_if_ready() is not None
+        assert circuit.table().kind.tolist() == [
+            KIND_CODES[GateKind.CNOT], KIND_CODES[GateKind.H]
+        ]
 
 
 #: Fixed netlists with MCT and MCF rows, and the fingerprints, register

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import cnot, h, t, x
+from repro.circuits.gates import cnot, h, mcf, mct, t, toffoli, x
 from repro.circuits.generators import ham3
 from repro.qodg.graph import build_qodg
 from repro.exceptions import GraphError
@@ -80,6 +80,95 @@ class TestStructure:
         qodg = build_qodg(ham3())
         assert qodg.num_ops == 19
         assert qodg.num_nodes == 21
+
+
+def assert_csr(qodg, pred_indptr, pred_indices, succ_indptr, succ_indices,
+               qubit_indptr, qubit_ops):
+    """All six CSR arrays of ``qodg``, entry for entry."""
+    expected = (pred_indptr, pred_indices, succ_indptr, succ_indices,
+                qubit_indptr, qubit_ops)
+    fields = ("pred_indptr", "pred_indices", "succ_indptr", "succ_indices",
+              "qubit_indptr", "qubit_ops")
+    for field, want in zip(fields, expected):
+        assert getattr(qodg, field).tolist() == want, field
+
+
+class TestWideGates:
+    """Gates of three or more operands, threaded by hand.  Operands run
+    controls first (extra controls after the second), then targets; a
+    source repeated within one gate is one merged edge."""
+
+    def test_toffoli_controls_share_a_predecessor(self):
+        # 0: cnot(0, 1); 1: toffoli(0, 1; 2).  Both controls come from
+        # op 0 (one merged edge), the target from start.  start=2, end=3.
+        circuit = Circuit(3)
+        circuit.extend([cnot(0, 1), toffoli(0, 1, 2)])
+        qodg = build_qodg(circuit)
+        assert qodg.predecessors(1) == (0, qodg.start)
+        assert_csr(
+            qodg,
+            [0, 1, 3, 3, 4], [2, 0, 2, 1],
+            [0, 1, 2, 4, 4], [1, 3, 0, 1],
+            [0, 2, 4, 5], [0, 1, 0, 1, 1],
+        )
+
+    def test_four_control_mct(self):
+        # 0: h(0); 1: h(3); 2: mct(0, 1, 2, 3; 4); 3: x(4); q5 idle.
+        # The MCT's sources in operand order: op 0, start, start
+        # (merged), op 1, start (merged).  start=4, end=5.
+        circuit = Circuit(6)
+        circuit.extend([h(0), h(3), mct((0, 1, 2, 3), 4), x(4)])
+        qodg = build_qodg(circuit)
+        assert qodg.predecessors(2) == (0, qodg.start, 1)
+        assert_csr(
+            qodg,
+            [0, 1, 2, 5, 6, 6, 8], [4, 4, 0, 4, 1, 2, 2, 3],
+            [0, 1, 2, 4, 5, 8, 8], [2, 2, 3, 5, 5, 0, 1, 2],
+            [0, 2, 3, 4, 6, 8, 8], [0, 2, 2, 2, 1, 2, 2, 3],
+        )
+
+    def test_mcf(self):
+        # 0: cnot(2, 3); 1: mcf(0, 1, 4; 2, 3); 2: h(1).  The MCF's
+        # controls all come from start, both targets from op 0.
+        # start=3, end=4.
+        circuit = Circuit(5)
+        circuit.extend([cnot(2, 3), mcf((0, 1, 4), 2, 3), h(1)])
+        qodg = build_qodg(circuit)
+        assert qodg.predecessors(1) == (qodg.start, 0)
+        assert_csr(
+            qodg,
+            [0, 1, 3, 4, 4, 6], [3, 3, 0, 1, 1, 2],
+            [0, 1, 3, 4, 6, 6], [1, 2, 4, 4, 0, 1],
+            [0, 1, 3, 5, 7, 8], [1, 1, 2, 0, 1, 0, 1, 1],
+        )
+
+    def test_idle_qubit_between_wide_operands(self):
+        # toffoli(0, 1; 3) leaves q2 idle: an empty qubit row and no
+        # start->end edge.  start=1, end=2.
+        circuit = Circuit(4)
+        circuit.append(toffoli(0, 1, 3))
+        qodg = build_qodg(circuit)
+        assert_csr(
+            qodg,
+            [0, 1, 1, 2], [1, 0],
+            [0, 1, 2, 2], [2, 0],
+            [0, 1, 2, 2, 3], [0, 0, 0],
+        )
+
+    def test_end_row_follows_qubit_order(self):
+        # 0: toffoli(1, 2; 3); 1: h(3); 2: cnot(1, 2); 3: x(0).  The last
+        # toucher of q0..q3 is op 3, 2, 2, 1: the end row lists the
+        # distinct ones in qubit order, (3, 2, 1).  start=4, end=5.
+        circuit = Circuit(4)
+        circuit.extend([toffoli(1, 2, 3), h(3), cnot(1, 2), x(0)])
+        qodg = build_qodg(circuit)
+        assert qodg.predecessors(qodg.end) == (3, 2, 1)
+        assert_csr(
+            qodg,
+            [0, 1, 2, 3, 4, 4, 7], [4, 0, 0, 4, 3, 2, 1],
+            [0, 2, 3, 4, 5, 7, 7], [1, 2, 5, 5, 5, 0, 3],
+            [0, 1, 3, 5, 7], [3, 0, 2, 0, 2, 0, 1],
+        )
 
 
 class TestAccessors:

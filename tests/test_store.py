@@ -18,8 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import synthesize_ft
 from repro.circuits.library import build, build_ft
+from repro.circuits.table import GateTable, TableBuilder
 from repro.core.estimator import LEQAEstimator
 from repro.core.pipeline import ZoneArrays
 from repro.engine import ArtifactCache, CircuitSpec
@@ -56,16 +58,25 @@ class TestCodecRoundTrips:
             assert restored.dtype == original.dtype
             assert np.array_equal(restored, original)
 
-    def test_circuit_roundtrip_and_seeded_fingerprint(self, ft_circuit):
-        clone = decode(encode(ft_circuit))
+    def test_circuit_roundtrip_and_seeded_fingerprint(self, ft_circuit,
+                                                       monkeypatch):
+        encoded = encode(ft_circuit)
+        clone = decode(encoded)
         assert clone.qubit_names == ft_circuit.qubit_names
         assert clone.table().same_content(ft_circuit.table())
-        # The header-seeded fingerprint must equal a from-scratch hash.
-        seeded = clone.content_fingerprint()
-        rehashed = decode(encode(ft_circuit))
-        rehashed._fp_cache = None
-        assert seeded == rehashed.content_fingerprint()
-        assert seeded == ft_circuit.content_fingerprint()
+        # A copy of the decoded rows hashes them from scratch.
+        rehashed = Circuit.from_table(
+            TableBuilder.from_table(clone.table()).finish()
+        ).content_fingerprint()
+        assert rehashed == ft_circuit.content_fingerprint()
+
+        # The decoded circuit answers from the header-seeded digest,
+        # hashing nothing.
+        def no_hashing(table):
+            raise AssertionError("a decoded circuit re-hashed its gates")
+
+        monkeypatch.setattr(GateTable, "record_stream", no_hashing)
+        assert decode(encoded).content_fingerprint() == rehashed
 
     def test_iig_bitwise(self, ft_circuit):
         iig = build_iig(ft_circuit)

@@ -20,7 +20,6 @@ from repro.circuits.gates import (
     x,
 )
 from repro.circuits.generators import ham3, random_ft, random_reversible
-from repro.circuits.table import table_from_gates
 from repro.core.estimator import LEQAEstimator
 from repro.exceptions import GraphError
 from repro.qodg.critical_path import critical_path, kind_delay_lut, path_result
@@ -184,11 +183,9 @@ class TestErrorParity:
     ``GraphError``, naming that kind, from every critical-path entry."""
 
     @staticmethod
-    def _table_backed_with_swap() -> Circuit:
-        circuit = Circuit.from_table(
-            table_from_gates([h(0), cnot(0, 1), swap(0, 1)], ("a", "b"))
-        )
-        assert circuit.table_if_ready() is not None
+    def _circuit_with_swap() -> Circuit:
+        circuit = Circuit(2, qubit_names=("a", "b"))
+        circuit.extend([h(0), cnot(0, 1), swap(0, 1)])
         return circuit
 
     @pytest.mark.parametrize(
@@ -209,4 +206,4 @@ class TestErrorParity:
         with pytest.raises(
             GraphError, match="^no delay registered for gate kind 'swap'$"
         ):
-            entry(self._table_backed_with_swap(), delays)
+            entry(self._circuit_with_swap(), delays)
