@@ -364,21 +364,25 @@ class TestNativePairCount:
             fold(stream_table(table, 333), _kernel.PairCounter()), want
         )
 
+    # The shared object's cases keep the bare ``column-value`` ids; the
+    # numpy fallback's carry a ``-numpy`` suffix.
     @pytest.mark.parametrize(
-        "make_counter",
+        "column, value, make_counter",
         [
-            pytest.param(lambda: _kernel.PairCounter(), marks=needs_kernel,
-                         id="kernel"),
-            pytest.param(_PairFold, id="numpy"),
+            pytest.param(column, value, make_counter, marks=marks,
+                         id=f"{column}-{value}{suffix}")
+            for make_counter, marks, suffix in (
+                (lambda: _kernel.PairCounter(), needs_kernel, ""),
+                (_PairFold, (), "-numpy"),
+            )
+            for column, value in (
+                ("target", 3), ("target", -1), ("ctrl", 3), ("ctrl", -2),
+                ("target2", 7), ("target", 0),
+            )
         ],
     )
-    @pytest.mark.parametrize(
-        "column, value",
-        [("target", 3), ("target", -1), ("ctrl", 3), ("ctrl", -2),
-         ("target2", 7), ("target", 0)],
-    )
     def test_out_of_range_operand_leaves_counts_untouched(
-        self, make_counter, column, value
+        self, column, value, make_counter
     ):
         good = Circuit(3)
         good.extend([cnot(0, 1), cnot(1, 2), cnot(0, 1)])

@@ -2,12 +2,14 @@
 
 The GateTable IR refactor's contract: for every circuit the library can
 produce, the table passes (FT synthesis, peephole) and the table-built
-QODG are **bitwise identical** to the object implementations they
-replaced — same gate streams, same ancilla names, same adjacency arrays,
-same LEQA latencies.  Those implementations are gone; their outputs are
-pinned as digests recorded from them after asserting that they and the
-table path agreed (:data:`FT_DIGESTS`, :data:`QODG_DIGESTS`,
-:data:`LEQA_DIGESTS`, :data:`OPTIMIZED_FINGERPRINTS`).
+CSR cores (QODG, IIG, the mapper's compiled QODG) are **bitwise
+identical** to the object implementations they replaced — same gate
+streams, same ancilla names, same adjacency arrays, same LEQA latencies.
+Those implementations are gone; their outputs are pinned as digests
+recorded from them after asserting that they and the table path agreed
+(:data:`FT_DIGESTS`, :data:`QODG_DIGESTS`, :data:`IIG_DIGESTS`,
+:data:`COMPILED_DIGESTS`, :data:`LEQA_DIGESTS`,
+:data:`OPTIMIZED_FINGERPRINTS`).
 
 The default run covers every benchmark family at tractable parameter
 points plus synthetic edge cases (MCF/SWAP kinds, idle qubits, empty
@@ -48,8 +50,9 @@ from repro.engine.runner import sweep_workload, BatchRunner
 from repro.exceptions import EstimationError, MappingError
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.qodg.graph import build_qodg
+from repro.qodg.iig import build_iig
 from repro.qspr.mapper import QSPRMapper
-from repro.qspr.scheduling import _alap_order, compile_qodg
+from repro.qspr.scheduling import _alap_order, compile_qodg, delays_table_token
 
 
 def _mixed_kinds() -> Circuit:
@@ -383,6 +386,201 @@ QODG_DIGESTS = {
     ),
 }
 
+#: Per case, ``build_iig`` of the FT lowering: ``total_weight`` and the
+#: blake2b-16 of its five int64 CSR arrays (see :func:`_iig_digest`).
+#: Recorded from the object-backed circuit after asserting that its IIG
+#: equalled the table-backed one's (every case but ``lib:gf2^256mult``,
+#: which was recorded from the table path alone).
+IIG_DIGESTS = {
+    "ham3": (10, "46f9c319b631bfadf96a51806086259c"),
+    "adder": (142, "7e379312730644e9d2bc425e3c741729"),
+    "modadder": (86, "e77eb8040d62cd711e74324a5ce7814a"),
+    "gf2": (420, "09f77fd78a5bf37945dfa5b3c3a0a6dc"),
+    "hwb": (674, "c0b0c73c98bccb09aad6c485339098f4"),
+    "ham-coder": (147, "30339e68d27940a614f4651dcc8deca1"),
+    "random-nct": (286, "d10c71ce21e1aa392c185ba955def47e"),
+    "random-ft": (76, "a8af4ca916b5381304ed17aa01bae143"),
+    "ladder": (8, "8e7afcf07b7f676641a1fdb6785a1587"),
+    "mixed": (106, "ae20992260f8ecaba9044dd8a52c5b61"),
+    "empty": (0, "b07fac3456977022318382f64e1aa2e8"),
+    "lib:ham3": (10, "46f9c319b631bfadf96a51806086259c"),
+    "lib:8bitadder": (198, "996704e030ab77950bef1d6cb913e0d7"),
+    "lib:gf2^16mult": (3972, "22aab0a5a6a8f45229cefea4e34ab29f"),
+    "lib:hwb15ps": (2658, "6c18e29ce22b4ed2a68dfabc1b9027b5"),
+    "lib:hwb16ps": (4238, "6e1c88b9c4e3ecde1a2b08858432149d"),
+    "lib:gf2^18mult": (2880, "3baeb768f326e0c2d47d8c0e225bd544"),
+    "lib:gf2^19mult": (5430, "d3d86ea89621cdf088dbbb6b32fcdded"),
+    "lib:gf2^20mult": (3558, "e439642a87bed20fc4e866fcf4facd1d"),
+    "lib:ham15": (510, "9a7c125745fe4b61d9153bbb3ab8a28e"),
+    "lib:hwb20ps": (5662, "3936f8f60b91e78c644bb6d286ef6d6c"),
+    "lib:hwb50ps": (20482, "128bc7b29e9b28e6f4bfe5e03f6b9dcc"),
+    "lib:gf2^50mult": (37704, "e3186719633bc5bca4abcae25055c5d6"),
+    "lib:mod1048576adder": (534, "9488333043f84c99ce86ff95030b61f4"),
+    "lib:gf2^64mult": (61860, "f77853c250d450d8be4e6a1a530da052"),
+    "lib:hwb100ps": (55982, "075ae492dbd3412078c16c369db62f0d"),
+    "lib:gf2^100mult": (90330, "6bec6ca844db489de32d140834047b73"),
+    "lib:hwb200ps": (146782, "3fffb6dac1ff81d8fffc47f369dd1d45"),
+    "lib:gf2^128mult": (244992, "129ce5026ba9d247804d3f645a942a93"),
+    "lib:gf2^256mult": (1221330, "16d91c3d77054c069227aa6154fe631b"),
+}
+
+#: Per case, ``compile_qodg`` of the FT lowering at the default delays:
+#: ``num_qubits``, the compiled table's ``fingerprint()`` and the
+#: blake2b-16 of its ``q0``/``q1``/``delays`` arrays with their dtypes
+#: (see :func:`_compiled_digest`).  Recorded like :data:`IIG_DIGESTS`.
+COMPILED_DIGESTS = {
+    "ham3": (
+        3,
+        "8024629ab206bf7374ff3b6a79cfb9c8",
+        "79855ae18dfea5740c27eadd55c1cc68",
+    ),
+    "adder": (
+        18,
+        "3042fd30aae49157abc2c2b3fbe2ca18",
+        "9fe0e09af030afb708a319e5c3fa1211",
+    ),
+    "modadder": (
+        12,
+        "91f8d9fb2c4f7173cadcee82b21882c2",
+        "b2756920e082f9927e7b029e8017d6fb",
+    ),
+    "gf2": (
+        21,
+        "3b0a24d8b2f5ea125c2340d8eb59e7b4",
+        "aa7a13cb9bad88091dfb2867c38b6eca",
+    ),
+    "hwb": (
+        24,
+        "c965278a2f86757ca0990f04a36dc19a",
+        "4933370110e2ddf9924424705aa7f146",
+    ),
+    "ham-coder": (
+        17,
+        "e70eeacee2fbc7fdbf3c9867e8032b8c",
+        "bfe3dca153ed33c0408bdbba57a6035c",
+    ),
+    "random-nct": (
+        6,
+        "db742c058a1e701c9c927803233324bc",
+        "d9030be59d05dbd81840bbf255d6271d",
+    ),
+    "random-ft": (
+        8,
+        "f00c152b5a5b199439b33568453d5b29",
+        "442f030d4ded1351c3660b34efc51889",
+    ),
+    "ladder": (
+        5,
+        "3d10b5af5550332c634284e429c79507",
+        "500b9e5840496c15729e3b6f76636643",
+    ),
+    "mixed": (
+        11,
+        "b118fef5ecbd2b3add62ab2ef0c63743",
+        "cd65aaae33fd4e10797680c44b614abb",
+    ),
+    "empty": (
+        3,
+        "8e79fdf1428e95842eaa9af0b22414be",
+        "9df1cf8e26ce43045dbc5b9a0f49163e",
+    ),
+    "lib:ham3": (
+        3,
+        "8024629ab206bf7374ff3b6a79cfb9c8",
+        "79855ae18dfea5740c27eadd55c1cc68",
+    ),
+    "lib:8bitadder": (
+        24,
+        "be30e6bab9a419494d6d9e53a04aaa0a",
+        "12eb0e385bbd4329d7c92fbc3e89f310",
+    ),
+    "lib:gf2^16mult": (
+        48,
+        "b62e9952b7dc26333de458066088c5f4",
+        "f19b15e681e209fec72a061df8568cb5",
+    ),
+    "lib:hwb15ps": (
+        109,
+        "0cb273347f429eb0baa6bec682be0b18",
+        "8dff7361f607c8a4e38359cc1da614eb",
+    ),
+    "lib:hwb16ps": (
+        213,
+        "2bdd3a8fce757b393c18ade73f240268",
+        "86a13ad3b2ce392481214884be36f413",
+    ),
+    "lib:gf2^18mult": (
+        54,
+        "2ebac53b6ff48203161e101fea36d125",
+        "e831e763c6aa100d5c516a1f30d50ba0",
+    ),
+    "lib:gf2^19mult": (
+        57,
+        "7a8f26edac733d800291d4d4bcf40efa",
+        "8c9e8b7379b53ffe12ae921997b0e8a4",
+    ),
+    "lib:gf2^20mult": (
+        60,
+        "a399d0c6c1120745671236699ad07041",
+        "048fde6b8c7db0beb365a171535158ba",
+    ),
+    "lib:ham15": (
+        49,
+        "64ec39cd2f61e8d29e8f675957ccd515",
+        "623100736cecc1e545f6fe98a8ce9203",
+    ),
+    "lib:hwb20ps": (
+        265,
+        "b09e82fc07931a9cb3be5a5cdd4bd615",
+        "7e8d9de2c31da000a927276fe4aa7199",
+    ),
+    "lib:hwb50ps": (
+        1056,
+        "a1a7f7ffe04a0306c0b2072c7ca036e0",
+        "3bc2d597001d13cc91212b6925afdb2d",
+    ),
+    "lib:gf2^50mult": (
+        150,
+        "47e485ae33c5a6506a35aa802760d8fb",
+        "2695d045b62260fa796d1dce7db7324b",
+    ),
+    "lib:mod1048576adder": (
+        60,
+        "28e5a60ffe555fbfd01ead70e5123285",
+        "f1054c6f3ff30fe095fc5d7a46f63509",
+    ),
+    "lib:gf2^64mult": (
+        192,
+        "15199745c28d13ca0e7d459defb14368",
+        "c0ca977bfad5af9d0d1f3eb7c3575d76",
+    ),
+    "lib:hwb100ps": (
+        3107,
+        "18888a70f5ed2fe060a1e02210a318a3",
+        "b3fe657fe7825d6ef2f13dd8c0af0a83",
+    ),
+    "lib:gf2^100mult": (
+        300,
+        "65dba848630edd6153e860bc292bdc9c",
+        "891ce3a27783c8e5986d79ef74331a87",
+    ),
+    "lib:hwb200ps": (
+        8608,
+        "cc390dc5777eb5debae7afcae8243033",
+        "9a536402e9a3b1f9c0b8a0a029be9854",
+    ),
+    "lib:gf2^128mult": (
+        384,
+        "e076403d7309e397b2ad61d3017b8056",
+        "bd0590b6544475cb8ce29b65f4f7c7a6",
+    ),
+    "lib:gf2^256mult": (
+        768,
+        "15afe638af91ab3ed129da735fd43d01",
+        "44945876b92d88d10180b518abd694bb",
+    ),
+}
+
 #: LEQA on ``gf2_multiplier(6)`` and ``hwb(6)`` at ``DEFAULT_PARAMS``:
 #: latency and ``l_avg_cnot`` float hex, then blake2b-16 of the
 #: critical node ids (int64).  Recorded after asserting that the object
@@ -410,6 +608,9 @@ QODG_FIELDS = (
     "qubit_ops",
 )
 
+#: The IIG's five CSR arrays, in field order.
+IIG_FIELDS = ("indptr", "indices", "weights", "degrees", "weight_sums")
+
 
 def _object_backed(circuit: Circuit) -> Circuit:
     """A copy rebuilt gate by gate through :meth:`Circuit.append`."""
@@ -434,6 +635,28 @@ def _qodg_digest(circuit: Circuit) -> str:
         # The digest covers bytes only, so the dtype is pinned here.
         assert getattr(qodg, field).dtype == np.int64, field
     return _blake(b"".join(getattr(qodg, field).tobytes() for field in QODG_FIELDS))
+
+
+def _iig_digest(circuit: Circuit) -> tuple[int, str]:
+    iig = build_iig(circuit)
+    for field in IIG_FIELDS:
+        assert getattr(iig, field).dtype == np.int64, field
+    return (
+        int(iig.total_weight),
+        _blake(b"".join(getattr(iig, field).tobytes() for field in IIG_FIELDS)),
+    )
+
+
+def _compiled_digest(circuit: Circuit) -> tuple[int, str, str]:
+    delays = DEFAULT_PARAMS.delays.by_kind()
+    compiled = compile_qodg(circuit, delays)
+    assert compiled.delays_token == delays_table_token(delays)
+    arrays = (compiled.q0, compiled.q1, compiled.delays)
+    return (
+        int(compiled.num_qubits),
+        compiled.table.fingerprint(),
+        _blake(b"\0".join(a.dtype.str.encode() + a.tobytes() for a in arrays)),
+    )
 
 
 def _assert_same_gates(left: Circuit, right: Circuit) -> None:
@@ -463,6 +686,12 @@ class TestFrontEndEquivalence:
         ft = synthesize_ft(circuit)
         assert (_qodg_digest(circuit), _qodg_digest(ft)) == QODG_DIGESTS[label]
 
+    def test_iig_arrays_identical(self, label, make):
+        assert _iig_digest(synthesize_ft(make())) == IIG_DIGESTS[label]
+
+    def test_compiled_qodg_identical(self, label, make):
+        assert _compiled_digest(synthesize_ft(make())) == COMPILED_DIGESTS[label]
+
     def test_fingerprints_agree_across_backings(self, label, make):
         # A circuit rebuilt gate by gate holds the same table.
         for circuit in (make(), synthesize_ft(make())):
@@ -474,7 +703,13 @@ class TestFrontEndEquivalence:
 def test_every_case_has_a_frozen_fingerprint():
     labels = {label for label, _ in CASES}
     labels |= {f"lib:{name}" for name in BENCHMARKS}
-    for digests in (OPTIMIZED_FINGERPRINTS, FT_DIGESTS, QODG_DIGESTS):
+    for digests in (
+        OPTIMIZED_FINGERPRINTS,
+        FT_DIGESTS,
+        QODG_DIGESTS,
+        IIG_DIGESTS,
+        COMPILED_DIGESTS,
+    ):
         assert labels == set(digests)
 
 
