@@ -12,8 +12,11 @@ recording is enabled.  This bench pins both ends:
   calibration benchmark.
 
 Interleaving the enabled/disabled rounds (rather than back-to-back
-blocks) decorrelates the comparison from thermal/frequency drift, and
-best-of-N discards scheduler noise — standard microbenchmark hygiene.
+blocks), with the arm that runs first alternating per round, decorrelates
+the comparison from thermal/frequency drift, and best-of-N discards
+scheduler noise — standard microbenchmark hygiene.  Both arms read the
+process CPU clock, as ``_common.normalized_seconds`` does, so time the
+host spends running other processes lands in neither.
 """
 
 from __future__ import annotations
@@ -44,24 +47,27 @@ def test_obs_enabled_overhead_under_ceiling():
     obs.disable()
     mapper.map(circuit)
 
-    best_disabled = float("inf")
-    best_enabled = float("inf")
-    try:
-        for _ in range(rounds):
-            obs.disable()
-            started = time.perf_counter()
-            mapper.map(circuit)
-            best_disabled = min(
-                best_disabled, time.perf_counter() - started
-            )
-
+    def timed(enabled: bool) -> float:
+        if enabled:
             obs.enable()
-            started = time.perf_counter()
-            mapper.map(circuit)
-            best_enabled = min(best_enabled, time.perf_counter() - started)
+        else:
+            obs.disable()
+        started = time.process_time()
+        mapper.map(circuit)
+        return time.process_time() - started
+
+    best = {False: float("inf"), True: float("inf")}
+    try:
+        for index in range(rounds):
+            # Each arm leads every other round, so neither one always
+            # runs into the state (caches, clock) the other left behind.
+            order = (False, True) if index % 2 == 0 else (True, False)
+            for enabled in order:
+                best[enabled] = min(best[enabled], timed(enabled))
     finally:
         obs.disable()
         obs.clear_spans()
+    best_disabled, best_enabled = best[False], best[True]
 
     overhead_pct = (best_enabled - best_disabled) / best_disabled * 100.0
     print(

@@ -18,11 +18,16 @@ circuit *families* algorithmically at the same parameter points:
   structured and random circuits for tests, sweeps and the random
   workload ensembles.
 
-Every generator streams its gates into a
+Every generator writes its gates into a
 :class:`~repro.circuits.table.TableBuilder` — integer rows, no
 intermediate :class:`~repro.circuits.gates.Gate` objects — and returns a
-table-backed :class:`Circuit`, so building "gf2^256mult" costs array
-appends rather than a million gate allocations.  Synthesis-level outputs
+table-backed :class:`Circuit`.  Two write whole columns:
+:func:`gf2_multiplier` computes all its Toffoli rows in numpy, and
+:func:`stream_random_nct` collects each chunk's rows; each hands them to
+one validated :meth:`~repro.circuits.table.TableBuilder.extend_rows`
+(per chunk), so building "gf2^256mult" costs a few array operations
+rather than a million checked appends.  The others append gate by gate
+through the builder's per-gate methods.  Synthesis-level outputs
 (NOT/CNOT/Toffoli/Fredkin/MCT/MCF) go through
 :func:`repro.circuits.decompose.synthesize_ft` to obtain the FT netlists
 the estimator and mapper consume.  All generators are deterministic given
@@ -37,10 +42,12 @@ import random
 import sys
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .._validation import require_positive_int
 from ..exceptions import CircuitError
 from .circuit import Circuit
-from .gates import GateKind, cnot, fredkin, mct
+from .gates import KIND_CODES, GateKind, cnot, fredkin, mct
 from .table import (
     DEFAULT_CHUNK_SIZE,
     GateTable,
@@ -171,22 +178,34 @@ def gf2_multiplier(n: int, modulus: int | None = None) -> Circuit:
         raise CircuitError(
             f"modulus degree {poly_degree(modulus)} does not match n={n}"
         )
-    table = reduction_table(n, modulus)
     names = (
         [f"a{i}" for i in range(n)]
         + [f"b{i}" for i in range(n)]
         + [f"c{i}" for i in range(n)]
     )
     builder = TableBuilder(3 * n, name=f"gf2^{n}mult", qubit_names=names)
-    a = list(range(n))
-    b = list(range(n, 2 * n))
-    c = list(range(2 * n, 3 * n))
-    for i in range(n):
-        for j in range(n):
-            reduction = table[i + j]
-            for m in range(n):
-                if (reduction >> m) & 1:
-                    builder.toffoli(a[i], b[j], c[m])
+    # bits[d, m]: coefficient m of x**d mod p, for d = i + j.
+    width = (n + 7) // 8
+    packed = b"".join(
+        power.to_bytes(width, "little")
+        for power in reduction_table(n, modulus)
+    )
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(2 * n - 1, width),
+        axis=1,
+        bitorder="little",
+    )[:, :n]
+    # One Toffoli per set bit of x**(i+j) mod p: nonzero walks the
+    # (pair, m) grid with pair = i*n + j row-major, then m ascending.
+    degree = np.add.outer(np.arange(n), np.arange(n)).ravel()
+    pair, m = np.nonzero(bits[degree])
+    builder.extend_rows(
+        np.full(len(pair), KIND_CODES[GateKind.TOFFOLI], dtype=np.int8),
+        pair // n,
+        n + pair % n,
+        2 * n + m,
+        np.full(len(pair), -1, dtype=np.int64),
+    )
     return Circuit.from_table(builder.finish())
 
 
@@ -435,17 +454,26 @@ def stream_random_nct(
     _require_chunk_size(chunk_size)
     rng = random.Random(seed)
     builder = TableBuilder(n, name=f"random{n}x{gate_count}")
+    toffoli, cnot_code, x = (
+        KIND_CODES[kind]
+        for kind in (GateKind.TOFFOLI, GateKind.CNOT, GateKind.X)
+    )
     for start in range(0, gate_count, chunk_size):
+        # One flat (kind, ctrl, ctrl2, target) record per gate, appended
+        # as columns once per chunk.
+        rows: list[int] = []
         for _ in range(min(chunk_size, gate_count - start)):
             roll = rng.random()
             if roll < toffoli_fraction:
                 c1, c2, tgt = rng.sample(range(n), 3)
-                builder.toffoli(c1, c2, tgt)
+                rows += (toffoli, c1, c2, tgt)
             elif roll < toffoli_fraction + (1 - toffoli_fraction) / 2:
                 c1, tgt = rng.sample(range(n), 2)
-                builder.cnot(c1, tgt)
+                rows += (cnot_code, c1, -1, tgt)
             else:
-                builder.x(rng.randrange(n))
+                rows += (x, -1, -1, rng.randrange(n))
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        builder.extend_rows(*columns, np.full(len(rows) // 4, -1))
         if len(builder) == chunk_size:
             yield builder.finish()
             builder.clear_rows()

@@ -72,11 +72,47 @@ def poly_gcd(lhs: int, rhs: int) -> int:
     return lhs
 
 
+def _spread_nibble(nibble: int) -> int:
+    return sum(((nibble >> i) & 1) << (2 * i) for i in range(4))
+
+
+# A byte's low and high nibbles with their bits spread to even positions:
+# the two output bytes of that byte's square.
+_SQUARE_LOW = bytes(_spread_nibble(byte & 15) for byte in range(256))
+_SQUARE_HIGH = bytes(_spread_nibble(byte >> 4) for byte in range(256))
+
+
+def _square(poly: int) -> int:
+    """``poly**2`` over GF(2): bit ``i`` moves to bit ``2i``."""
+    raw = poly.to_bytes((poly.bit_length() + 7) // 8, "little")
+    spread = bytearray(2 * len(raw))
+    spread[0::2] = raw.translate(_SQUARE_LOW)
+    spread[1::2] = raw.translate(_SQUARE_HIGH)
+    return int.from_bytes(spread, "little")
+
+
 def poly_pow_x(exponent_log2: int, modulus: int) -> int:
-    """Compute ``x**(2**exponent_log2) mod modulus`` by repeated squaring."""
+    """Compute ``x**(2**exponent_log2) mod modulus`` by repeated squaring.
+
+    Squaring over GF(2) only spreads the bits (bit ``i`` moves to bit
+    ``2i``), and ``x**n`` is congruent to the modulus' low terms, so each
+    step folds the part at or above degree ``n`` back over those few
+    terms instead of dividing bit by bit.
+    """
+    if modulus == 0:
+        raise CircuitError("polynomial modulus must be non-zero")
+    degree = poly_degree(modulus)
+    mask = (1 << degree) - 1
+    low_terms = [k for k in range(degree) if (modulus >> k) & 1]
     value = 2  # the polynomial "x"
     for _ in range(exponent_log2):
-        value = poly_mulmod(value, value, modulus)
+        value = _square(value)
+        high = value >> degree
+        while high:
+            value &= mask
+            for k in low_terms:
+                value ^= high << k
+            high = value >> degree
     return value
 
 

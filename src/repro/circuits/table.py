@@ -131,6 +131,18 @@ _ONE_QUBIT_CODE_BY_ID: dict[int, int] = {
     id(kind): KIND_CODES[kind] for kind in ONE_QUBIT_FT_KINDS
 }
 
+#: ``_FIXED_SLOTS[code]`` — ``(fixed, ctrl, ctrl2, target2)`` for the bulk
+#: append: whether the kind fits the five fixed columns (every kind but
+#: MCT/MCF, whose further controls live in ``extra``) and which of the
+#: optional slots it fills.  The last row stands for any unknown code.
+_FIXED_SLOTS = np.zeros((len(KINDS_BY_CODE) + 1, 4), dtype=bool)
+for _kind in ONE_QUBIT_FT_KINDS:
+    _FIXED_SLOTS[KIND_CODES[_kind]] = (True, False, False, False)
+_FIXED_SLOTS[_CNOT] = (True, True, False, False)
+_FIXED_SLOTS[_TOFFOLI] = (True, True, True, False)
+_FIXED_SLOTS[_FREDKIN] = (True, True, False, True)
+_FIXED_SLOTS[_SWAP] = (True, False, False, True)
+
 # The 15-gate FT realization of TOFFOLI(a, b; c) as template rows
 # (:func:`repro.circuits.decompose.toffoli_to_ft_gates`).  Roles index the
 # (a, b, c) operand triple; -1 means "no control".
@@ -448,6 +460,11 @@ class TableBuilder:
     around call :meth:`shrink_to_fit` to drop the doubling headroom —
     without it the last chunk of an out-of-core run would hold up to 2x
     its row count in dead capacity.
+
+    Producers that compute their rows as whole columns append them with
+    :meth:`extend_rows`: one vectorized validation of the batch (the
+    per-gate methods' checks, all or nothing) and one slice copy per
+    column, instead of a checked method call per gate.
     """
 
     def __init__(
@@ -828,6 +845,98 @@ class TableBuilder:
         if len(controls) > 2:
             self._extra_counts[-1] = len(controls) - 2
             self._extra.extend(controls[2:])
+
+    def extend_rows(
+        self,
+        kind: Sequence[int] | np.ndarray,
+        ctrl: Sequence[int] | np.ndarray,
+        ctrl2: Sequence[int] | np.ndarray,
+        target: Sequence[int] | np.ndarray,
+        target2: Sequence[int] | np.ndarray,
+    ) -> None:
+        """Append whole columns of fixed-slot rows as one validated batch.
+
+        ``kind`` holds :data:`~repro.circuits.gates.KIND_CODES` codes of
+        kinds that fit the five columns (the one-qubit FT kinds, CNOT,
+        Toffoli, Fredkin, SWAP; not MCT/MCF), the other four columns the
+        operands in the table layout, ``-1`` in each slot the kind leaves
+        empty.  The batch is checked with vectorized tests for all the
+        per-gate methods reject — a negative or out-of-range operand, a
+        slot pattern the kind does not have, a repeated operand — and a
+        rejected batch raises :class:`CircuitError` naming its first
+        offending row, with nothing appended.
+        """
+        columns = [
+            np.asarray(column) for column in (kind, ctrl, ctrl2, target, target2)
+        ]
+        count = len(columns[0]) if columns[0].ndim == 1 else -1
+        if any(col.ndim != 1 or len(col) != count for col in columns):
+            raise CircuitError(
+                "extend_rows needs five one-dimensional columns of equal "
+                "length"
+            )
+        if not count:
+            return
+        if any(col.dtype.kind not in "iu" for col in columns):
+            raise CircuitError("extend_rows columns must hold integers")
+        code, c1, c2, t1, t2 = (
+            col.astype(np.int64, copy=False) for col in columns
+        )
+        known = (code >= 0) & (code < len(KINDS_BY_CODE))
+        slots = _FIXED_SLOTS[np.where(known, code, -1)]
+        top = len(self._qubit_names)
+        bad = ~slots[:, 0] | (t1 < 0) | (t1 >= top)
+        for column, need in ((c1, slots[:, 1]), (c2, slots[:, 2]),
+                             (t2, slots[:, 3])):
+            bad |= np.where(need, (column < 0) | (column >= top), column != -1)
+        # Past the checks above an empty slot is -1 and a filled one is
+        # >= 0, so only pairs of optional slots need a presence mask (no
+        # fixed-slot kind fills both ctrl2 and target2).
+        bad |= (c1 == t1) | (c2 == t1) | (t1 == t2)
+        bad |= ((c1 == c2) | (c1 == t2)) & (c1 >= 0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            reason = self._row_error(
+                *(int(col[row]) for col in (code, c1, c2, t1, t2))
+            )
+            raise CircuitError(f"extend_rows row {row}: {reason}")
+        self._flush()
+        lo = self._size
+        need = lo + count
+        if need > self._capacity:
+            self._grow(need)
+        self._buf_kind[lo:need] = code
+        self._buf_c1[lo:need] = c1
+        self._buf_c2[lo:need] = c2
+        self._buf_t1[lo:need] = t1
+        self._buf_t2[lo:need] = t2
+        self._buf_ec[lo:need] = 0
+        self._size = need
+
+    def _row_error(self, code: int, c1: int, c2: int, t1: int, t2: int) -> str:
+        """Why :meth:`extend_rows` rejects one row, in the words of the
+        per-gate methods."""
+        fixed, *need = _FIXED_SLOTS[
+            code if 0 <= code < len(KINDS_BY_CODE) else -1
+        ].tolist()
+        if not fixed:
+            return f"kind code {code} is not a fixed-slot gate kind"
+        kind = KINDS_BY_CODE[code]
+        if t1 == -1 or [c1 != -1, c2 != -1, t2 != -1] != need:
+            return (
+                f"{kind.value} does not fill slots ctrl={c1} ctrl2={c2} "
+                f"target={t1} target2={t2}"
+            )
+        controls = tuple(q for q in (c1, c2) if q != -1)
+        targets = (t1,) if t2 == -1 else (t1, t2)
+        try:
+            self._check_bounds(*controls, *targets)
+        except CircuitError as exc:
+            return str(exc)
+        return (
+            f"{kind.value} gate operands must be distinct, got "
+            f"controls={controls} targets={targets}"
+        )
 
     # -- finish -----------------------------------------------------------
 

@@ -106,9 +106,21 @@ def coverage_probability_histogram(
     Returns ``(values, counts)`` with ``sum(counts) == width * height``.
     Exploits the factorization of Eq. 5 into x and y parts: the per-axis
     factor takes at most ``min(side, ceil(extent / 2))`` distinct values.
+    Memoized per ``(width, height, area)`` like :func:`_surfaces_memo`
+    (the truncation guard asks for it on every run), so both arrays are
+    read-only.
     """
     require_positive_int(width, "width", EstimationError)
     require_positive_int(height, "height", EstimationError)
+    return _histogram_memo(
+        width, height, require_positive_float(area, "area", EstimationError)
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _histogram_memo(
+    width: int, height: int, area: float
+) -> tuple[np.ndarray, np.ndarray]:
     side_x = zone_side(area, width)
     side_y = zone_side(area, height)
     x_counts = Counter(
@@ -126,6 +138,8 @@ def coverage_probability_histogram(
     values = np.array([numerator for numerator, _ in items], dtype=float)
     values /= denominator
     counts = np.array([count for _, count in items], dtype=float)
+    values.flags.writeable = False
+    counts.flags.writeable = False
     return values, counts
 
 

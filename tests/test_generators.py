@@ -7,6 +7,7 @@ GF(2^n), hwb rotates by Hamming weight, the Hamming coder corrects.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -23,11 +24,13 @@ from repro.circuits.generators import (
     random_ft,
     random_reversible,
     ripple_adder,
+    stream_random_nct,
 )
-from repro.circuits.gf2 import find_irreducible, poly_mulmod
+from repro.circuits.gf2 import find_irreducible, poly_mulmod, reduction_table
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import GateKind
 from repro.circuits.simulate import simulate_basis
+from repro.circuits.table import TableBuilder
 from repro.exceptions import CircuitError
 
 
@@ -145,6 +148,54 @@ class TestGf2Multiplier:
     def test_wrong_degree_modulus_rejected(self):
         with pytest.raises(CircuitError, match="degree"):
             gf2_multiplier(4, modulus=0b111)
+
+    @pytest.mark.parametrize(
+        "n,fingerprint",
+        [
+            (1, "83d375c11671826c6fc4320960def931"),
+            (2, "15145260e14c4dcce626a6d2bd972672"),
+            (3, "0dcbac4bda1edc9d8f459b054e65ebaf"),
+            (5, "1e3b9074d7caa46dc34bb82700c12d80"),
+            (16, "9d52f4080e71b2dbba64441dfdbae23c"),
+            (20, "a9f9100188cbbcdcc0d6a7c19b991fb1"),
+            (64, "eeb5c4cab38c37d85037a4dea7c061ba"),
+        ],
+    )
+    def test_frozen_fingerprint(self, n, fingerprint):
+        # Recorded from the per-gate loop over (i, j) row-major, then m.
+        circuit = gf2_multiplier(n)
+        assert circuit.name == f"gf2^{n}mult"
+        assert circuit.table().fingerprint() == fingerprint
+
+    def test_matches_the_per_gate_loop(self):
+        # The loop the column build replaced, over random moduli too
+        # (the builder checks only the degree, not irreducibility).
+        rng = random.Random(16)
+        cases = [(n, None) for n in (1, 2, 7, 9, 17)]
+        cases += [
+            (n, (1 << n) | rng.getrandbits(n))
+            for n in (1, 3, 8, 12, 24) for _ in range(2)
+        ]
+        for n, modulus in cases:
+            field = find_irreducible(n) if modulus is None else modulus
+            reduction = reduction_table(n, field)
+            builder = TableBuilder(3 * n)
+            for i in range(n):
+                for j in range(n):
+                    for m in range(n):
+                        if (reduction[i + j] >> m) & 1:
+                            builder.toffoli(i, n + j, 2 * n + m)
+            expected = builder.finish()
+            table = gf2_multiplier(n, modulus=modulus).table()
+            assert table.fingerprint() == expected.fingerprint()
+
+    def test_frozen_fingerprint_explicit_modulus(self):
+        circuit = gf2_multiplier(8, modulus=0x11B)  # the AES polynomial
+        assert circuit.name == "gf2^8mult"
+        assert len(circuit) == 151
+        assert circuit.table().fingerprint() == (
+            "ff517940c9d6ed5ea5202780738d02d4"
+        )
 
 
 class TestControlledHelpers:
@@ -332,3 +383,40 @@ class TestGoldenRandom:
         assert table.num_qubits == n
         assert len(table) == gate_count
         assert table.fingerprint() == fingerprint
+
+
+class TestGoldenStreamNct:
+    """:func:`stream_random_nct`'s chunk boundaries, frozen per chunk.
+
+    Each digest hashes every chunk's length and table fingerprint in
+    order, so a moved boundary, a dropped trailing chunk or a changed
+    draw all show.  1000 gates over chunks of 1, 250 and 1000 end on an
+    exact multiple: the stream then yields one trailing empty chunk.
+    """
+
+    @pytest.mark.parametrize(
+        "chunk_size,digest",
+        [
+            (1, "5672f124d5cc79dfd451d899f0352348"),
+            (7, "2e04e6cdba3338d89e6b4c365198b3c5"),
+            (250, "10465b3f9bbb68ebaa35c23aced653c5"),
+            (256, "18498ffdd8755001ec77507d7629a40c"),
+            (1000, "9b3b38a141790cee8d6d03df38d96646"),
+        ],
+    )
+    def test_chunks(self, chunk_size, digest):
+        chunks = list(
+            stream_random_nct(9, 1000, 3, 0.3, chunk_size=chunk_size)
+        )
+        assert [len(chunk) for chunk in chunks] == (
+            [chunk_size] * (1000 // chunk_size) + [1000 % chunk_size]
+        )
+        record = "".join(f"{len(c)}:{c.fingerprint()};" for c in chunks)
+        assert hashlib.blake2b(
+            record.encode(), digest_size=16
+        ).hexdigest() == digest
+
+    def test_empty_stream_yields_one_empty_chunk(self):
+        (chunk,) = stream_random_nct(4, 0, 1, chunk_size=7)
+        assert len(chunk) == 0
+        assert chunk.num_qubits == 4
